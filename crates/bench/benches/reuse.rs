@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use memtrace::Array;
-use reuse::{naive::NaiveStack, sampled::SampledStack, ExactStack, MarkerStack};
+use reuse::{naive::NaiveStack, ExactStack, MarkerStack};
 
 fn trace(len: usize, universe: u64, seed: u64) -> Vec<u64> {
     let mut state = seed | 1;
@@ -30,15 +30,6 @@ fn bench_algorithms(c: &mut Criterion) {
                 s.access(l, Array::X);
             }
             s.misses(0)
-        })
-    });
-    group.bench_function("sampled-1/16", |b| {
-        b.iter(|| {
-            let mut s = SampledStack::new(4).expect("shift 4 is in range");
-            for &l in &t {
-                s.access(l);
-            }
-            s.estimated_misses(2048)
         })
     });
     group.bench_function("exact-fenwick", |b| {

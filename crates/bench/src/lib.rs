@@ -18,7 +18,6 @@
 pub mod accuracy;
 pub mod boxplot;
 pub mod runner;
-pub mod trajectory;
 
 pub use boxplot::BoxStats;
 pub use runner::{machine_for, measure, parallel_map, ExpArgs, SweepPoint};

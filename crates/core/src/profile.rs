@@ -1142,130 +1142,34 @@ impl LocalityProfile {
         builder.finish(partials)
     }
 
-    /// The original materialise-then-replay pipeline, kept verbatim as the
+    /// The original materialise-then-replay pipeline, kept as the
     /// reference oracle for the streaming path (tests compare the two
-    /// bit-for-bit; the benchmark suite uses it as the "seed" baseline).
-    /// Buffers every per-thread trace and replays each domain four times —
-    /// prefer [`compute`](Self::compute).
+    /// bit-for-bit). Its traces come from the independent
+    /// `memtrace::spmv_trace`/`memtrace::xtrace` generators rather than the
+    /// cursors the streaming path runs on. Buffers every per-thread trace
+    /// and replays each domain four times — prefer
+    /// [`compute`](Self::compute).
     pub fn compute_materialized(
         matrix: &CsrMatrix,
         cfg: &MachineConfig,
         method: Method,
         threads: usize,
     ) -> Self {
-        assert!(threads >= 1, "need at least one thread");
-        let line_bytes = cfg.l2.line_bytes;
-        let cores_per_domain = cfg.cores_per_domain;
-
-        let mut profile = LocalityProfile {
+        Self::replay_materialized(
+            matrix,
+            cfg,
             method,
             threads,
-            line_bytes,
-            cores_per_domain,
-            x_array_bytes: matrix.num_cols() * 8,
-            y_row_bytes: 8,
-            x_refs: matrix.nnz(),
-            companion0_bytes: 16 * matrix.num_rows(),
-            domains: Vec::new(),
-            tracked: None,
-            kind: ProfileKind::XTrace(XProfile {
-                pairs: Vec::new(),
-                cold: 0,
-            }),
-        };
-
-        // Method (B) predicts all-zero for an empty matrix before tracing;
-        // mirror that so evaluation stays exact.
-        if method == Method::B && matrix.nnz() == 0 {
-            return profile;
-        }
-
-        let layout = matrix.layout(line_bytes);
-        let partition = thread_partition(matrix, threads);
-
-        // Domain shares (contiguous row spans, as in the per-domain
-        // accounting of both methods).
-        let num_parts = partition.num_parts();
-        let num_domains = num_parts.div_ceil(cores_per_domain);
-        for d in 0..num_domains {
-            let t0 = d * cores_per_domain;
-            let t1 = ((d + 1) * cores_per_domain).min(num_parts);
-            let row_start = partition.range(t0).start;
-            let row_end = partition.range(t1 - 1).end;
-            let nnz_d = (matrix.rowptr()[row_end] - matrix.rowptr()[row_start]) as usize;
-            profile.domains.push(DomainShare {
-                rows: row_end - row_start,
-                x_refs: nnz_d,
-                meta_elems: row_end - row_start + 1,
-            });
-        }
-
-        match method {
-            Method::A => {
-                let per_thread = trace_spmv_partitioned(matrix, &layout, &partition);
-                let domains = DomainTraces::group(per_thread, cores_per_domain);
-                let expected = memtrace::spmv_trace::trace_len(matrix.num_rows(), matrix.nnz());
-
-                let mut shared = ArrayHistograms::default();
-                let mut part0 = ArrayHistograms::default();
-                let mut part1 = ArrayHistograms::default();
-                for d in 0..domains.num_domains() {
-                    // Unpartitioned routing.
-                    let mut sink = HistogramSink::new(ArraySet::EMPTY, expected, 16);
-                    domains.feed_domain(d, &mut sink); // warm-up
-                    sink.recording = true;
-                    domains.feed_domain(d, &mut sink); // measured
-                    shared.merge(&sink.hist0);
-
-                    // Listing-1 routing.
-                    let mut sink = HistogramSink::new(ArraySet::MATRIX_STREAM, expected, expected);
-                    domains.feed_domain(d, &mut sink);
-                    sink.recording = true;
-                    domains.feed_domain(d, &mut sink);
-                    part0.merge(&sink.hist0);
-                    part1.merge(&sink.hist1);
-                }
-                profile.kind = ProfileKind::Trace(TraceProfile {
-                    shared,
-                    part0,
-                    part1,
-                });
-            }
-            Method::B => {
-                let per_thread = trace_x_partitioned(matrix, &layout, &partition);
-                let domains = DomainTraces::group(per_thread, cores_per_domain);
-
-                let mut pairs: HashMap<(u64, u64), u64> = HashMap::new();
-                let mut cold = 0u64;
-                for d in 0..domains.num_domains() {
-                    let mut interleaved = memtrace::VecSink::new();
-                    domains.feed_domain(d, &mut interleaved);
-                    let trace = &interleaved.trace;
-                    let mut stack = ExactStack::with_capacity(trace.len() * 2);
-                    let mut last_seen: HashMap<u64, u64> = HashMap::new();
-                    // Warm-up iteration.
-                    for (t, a) in trace.iter().enumerate() {
-                        stack.access(a.line);
-                        last_seen.insert(a.line, t as u64);
-                    }
-                    // Measured iteration.
-                    let offset = trace.len() as u64;
-                    for (t, a) in trace.iter().enumerate() {
-                        let now = offset + t as u64;
-                        let rd = stack.access(a.line);
-                        let g = last_seen.insert(a.line, now).map(|prev| now - prev);
-                        match (rd, g) {
-                            (Some(rd), Some(g)) => *pairs.entry((rd, g)).or_insert(0) += 1,
-                            _ => cold += 1,
-                        }
-                    }
-                }
-                let mut pairs: Vec<((u64, u64), u64)> = pairs.into_iter().collect();
-                pairs.sort_unstable();
-                profile.kind = ProfileKind::XTrace(XProfile { pairs, cold });
-            }
-        }
-        profile
+            |rows| DomainShare {
+                rows: rows.len(),
+                x_refs: (matrix.rowptr()[rows.end] - matrix.rowptr()[rows.start]) as usize,
+                meta_elems: rows.len() + 1,
+            },
+            |layout, partition| match method {
+                Method::A => trace_spmv_partitioned(matrix, layout, partition),
+                Method::B => trace_x_partitioned(matrix, layout, partition),
+            },
+        )
     }
 
     /// Format-generic materialise-then-replay oracle: buffers every
@@ -1280,6 +1184,46 @@ impl LocalityProfile {
         cfg: &MachineConfig,
         method: Method,
         threads: usize,
+    ) -> Self {
+        Self::replay_materialized(
+            workload,
+            cfg,
+            method,
+            threads,
+            |items| workload.share(items),
+            |layout, partition| {
+                (0..partition.num_parts())
+                    .map(|t| {
+                        let mut sink = memtrace::VecSink::new();
+                        match method {
+                            Method::A => workload
+                                .trace_cursor(layout, partition.range(t))
+                                .drain_into(&mut sink),
+                            Method::B => workload
+                                .x_trace_cursor(layout, partition.range(t))
+                                .drain_into(&mut sink),
+                        }
+                        sink.trace
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    /// The replay body both materialized oracles share. `share` gives a
+    /// domain's accounting for a span of work items; `per_thread` produces
+    /// each thread's buffered trace — every array for method (A), `x` only
+    /// for method (B). The traces are grouped into L2 domains and each
+    /// domain is replayed twice (warm-up, then measured): method (A)
+    /// through the unpartitioned and the Listing-1 routings on exact
+    /// stacks, method (B) on an exact stack paired with a reuse-gap clock.
+    fn replay_materialized<W: SpmvWorkload>(
+        workload: &W,
+        cfg: &MachineConfig,
+        method: Method,
+        threads: usize,
+        share: impl Fn(std::ops::Range<usize>) -> DomainShare,
+        per_thread: impl FnOnce(&DataLayout, &RowPartition) -> Vec<Vec<Access>>,
     ) -> Self {
         assert!(threads >= 1, "need at least one thread");
         let line_bytes = cfg.l2.line_bytes;
@@ -1302,6 +1246,8 @@ impl LocalityProfile {
             }),
         };
 
+        // Method (B) predicts all-zero for an empty workload before
+        // tracing; mirror that so evaluation stays exact.
         if method == Method::B && workload.x_refs() == 0 {
             return profile;
         }
@@ -1309,38 +1255,19 @@ impl LocalityProfile {
         let layout = workload.layout(line_bytes);
         let partition = thread_partition(workload, threads);
         let num_parts = partition.num_parts();
-        let num_domains = num_parts.div_ceil(cores_per_domain);
-        for d in 0..num_domains {
+        for d in 0..num_parts.div_ceil(cores_per_domain) {
             let t0 = d * cores_per_domain;
             let t1 = ((d + 1) * cores_per_domain).min(num_parts);
-            let span = partition.range(t0).start..partition.range(t1 - 1).end;
-            profile.domains.push(workload.share(span));
+            profile.domains.push(share(
+                partition.range(t0).start..partition.range(t1 - 1).end,
+            ));
         }
 
-        let materialize = |x_only: bool| -> Vec<Vec<Access>> {
-            (0..num_parts)
-                .map(|t| {
-                    let mut sink = memtrace::VecSink::new();
-                    if x_only {
-                        workload
-                            .x_trace_cursor(&layout, partition.range(t))
-                            .drain_into(&mut sink);
-                    } else {
-                        workload
-                            .trace_cursor(&layout, partition.range(t))
-                            .drain_into(&mut sink);
-                    }
-                    sink.trace
-                })
-                .collect()
-        };
-
+        let per_thread = per_thread(&layout, &partition);
+        let expected: usize = per_thread.iter().map(|t| t.len()).sum();
+        let domains = DomainTraces::group(per_thread, cores_per_domain);
         match method {
             Method::A => {
-                let per_thread = materialize(false);
-                let expected: usize = per_thread.iter().map(|t| t.len()).sum();
-                let domains = DomainTraces::group(per_thread, cores_per_domain);
-
                 let mut shared = ArrayHistograms::default();
                 let mut part0 = ArrayHistograms::default();
                 let mut part1 = ArrayHistograms::default();
@@ -1367,8 +1294,6 @@ impl LocalityProfile {
                 });
             }
             Method::B => {
-                let domains = DomainTraces::group(materialize(true), cores_per_domain);
-
                 let mut pairs: HashMap<(u64, u64), u64> = HashMap::new();
                 let mut cold = 0u64;
                 for d in 0..domains.num_domains() {

@@ -9,6 +9,19 @@
 //! structural fingerprint so a `matrices × methods × settings` batch
 //! computes only `matrices × methods` profiles.
 //!
+//! Six entry points, over one private job path (plan the run once, then
+//! look up or compute, evaluate and report each job):
+//!
+//! * [`try_compute_profile`] — one profile, its L2 domains (or capacity
+//!   shards) fanned out over the pool; cancellable and traceable.
+//!   [`compute_profile_sharded`] is its infallible form.
+//! * [`run_batch`] — a whole spec, on the pool, against a fresh cache;
+//!   [`run_on`] runs the same sweep over caller-built workloads.
+//! * [`run_streaming`] — a spec in job order on the calling thread against
+//!   a caller-owned shared cache, emitting each report as it is made (the
+//!   serve daemon's path); [`run_streaming_traced`] adds a per-request
+//!   trace.
+//!
 //! * [`job`] — [`BatchSpec`] (what to run) and its line-based spec format,
 //!   including the `format`/`reorder` directives that run a batch under a
 //!   different storage format (e.g. SELL-C-σ) or row order.
@@ -342,118 +355,31 @@ pub fn ecm_for<W: SpmvWorkload>(
 /// the builder, so the partials run on `workers` threads and are merged in
 /// domain order — the result is byte-identical to the sequential pipeline
 /// for any worker count. With `settings`, method (A) runs the
-/// sweep-restricted marker pipeline (see
-/// [`ProfileBuilder::for_sweep`]); without, the capacity-independent
-/// exact pipeline.
-pub fn compute_profile_parallel<W: SpmvWorkload>(
-    workload: &W,
-    cfg: &MachineConfig,
-    method: Method,
-    threads: usize,
-    settings: Option<&[SectorSetting]>,
-    workers: usize,
-) -> LocalityProfile {
-    try_compute_profile_parallel(
-        workload,
-        cfg,
-        method,
-        threads,
-        settings,
-        workers,
-        &CancelToken::never(),
-    )
-    .expect("a never-cancelled computation completes")
-}
-
-/// [`compute_profile_parallel`] with an explicit capacity-shard override.
-/// `shards = None` applies the heuristic (shard only when the domain
-/// count alone cannot occupy the pool); `Some(n)` forces `n` shards per
-/// domain, clamped to the tracked grid's slot count. Untracked (exact)
-/// and method (B) builders have nothing to shard and always run the plain
-/// per-domain fan-out.
-pub fn compute_profile_sharded<W: SpmvWorkload>(
-    workload: &W,
-    cfg: &MachineConfig,
-    method: Method,
-    threads: usize,
-    settings: Option<&[SectorSetting]>,
-    workers: usize,
-    shards: Option<usize>,
-) -> LocalityProfile {
-    try_compute_profile_sharded(
-        workload,
-        cfg,
-        method,
-        threads,
-        settings,
-        workers,
-        shards,
-        &CancelToken::never(),
-    )
-    .expect("a never-cancelled computation completes")
-}
-
-/// Cancellable [`compute_profile_parallel`]: `token` is polled before
-/// each per-domain trace analysis (the engine's cooperative cancellation
-/// checkpoints — one huge matrix is abandoned within a domain's worth of
-/// work, not a profile's worth). Returns `None` once the token trips;
-/// the partially-built profile is discarded.
+/// sweep-restricted marker pipeline (see [`ProfileBuilder::for_sweep`]);
+/// without, the capacity-independent exact pipeline.
+///
+/// When one matrix has fewer L2 domains than the pool has workers, the
+/// per-domain fan-out alone cannot saturate the pool; sweep (tracked)
+/// method (A) builders then split each domain's tracked capacity grid into
+/// shards — every shard replays the identical stream against a slice of
+/// the capacities, and the deterministic per-domain merge reproduces the
+/// unsharded counters bit for bit. `shards = None` applies that heuristic;
+/// `Some(n)` forces `n` shards per domain, clamped to the tracked grid's
+/// slot count. Untracked (exact) and method (B) builders have nothing to
+/// shard and always run the plain per-domain fan-out.
+///
+/// `token` is polled before each per-domain (or per-shard) partial — the
+/// engine's cooperative cancellation checkpoints, so one huge matrix is
+/// abandoned within a domain's worth of work. Returns `None` once the
+/// token trips; the partially-built profile is discarded.
+///
+/// Each partial records a `compute/domain` (or `compute/shard`) phase
+/// into `ctx` from whichever pool worker ran it, so a TRACE of the request
+/// shows the fan-out width and its wall time. A
+/// [`disabled`](obs::RequestCtx::disabled) ctx records nothing and costs
+/// an `Option` check per partial — profiles are identical either way.
 #[allow(clippy::too_many_arguments)]
-pub fn try_compute_profile_parallel<W: SpmvWorkload>(
-    workload: &W,
-    cfg: &MachineConfig,
-    method: Method,
-    threads: usize,
-    settings: Option<&[SectorSetting]>,
-    workers: usize,
-    token: &CancelToken,
-) -> Option<LocalityProfile> {
-    try_compute_profile_sharded(
-        workload, cfg, method, threads, settings, workers, None, token,
-    )
-}
-
-/// Cancellable [`compute_profile_sharded`]. When one matrix has fewer L2
-/// domains than the pool has workers, the per-domain fan-out alone cannot
-/// saturate the pool; sweep (tracked) method (A) builders then split each
-/// domain's tracked capacity grid into shards — every shard replays the
-/// identical stream against a slice of the capacities, and the
-/// deterministic per-domain merge reproduces the unsharded counters bit
-/// for bit, so the profile (and hence all report bytes) is independent of
-/// the worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn try_compute_profile_sharded<W: SpmvWorkload>(
-    workload: &W,
-    cfg: &MachineConfig,
-    method: Method,
-    threads: usize,
-    settings: Option<&[SectorSetting]>,
-    workers: usize,
-    shards: Option<usize>,
-    token: &CancelToken,
-) -> Option<LocalityProfile> {
-    try_compute_profile_traced(
-        workload,
-        cfg,
-        method,
-        threads,
-        settings,
-        workers,
-        shards,
-        token,
-        &obs::RequestCtx::disabled(),
-    )
-}
-
-/// [`try_compute_profile_sharded`] under a per-request trace ctx: each
-/// per-domain (or per-shard) partial records a `compute/domain` (or
-/// `compute/shard`) phase into `ctx` from whichever pool worker ran it,
-/// so a TRACE of the request shows the fan-out width and its wall time.
-/// A [`disabled`](obs::RequestCtx::disabled) ctx records nothing and
-/// costs an `Option` check per partial — profiles (and hence report
-/// bytes) are identical either way.
-#[allow(clippy::too_many_arguments)]
-pub fn try_compute_profile_traced<W: SpmvWorkload>(
+pub fn try_compute_profile<W: SpmvWorkload>(
     workload: &W,
     cfg: &MachineConfig,
     method: Method,
@@ -524,149 +450,188 @@ pub fn try_compute_profile_traced<W: SpmvWorkload>(
     Some(builder.finish(partials))
 }
 
-/// Runs a batch: resolves workloads from the spec's sources (applying its
-/// `reorder` and `format`), then fans the jobs out via
-/// [`run_on_workloads`]. A spec with `deadline_ms` runs under a
-/// [`CancelToken`] covering the whole batch and reports
-/// [`EngineError::Cancelled`] if the budget runs out.
-pub fn run_batch(spec: &BatchSpec) -> Result<BatchResult, EngineError> {
-    let token = match spec.deadline_ms {
-        Some(ms) => CancelToken::with_deadline_ms(ms),
-        None => CancelToken::never(),
-    };
-    run_batch_cancellable(spec, &token)
-}
-
-/// [`run_batch`] under an explicit caller-owned token. The spec's own
-/// `deadline_ms` is *not* consulted here — the caller owns the budget
-/// (the serve daemon folds the spec deadline, the request deadline and
-/// shutdown cancellation into the one token it passes).
-pub fn run_batch_cancellable(
-    spec: &BatchSpec,
-    token: &CancelToken,
-) -> Result<BatchResult, EngineError> {
-    let matrices = resolve_sources(spec)?;
-    let refs: Vec<(&str, &Workload)> = matrices
-        .iter()
-        .map(|m| (m.name.as_str(), &m.workload))
-        .collect();
-    Ok(try_run_on_workloads(spec, &refs, token)?)
-}
-
-/// Runs the spec's methods × settings sweep over an explicit matrix list
-/// (the spec's own `sources` are ignored). This is the entry point for
-/// experiment drivers that build or filter their matrix population
-/// themselves — e.g. the Table 2/3 accuracy tables, which keep only
-/// matrices above the L2-capacity threshold.
-///
-/// Jobs run on the work-stealing pool; each (matrix, method) profile is
-/// computed once and shared by every setting via the fingerprint-keyed
-/// cache. Reports come back sorted by job id — matrix outermost, then
-/// method, then setting, matching the spec's orders — and carry no
-/// timing, so the output is byte-identical for any worker count.
-pub fn run_on(spec: &BatchSpec, matrices: &[(&str, &CsrMatrix)]) -> BatchResult {
-    run_on_workloads(spec, matrices)
-}
-
-/// Format-generic [`run_on`]: the sweep over an explicit list of already
-/// built workloads (any [`SpmvWorkload`] — `&CsrMatrix`, `&SellMatrix`,
-/// or the [`Workload`] enum). The spec's `sources`, `format` and
-/// `reorder` are *not* applied here — the caller owns the conversion —
-/// but `reorder` still tags the cache/report fingerprints, so callers
-/// passing reordered matrices keep them distinct from natural-order runs.
-pub fn run_on_workloads<W: SpmvWorkload>(spec: &BatchSpec, matrices: &[(&str, &W)]) -> BatchResult {
-    try_run_on_workloads(spec, matrices, &CancelToken::never())
-        .expect("a never-cancelled batch completes")
-}
-
-/// The cache key for one job of `spec` on the resolved machine.
-/// `caps_fingerprint` is the sweep-restricted grid fingerprint for
-/// method (A) jobs (marker stacks only answer at the capacities they
-/// tracked); method (B) profiles are capacity-independent (0). The
-/// machine's hierarchy fingerprint keeps sweeps over machines whose
-/// two-level projections happen to agree from sharing slots.
-fn job_key(
-    spec: &BatchSpec,
-    rm: &ResolvedMachine,
-    caps_fingerprint: u64,
-    fingerprint: u64,
+/// The infallible form of [`try_compute_profile`]: never cancelled,
+/// untraced.
+pub fn compute_profile_sharded<W: SpmvWorkload>(
+    workload: &W,
+    cfg: &MachineConfig,
     method: Method,
-) -> ProfileKey {
-    ProfileKey {
-        fingerprint,
+    threads: usize,
+    settings: Option<&[SectorSetting]>,
+    workers: usize,
+    shards: Option<usize>,
+) -> LocalityProfile {
+    try_compute_profile(
+        workload,
+        cfg,
         method,
-        threads: spec.threads,
-        line_bytes: rm.cfg.l2.line_bytes,
-        cores_per_domain: rm.cfg.cores_per_domain,
-        caps_fingerprint: match method {
-            Method::A => caps_fingerprint,
-            Method::B => 0,
-        },
-        machine_tag: rm.tag,
+        threads,
+        settings,
+        workers,
+        shards,
+        &CancelToken::never(),
+        &obs::RequestCtx::disabled(),
+    )
+    .expect("a never-cancelled computation completes")
+}
+
+/// Everything a run resolves once, before its first job: the matrices'
+/// reorder-tagged fingerprints, the expanded jobs, the machine sweep and
+/// each machine's tracked-capacity grid fingerprint.
+struct Plan<'a, W> {
+    spec: &'a BatchSpec,
+    matrices: &'a [(&'a str, &'a W)],
+    fingerprints: Vec<u64>,
+    jobs: Vec<Job>,
+    machines: Vec<ResolvedMachine>,
+    caps_fingerprints: Vec<u64>,
+}
+
+fn plan<'a, W: SpmvWorkload>(spec: &'a BatchSpec, matrices: &'a [(&'a str, &'a W)]) -> Plan<'a, W> {
+    let machines = resolve_machines(spec);
+    Plan {
+        spec,
+        matrices,
+        fingerprints: matrices
+            .iter()
+            .map(|(_, m)| spec.reorder.tag_fingerprint(m.fingerprint()))
+            .collect(),
+        jobs: expand_jobs(spec, matrices.len()),
+        caps_fingerprints: machines
+            .iter()
+            .map(|rm| TrackedCaps::for_sweep(&rm.cfg, &spec.settings).fingerprint())
+            .collect(),
+        machines,
     }
 }
 
-/// Cancellable [`run_on_workloads`]: `token` is polled before every job
-/// and between the per-domain partials inside each profile computation.
-/// Once it trips the whole run reports [`Cancelled`] — reports are all
-/// or nothing, matching the batch contract (deterministic, complete
-/// JSON-lines output) rather than emitting a truncated report list.
-pub fn try_run_on_workloads<W: SpmvWorkload>(
-    spec: &BatchSpec,
-    matrices: &[(&str, &W)],
+/// Runs one job of `plan` against `cache`: the profile lookup (computing
+/// it on a miss), the per-setting evaluation and the report. Returns the
+/// report and whether the profile was a cache hit, or `None` once `token`
+/// trips. Records `cache-lookup` and `compute` phases into `ctx`.
+fn run_job<W: SpmvWorkload>(
+    plan: &Plan<'_, W>,
+    job: &Job,
+    cache: &ProfileCache,
     token: &CancelToken,
-) -> Result<BatchResult, Cancelled> {
-    let _span = obs::span("batch.run");
-    obs::add("engine.batch.runs", 1);
-    let fingerprints: Vec<u64> = matrices
-        .iter()
-        .map(|(_, m)| spec.reorder.tag_fingerprint(m.fingerprint()))
-        .collect();
-    let jobs = expand_jobs(spec, matrices.len());
-    let machines = resolve_machines(spec);
-    let cache = ProfileCache::new();
-    let caps_fingerprints: Vec<u64> = machines
-        .iter()
-        .map(|rm| TrackedCaps::for_sweep(&rm.cfg, &spec.settings).fingerprint())
-        .collect();
-
-    let reports: Option<Vec<Report>> = pool::run_indexed(spec.workers, &jobs, |_, job| {
-        if token.is_cancelled() {
-            return None;
-        }
-        let (name, matrix) = matrices[job.matrix];
-        let fingerprint = fingerprints[job.matrix];
-        let rm = &machines[job.machine];
-        let key = job_key(
-            spec,
-            rm,
-            caps_fingerprints[job.machine],
-            fingerprint,
-            job.method,
-        );
-        let lookup = cache.get_or_try_compute(key, || {
-            try_compute_profile_parallel(
+    ctx: &obs::RequestCtx,
+) -> Option<(Report, bool)> {
+    if token.is_cancelled() {
+        return None;
+    }
+    let spec = plan.spec;
+    let (name, matrix) = plan.matrices[job.matrix];
+    let fingerprint = plan.fingerprints[job.matrix];
+    let rm = &plan.machines[job.machine];
+    // Method (A) keys on the sweep-restricted capacity grid (marker stacks
+    // only answer at the capacities they tracked); method (B) profiles are
+    // capacity-independent. The hierarchy fingerprint keeps machines whose
+    // two-level projections happen to agree from sharing slots.
+    let key = ProfileKey {
+        fingerprint,
+        method: job.method,
+        threads: spec.threads,
+        line_bytes: rm.cfg.l2.line_bytes,
+        cores_per_domain: rm.cfg.cores_per_domain,
+        caps_fingerprint: match job.method {
+            Method::A => plan.caps_fingerprints[job.machine],
+            Method::B => 0,
+        },
+        machine_tag: rm.tag,
+    };
+    let lookup = {
+        let _lookup_phase = ctx.phase(&["cache-lookup"], Some("serve.phase.cache_lookup_ns"));
+        cache.get_or_try_compute(key, || {
+            let _compute_phase = ctx.phase(&["compute"], Some("serve.phase.compute_ns"));
+            try_compute_profile(
                 matrix,
                 &rm.cfg,
                 job.method,
                 spec.threads,
                 Some(&spec.settings),
                 spec.workers,
+                None,
                 token,
+                ctx,
             )
-        })?;
-        let prediction = lookup.profile.evaluate(&rm.cfg, &[job.setting])[0];
-        let ecm = spec.ecm.then(|| ecm_for(matrix, &rm.hier, &prediction));
-        Some(report::report_for(
-            job,
-            name,
-            fingerprint,
-            (matrix.num_rows(), matrix.num_cols(), matrix.nnz()),
-            spec.threads,
-            prediction,
-            rm.emit_label.then(|| rm.label.clone()),
-            ecm,
-        ))
+        })?
+    };
+    let prediction = lookup.profile.evaluate(&rm.cfg, &[job.setting])[0];
+    let ecm = spec.ecm.then(|| ecm_for(matrix, &rm.hier, &prediction));
+    let report = report::report_for(
+        job,
+        name,
+        fingerprint,
+        (matrix.num_rows(), matrix.num_cols(), matrix.nnz()),
+        spec.threads,
+        prediction,
+        rm.emit_label.then(|| rm.label.clone()),
+        ecm,
+    );
+    Some((report, lookup.hit))
+}
+
+/// Borrows resolved matrices in the `(name, workload)` form the job path
+/// takes.
+fn as_refs(matrices: &[BatchMatrix]) -> Vec<(&str, &Workload)> {
+    matrices
+        .iter()
+        .map(|m| (m.name.as_str(), &m.workload))
+        .collect()
+}
+
+/// Runs a batch: resolves workloads from the spec's sources (applying its
+/// `reorder`, `format` and scenario), then fans the jobs out over the
+/// work-stealing pool as [`run_on`] does. A spec with `deadline_ms` runs
+/// under a [`CancelToken`] covering the whole batch and reports
+/// [`EngineError::Cancelled`] if the budget runs out.
+pub fn run_batch(spec: &BatchSpec) -> Result<BatchResult, EngineError> {
+    let token = match spec.deadline_ms {
+        Some(ms) => CancelToken::with_deadline_ms(ms),
+        None => CancelToken::never(),
+    };
+    let matrices = resolve_sources(spec)?;
+    Ok(batch_on(spec, &as_refs(&matrices), &token)?)
+}
+
+/// Runs the spec's methods × settings sweep over an explicit list of
+/// already built workloads (any [`SpmvWorkload`] — `&CsrMatrix`,
+/// `&SellMatrix`, or the [`Workload`] enum). This is the entry point for
+/// experiment drivers that build or filter their matrix population
+/// themselves — e.g. the Table 2/3 accuracy tables, which keep only
+/// matrices above the L2-capacity threshold. The spec's `sources`,
+/// `format` and `reorder` are *not* applied here — the caller owns the
+/// conversion — but `reorder` still tags the cache/report fingerprints,
+/// so callers passing reordered matrices keep them distinct from
+/// natural-order runs.
+///
+/// Jobs run on the work-stealing pool; each (matrix, method) profile is
+/// computed once and shared by every setting via the fingerprint-keyed
+/// cache. Reports come back sorted by job id — matrix outermost, then
+/// method, then setting, matching the spec's orders — and carry no
+/// timing, so the output is byte-identical for any worker count.
+pub fn run_on<W: SpmvWorkload>(spec: &BatchSpec, matrices: &[(&str, &W)]) -> BatchResult {
+    batch_on(spec, matrices, &CancelToken::never()).expect("a never-cancelled batch completes")
+}
+
+/// The batch runner behind [`run_batch`] and [`run_on`]: the plan's jobs
+/// on the work-stealing pool against a fresh cache. `token` is polled
+/// before every job and between the per-domain partials inside each
+/// profile computation. Once it trips the whole run reports
+/// [`Cancelled`] — reports are all or nothing, matching the batch
+/// contract (deterministic, complete JSON-lines output).
+fn batch_on<W: SpmvWorkload>(
+    spec: &BatchSpec,
+    matrices: &[(&str, &W)],
+    token: &CancelToken,
+) -> Result<BatchResult, Cancelled> {
+    let _span = obs::span("batch.run");
+    obs::add("engine.batch.runs", 1);
+    let plan = plan(spec, matrices);
+    let cache = ProfileCache::new();
+    let ctx = obs::RequestCtx::disabled();
+    let reports: Option<Vec<Report>> = pool::run_indexed(spec.workers, &plan.jobs, |_, job| {
+        run_job(&plan, job, &cache, token, &ctx).map(|(report, _)| report)
     })
     .into_iter()
     .collect();
@@ -674,7 +639,7 @@ pub fn try_run_on_workloads<W: SpmvWorkload>(
     // The cache is the single source of truth for both the report stats
     // and the telemetry counters — no parallel tally.
     cache.flush_obs();
-    obs::add("engine.batch.jobs", jobs.len() as u64);
+    obs::add("engine.batch.jobs", plan.jobs.len() as u64);
 
     let Some(reports) = reports else {
         return Err(token.cancelled().unwrap_or(Cancelled::Shutdown));
@@ -682,27 +647,12 @@ pub fn try_run_on_workloads<W: SpmvWorkload>(
     Ok(BatchResult {
         stats: BatchStats {
             matrices: matrices.len(),
-            jobs: jobs.len(),
+            jobs: plan.jobs.len(),
             profile_computations: cache.computations(),
             profile_hits: cache.hits(),
         },
         reports,
     })
-}
-
-/// Per-request accounting from a [`run_streaming`] call — the serve
-/// analogue of [`BatchStats`], distinguishing hits against the caller's
-/// long-lived shared cache from profiles computed for this request.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Matrices this request resolved.
-    pub matrices: usize,
-    /// Jobs emitted (matrices × methods × settings).
-    pub jobs: usize,
-    /// Profiles computed for this request (shared-cache misses).
-    pub profile_computations: u64,
-    /// Jobs served from the shared cache (cross- or intra-request).
-    pub profile_hits: u64,
 }
 
 /// Streaming batch run for the prediction service: resolves the spec's
@@ -712,7 +662,8 @@ pub struct StreamStats {
 /// per-domain fan-out inside each profile computation (`spec.workers`)
 /// and from the caller running many requests concurrently — all sharing
 /// `cache`, which is where repeated matrices across clients become
-/// near-free.
+/// near-free. The returned [`BatchStats`] count this request's hits
+/// against the shared cache and the profiles computed for it.
 ///
 /// `token` is polled before every job and between domain partials; a
 /// tripped token aborts the remainder (already-emitted reports stand —
@@ -722,129 +673,45 @@ pub fn run_streaming(
     cache: &ProfileCache,
     token: &CancelToken,
     emit: impl FnMut(&Report),
-) -> Result<StreamStats, EngineError> {
+) -> Result<BatchStats, EngineError> {
     run_streaming_traced(spec, cache, token, &obs::RequestCtx::disabled(), emit)
 }
 
 /// [`run_streaming`] under a per-request trace ctx (the serve daemon's
 /// entry point). Each job's shared-cache lookup records a `cache-lookup`
 /// phase, profile computations record `compute` (with `domain`/`shard`
-/// children from the pool workers — see
-/// [`try_compute_profile_traced`]), and each report emission records
-/// `stream-out`; every phase also feeds a fleet-wide `serve.phase.*`
-/// latency histogram. Report bytes are identical to an untraced run.
+/// children from the pool workers — see [`try_compute_profile`]), and
+/// each report emission records `stream-out`; every phase also feeds a
+/// fleet-wide `serve.phase.*` latency histogram. Report bytes are
+/// identical to an untraced run.
 pub fn run_streaming_traced(
     spec: &BatchSpec,
     cache: &ProfileCache,
     token: &CancelToken,
     ctx: &obs::RequestCtx,
     mut emit: impl FnMut(&Report),
-) -> Result<StreamStats, EngineError> {
+) -> Result<BatchStats, EngineError> {
     let _span = obs::span("serve.request");
     let matrices = resolve_sources(spec)?;
-    let jobs = expand_jobs(spec, matrices.len());
-    let machines = resolve_machines(spec);
-    let caps_fingerprints: Vec<u64> = machines
-        .iter()
-        .map(|rm| TrackedCaps::for_sweep(&rm.cfg, &spec.settings).fingerprint())
-        .collect();
-    let mut stats = StreamStats {
+    let refs = as_refs(&matrices);
+    let plan = plan(spec, &refs);
+    let mut stats = BatchStats {
         matrices: matrices.len(),
-        jobs: jobs.len(),
-        ..StreamStats::default()
+        jobs: plan.jobs.len(),
+        ..BatchStats::default()
     };
-    for job in &jobs {
-        if let Some(reason) = token.cancelled() {
-            return Err(reason.into());
-        }
-        let m = &matrices[job.matrix];
-        let rm = &machines[job.machine];
-        let fingerprint = spec.reorder.tag_fingerprint(m.workload.fingerprint());
-        let key = job_key(
-            spec,
-            rm,
-            caps_fingerprints[job.machine],
-            fingerprint,
-            job.method,
-        );
-        let lookup = {
-            let _lookup_phase = ctx.phase(&["cache-lookup"], Some("serve.phase.cache_lookup_ns"));
-            cache.get_or_try_compute(key, || {
-                let _compute_phase = ctx.phase(&["compute"], Some("serve.phase.compute_ns"));
-                try_compute_profile_traced(
-                    &m.workload,
-                    &rm.cfg,
-                    job.method,
-                    spec.threads,
-                    Some(&spec.settings),
-                    spec.workers,
-                    None,
-                    token,
-                    ctx,
-                )
-            })
-        }
-        .ok_or_else(|| EngineError::from(token.cancelled().unwrap_or(Cancelled::Shutdown)))?;
-        if lookup.hit {
+    for job in &plan.jobs {
+        let (report, hit) = run_job(&plan, job, cache, token, ctx)
+            .ok_or_else(|| EngineError::from(token.cancelled().unwrap_or(Cancelled::Shutdown)))?;
+        if hit {
             stats.profile_hits += 1;
         } else {
             stats.profile_computations += 1;
         }
-        let prediction = lookup.profile.evaluate(&rm.cfg, &[job.setting])[0];
-        let ecm = spec
-            .ecm
-            .then(|| ecm_for(&m.workload, &rm.hier, &prediction));
-        let report = report::report_for(
-            job,
-            &m.name,
-            fingerprint,
-            (
-                m.workload.num_rows(),
-                m.workload.num_cols(),
-                m.workload.nnz(),
-            ),
-            spec.threads,
-            prediction,
-            rm.emit_label.then(|| rm.label.clone()),
-            ecm,
-        );
-        {
-            let _out_phase = ctx.phase(&["stream-out"], Some("serve.phase.stream_out_ns"));
-            emit(&report);
-        }
+        let _out_phase = ctx.phase(&["stream-out"], Some("serve.phase.stream_out_ns"));
+        emit(&report);
     }
     Ok(stats)
-}
-
-/// Convenience: predictions for one workload across a sweep, through the
-/// same cache type the batch path uses. Exists so experiment drivers can
-/// share a long-lived [`ProfileCache`] across calls. Keys on the
-/// workload's format-tagged fingerprint, so CSR and SELL views of the
-/// same matrix occupy distinct slots.
-pub fn predict_cached<W: SpmvWorkload>(
-    cache: &ProfileCache,
-    workload: &W,
-    cfg: &MachineConfig,
-    method: Method,
-    settings: &[SectorSetting],
-    threads: usize,
-) -> Vec<locality_core::Prediction> {
-    // Capacity-independent profile (caps_fingerprint 0, machine-agnostic
-    // tag 0): callers may hit the same cache entry with arbitrary
-    // follow-up sweeps, and they key on the projection alone.
-    let key = ProfileKey {
-        fingerprint: workload.fingerprint(),
-        method,
-        threads,
-        line_bytes: cfg.l2.line_bytes,
-        cores_per_domain: cfg.cores_per_domain,
-        caps_fingerprint: 0,
-        machine_tag: 0,
-    };
-    let profile = cache.get_or_compute(key, || {
-        LocalityProfile::compute(workload, cfg, method, threads)
-    });
-    profile.evaluate(cfg, settings)
 }
 
 #[cfg(test)]
@@ -992,25 +859,48 @@ mod tests {
 
     #[test]
     fn streaming_matches_batch_and_shares_the_cache_across_requests() {
-        let spec = small_spec();
-        let batch = run_batch(&spec).unwrap();
-        let cache = ProfileCache::bounded(64);
+        // Every axis the job path branches on: format, scenario (SpMM and
+        // CG), machine, and the ECM attachment.
+        let base = "corpus count=2 scale=64 seed=11\n\
+                    settings off,2,5\n\
+                    threads 2\n\
+                    scale 64\n";
+        let mut specs = vec![small_spec()];
+        for axis in [
+            "format sell:8,32\n",
+            "rhs 4\n",
+            "workload cg\n",
+            "machine generic-x86\n",
+            "ecm on\n",
+        ] {
+            specs.push(BatchSpec::parse(&format!("{base}{axis}")).unwrap());
+        }
         let token = CancelToken::never();
+        for spec in &specs {
+            let batch = run_batch(spec).unwrap();
+            let cache = ProfileCache::bounded(64);
+            let stream = |out: &mut String| {
+                let stats = run_streaming(spec, &cache, &token, |r| {
+                    out.push_str(&r.to_json_line());
+                    out.push('\n');
+                })
+                .unwrap();
+                out.push_str(&stats.to_json_line());
+                out.push('\n');
+                stats
+            };
 
-        let mut streamed = Vec::new();
-        let stats = run_streaming(&spec, &cache, &token, |r| streamed.push(r.clone())).unwrap();
-        assert_eq!(streamed, batch.reports, "streamed reports are byte-equal");
-        assert_eq!(stats.jobs, batch.stats.jobs);
-        assert_eq!(stats.profile_computations, batch.stats.profile_computations);
-        assert_eq!(stats.profile_hits, batch.stats.profile_hits);
+            let mut streamed = String::new();
+            let stats = stream(&mut streamed);
+            assert_eq!(streamed, batch.to_json_lines(), "{spec:?}");
+            assert_eq!(stats, batch.stats, "{spec:?}");
 
-        // The same request again: every profile comes from the shared
-        // cache — the cross-request regime the serve daemon exists for.
-        let mut again = Vec::new();
-        let stats2 = run_streaming(&spec, &cache, &token, |r| again.push(r.clone())).unwrap();
-        assert_eq!(again, batch.reports);
-        assert_eq!(stats2.profile_computations, 0);
-        assert_eq!(stats2.profile_hits, stats2.jobs as u64);
+            // The same request again: every profile comes from the shared
+            // cache — the cross-request regime the serve daemon exists for.
+            let stats2 = stream(&mut String::new());
+            assert_eq!(stats2.profile_computations, 0, "{spec:?}");
+            assert_eq!(stats2.profile_hits, stats2.jobs as u64, "{spec:?}");
+        }
     }
 
     #[test]
@@ -1036,11 +926,14 @@ mod tests {
         let compute = trace.root.get(&["compute"]).expect("compute phase");
         assert_eq!(compute.count, 8, "one compute per (matrix, method)");
         assert!(compute.wall_ns > 0);
-        let domains = trace
-            .root
-            .get(&["compute", "domain"])
-            .expect("domain fan-out");
-        assert!(domains.count >= compute.count, "at least one domain each");
+        // The fan-out records `domain` partials, or `shard` partials when
+        // the pool is wider than the domain count (any multicore host).
+        let partials: u64 = [["compute", "domain"], ["compute", "shard"]]
+            .iter()
+            .filter_map(|path| trace.root.get(path))
+            .map(|node| node.count)
+            .sum();
+        assert!(partials >= compute.count, "at least one partial each");
         let out = trace.root.get(&["stream-out"]).expect("stream-out phase");
         assert_eq!(out.count, 56, "one emission per job");
     }
@@ -1055,7 +948,7 @@ mod tests {
         // Heuristic sharding (threads 8 → one domain, 4 workers) and every
         // explicit shard count must reproduce the direct profile exactly.
         let heuristic =
-            compute_profile_parallel(&nm.matrix, &cfg, Method::A, 8, Some(&settings), 4);
+            compute_profile_sharded(&nm.matrix, &cfg, Method::A, 8, Some(&settings), 4, None);
         assert_eq!(heuristic, direct);
         for shards in [1, 2, 7, 64] {
             let sharded = compute_profile_sharded(
@@ -1207,8 +1100,9 @@ mod tests {
         let spec = small_spec();
         let token = CancelToken::never();
         token.cancel();
-        match run_batch_cancellable(&spec, &token) {
-            Err(EngineError::Cancelled(Cancelled::Shutdown)) => {}
+        let matrices = resolve_sources(&spec).unwrap();
+        match batch_on(&spec, &as_refs(&matrices), &token) {
+            Err(Cancelled::Shutdown) => {}
             other => panic!("expected shutdown cancellation, got {other:?}"),
         }
         let cache = ProfileCache::new();
@@ -1224,10 +1118,18 @@ mod tests {
     fn expired_deadline_reports_typed_error() {
         let spec = small_spec();
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        match run_batch_cancellable(&spec, &token) {
+        let matrices = resolve_sources(&spec).unwrap();
+        match batch_on(&spec, &as_refs(&matrices), &token) {
+            Err(Cancelled::DeadlineExceeded) => {}
+            other => panic!("expected deadline error, got {other:?}"),
+        }
+        let cache = ProfileCache::new();
+        let mut emitted = 0usize;
+        match run_streaming(&spec, &cache, &token, |_| emitted += 1) {
             Err(EngineError::Cancelled(Cancelled::DeadlineExceeded)) => {}
             other => panic!("expected deadline error, got {other:?}"),
         }
+        assert_eq!(emitted, 0, "no report may be emitted past the deadline");
         // The spec-level directive routes through the same machinery; a
         // generous budget completes normally.
         let mut roomy = small_spec();

@@ -18,8 +18,6 @@
 //!   queries.
 //! * [`partitioned::PartitionedStack`] — Eq. (2): two marker stacks with
 //!   array-based routing, modelling a way-partitioned (sector) cache.
-//! * [`sampled::SampledStack`] — SHARDS-style spatially hashed sampling
-//!   estimator of the same miss curve at a fraction of the cost.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,11 +29,9 @@ pub mod histogram;
 pub mod markers;
 pub mod naive;
 pub mod partitioned;
-pub mod sampled;
 
 pub use exact::ExactStack;
 pub use fxhash::{FxHashMap, LineTable, PROBE_ABSENT};
 pub use histogram::ReuseHistogram;
 pub use markers::{MarkerStack, QuantizedCounts};
 pub use partitioned::PartitionedStack;
-pub use sampled::{SampleShiftError, SampledStack, MAX_SAMPLE_SHIFT};

@@ -9,7 +9,7 @@
 //! readable [`ErrorCode`] plus a human-readable message.
 
 use crate::json::Json;
-use locality_engine::StreamStats;
+use locality_engine::BatchStats;
 use std::fmt;
 
 /// Machine-readable error discriminants on the wire.
@@ -234,7 +234,7 @@ pub fn report_line(id: &str, report_json: &str) -> String {
 }
 
 /// The `done` line closing a predict request's response stream.
-pub fn done_line(id: &str, stats: &StreamStats) -> String {
+pub fn done_line(id: &str, stats: &BatchStats) -> String {
     format!(
         "{{\"id\":\"{}\",\"done\":{{\"matrices\":{},\"jobs\":{},\"profile_hits\":{},\"profile_computations\":{}}}}}",
         escape(id),
@@ -387,7 +387,7 @@ mod tests {
 
     #[test]
     fn response_lines_are_valid_json() {
-        let stats = StreamStats {
+        let stats = BatchStats {
             matrices: 2,
             jobs: 4,
             profile_computations: 2,

@@ -9,9 +9,9 @@
 //!   frames lines, parses requests and either answers inline (`status`,
 //!   `shutdown`, rejections) or enqueues the predict job;
 //! * **executor** threads pop predict jobs from the bounded queue and
-//!   run them through [`locality_engine::run_streaming`], writing each
-//!   report line through the connection's shared writer the moment it
-//!   exists.
+//!   run them through [`locality_engine::run_streaming_traced`] against
+//!   the daemon's shared cache, writing each report line through the
+//!   connection's shared writer the moment it exists.
 //!
 //! Backpressure is the queue bound: a predict request arriving with the
 //! queue full is rejected immediately with a typed `overloaded` error —

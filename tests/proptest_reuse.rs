@@ -6,7 +6,7 @@
 use memtrace::interleave::{domain_groups, round_robin};
 use memtrace::{Access, Array, ArraySet};
 use proptest::prelude::*;
-use reuse::{naive, ExactStack, MarkerStack, PartitionedStack, ReuseHistogram, SampledStack};
+use reuse::{naive, ExactStack, MarkerStack, PartitionedStack, ReuseHistogram};
 
 fn arb_trace(max_len: usize, universe: u64) -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0..universe, 0..max_len)
@@ -144,64 +144,5 @@ proptest! {
         }
         // And a cache bigger than the universe only takes cold misses.
         prop_assert_eq!(hist.misses(64), hist.cold());
-    }
-}
-
-proptest! {
-    // Fewer cases: each one replays a 100k-access trace through nine
-    // estimators.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// SHARDS-style sampling tracks the exact miss ratio at every shift
-    /// 0..=8. Shift 0 must reproduce the exact curve bit-for-bit; higher
-    /// shifts get a statistical tolerance that widens as the expected
-    /// sampled-line population (`universe >> shift`) shrinks. The `1/R`
-    /// distance rescale is an exact integer multiply (`d * 2^shift`) on a
-    /// distance that excludes the referenced line itself — the unbiased
-    /// SHARDS form — so a systematic rounding bias would show up here as
-    /// a one-sided failure across seeds.
-    #[test]
-    fn sampled_tracks_exact_across_shifts(seed in 0u64..(1 << 20)) {
-        const LEN: usize = 100_000;
-        const UNIVERSE: u64 = 10_000;
-        let mut state = seed.wrapping_mul(2).wrapping_add(1);
-        let trace: Vec<u64> = (0..LEN)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 33) % UNIVERSE
-            })
-            .collect();
-        let mut hist = ReuseHistogram::new();
-        let mut ex = ExactStack::new();
-        let mut stacks: Vec<SampledStack> =
-            (0..=8).map(|s| SampledStack::new(s).unwrap()).collect();
-        for &l in &trace {
-            hist.record(ex.access(l));
-            for s in &mut stacks {
-                s.access(l);
-            }
-        }
-        for (shift, s) in stacks.iter().enumerate() {
-            // ~3-sigma band for cluster sampling by line: the error is
-            // driven by which lines land in the sample, so it scales with
-            // 1/sqrt(expected sampled lines), not sampled accesses.
-            let expected_lines = (UNIVERSE >> shift) as f64;
-            let tol = 0.02 + 1.5 / expected_lines.sqrt();
-            for cap in [500usize, 2000, 6000, 12000] {
-                if shift == 0 {
-                    prop_assert_eq!(s.estimated_misses(cap), hist.misses(cap));
-                    continue;
-                }
-                let truth = hist.misses(cap) as f64 / LEN as f64;
-                let est = s.estimated_miss_ratio(cap);
-                prop_assert!(
-                    (est - truth).abs() < tol,
-                    "shift {} capacity {}: true {:.4} vs est {:.4} (tol {:.4})",
-                    shift, cap, truth, est, tol
-                );
-            }
-        }
     }
 }
