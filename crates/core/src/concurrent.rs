@@ -147,6 +147,13 @@ impl<'a, W: SpmvWorkload> DomainCursors<'a, W> {
         let mut cursors = self.x_cursors(d);
         round_robin_cursors(&mut cursors, 1, sink);
     }
+
+    /// Streams domain `d`'s method (B) references into a block sink, in
+    /// the same order as [`Self::feed_x`].
+    pub fn feed_x_blocks<S: BlockSink>(&self, d: usize, sink: &mut S) {
+        let mut cursors = self.x_cursors(d);
+        round_robin_cursors_blocks(&mut cursors, sink);
+    }
 }
 
 /// The static work partition used for `threads`-way SpMV (contiguous
@@ -259,6 +266,13 @@ mod tests {
             cursors.feed_spmv_blocks(d, &mut got);
             let unpacked: Vec<Access> = got.trace.iter().map(|p| p.unpack()).collect();
             assert_eq!(unpacked, want.trace, "domain {d}");
+
+            let mut want = VecSink::new();
+            cursors.feed_x(d, &mut want);
+            let mut got = memtrace::PackedVecSink::new();
+            cursors.feed_x_blocks(d, &mut got);
+            let unpacked: Vec<Access> = got.trace.iter().map(|p| p.unpack()).collect();
+            assert_eq!(unpacked, want.trace, "x domain {d}");
         }
     }
 

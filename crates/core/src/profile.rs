@@ -95,23 +95,33 @@ impl HistogramSink {
         }
     }
 
-    /// Like [`new`](Self::new), but additionally pre-sizes both stacks'
-    /// line tables for the distinct-line bounds of the stream each will
-    /// see, so neither rehashes mid-trace.
-    fn with_line_capacity(
+    /// Creates a recording sink in the state a replay of the warm-up
+    /// iteration with last-access order `order` leaves behind: both
+    /// stacks are seeded ([`ExactStack::seed_lru`]) with the lines routed
+    /// as [`MarkerSink::seed_lru`] routes them. Each stack is sized for
+    /// its seeded lines plus the `measured0`/`measured1` references the
+    /// measured iteration routes to it, and its line table for the
+    /// distinct-line bound `lines0`/`lines1`, so nothing regrows or
+    /// rehashes mid-trace.
+    fn seeded(
         sector1: ArraySet,
-        expected0: usize,
-        expected1: usize,
-        lines0: usize,
-        lines1: usize,
+        order: &[LastAccess],
+        (measured0, measured1): (usize, usize),
+        (lines0, lines1): (usize, usize),
     ) -> Self {
+        let stack = |want1: bool, measured: usize, lines: usize| {
+            let seed = route(order, sector1, want1);
+            let mut s = ExactStack::with_line_capacity(seed.len() + measured, lines);
+            s.seed_lru(&seed);
+            s
+        };
         HistogramSink {
             sector1,
-            stack0: ExactStack::with_line_capacity(expected0, lines0),
-            stack1: ExactStack::with_line_capacity(expected1, lines1),
+            stack0: stack(false, measured0, lines0),
+            stack1: stack(true, measured1, lines1),
             hist0: ArrayHistograms::default(),
             hist1: ArrayHistograms::default(),
-            recording: false,
+            recording: true,
         }
     }
 
@@ -120,6 +130,16 @@ impl HistogramSink {
         self.stack0.flush_obs();
         self.stack1.flush_obs();
     }
+}
+
+/// The lines of a last-access order that `sector1` routes to partition 1
+/// (`want1`) or partition 0, most recent first.
+fn route(order: &[LastAccess], sector1: ArraySet, want1: bool) -> Vec<u64> {
+    order
+        .iter()
+        .filter(|a| sector1.contains(a.array) == want1)
+        .map(|a| a.line)
+        .collect()
 }
 
 impl TraceSink for HistogramSink {
@@ -213,19 +233,12 @@ impl MarkerSink {
     /// partition its array belongs to. Counters stay zero — equivalent to
     /// replaying the warm-up and then resetting, per
     /// [`MarkerStack::seed_lru`]'s exactness argument.
-    fn seed_lru(&mut self, order: &[(u64, Array)]) {
-        let route = |sector1: ArraySet, want1: bool| -> Vec<u64> {
-            order
-                .iter()
-                .filter(|(_, a)| sector1.contains(*a) == want1)
-                .map(|&(line, _)| line)
-                .collect()
-        };
+    fn seed_lru(&mut self, order: &[LastAccess]) {
         if let Some(s) = &mut self.stack0 {
-            s.seed_lru(&route(self.sector1, false));
+            s.seed_lru(&route(order, self.sector1, false));
         }
         if let Some(s) = &mut self.stack1 {
-            s.seed_lru(&route(self.sector1, true));
+            s.seed_lru(&route(order, self.sector1, true));
         }
     }
 
@@ -316,8 +329,16 @@ impl BlockSink for MarkerSink {
     }
 }
 
+/// A line's last access in a scanned stream.
+struct LastAccess {
+    line: u64,
+    /// 0-based stream position of the access.
+    pos: u64,
+    array: Array,
+}
+
 /// Block sink recording each line's last access position in one pass —
-/// the cheap warm-up replacement of the tracked pipeline. Global line ids
+/// the cheap warm-up replacement of every stack pipeline. Global line ids
 /// are dense (`DataLayout` packs the five arrays back to back), so the
 /// scan is a direct store per reference: no hash probe, no stack work.
 struct LastPosSink {
@@ -334,9 +355,9 @@ impl LastPosSink {
         }
     }
 
-    /// The touched lines in most-recently-accessed-first order, each with
-    /// its array tag — the seed order for [`MarkerSink::seed_lru`].
-    fn lru_order(&self) -> Vec<(u64, Array)> {
+    /// The touched lines in most-recently-accessed-first order — the seed
+    /// order for the stacks' `seed_lru`.
+    fn lru_order(&self) -> Vec<LastAccess> {
         let mut touched: Vec<(u64, u64)> = self
             .last
             .iter()
@@ -348,7 +369,11 @@ impl LastPosSink {
         touched.sort_unstable_by_key(|&(v, _)| std::cmp::Reverse(v));
         touched
             .into_iter()
-            .map(|(v, line)| (line, Array::ALL[(v & 7) as usize]))
+            .map(|(v, line)| LastAccess {
+                line,
+                pos: (v >> 3) - 1,
+                array: Array::ALL[(v & 7) as usize],
+            })
             .collect()
     }
 }
@@ -362,31 +387,70 @@ impl BlockSink for LastPosSink {
     }
 }
 
-/// Trace sink distilling the method (B) `x`-stream into `(RD, gap)` pair
-/// counts on the fly — the streaming replacement for the materialise-
-/// then-replay loop.
+/// Trace sink distilling the measured iteration of the method (B)
+/// `x`-stream into `(RD, gap)` pair counts on the fly — the streaming
+/// replacement for the materialise-then-replay loop.
+///
+/// Each warm pair is buffered as one packed `rd << 32 | gap` key; sorting
+/// the keys and counting runs replaces a hash-map insert per reference.
+/// The packing is lossless and ordered like `(rd, gap)`: both values are
+/// below the sink's total time, which [`Self::seeded`] bounds by 2³².
 struct XPairSink {
     stack: ExactStack,
     last_seen: LineTable,
-    pairs: HashMap<(u64, u64), u64>,
+    keys: Vec<u64>,
     cold: u64,
     now: u32,
-    recording: bool,
 }
 
 impl XPairSink {
-    /// Creates a sink sized for the expected trace length and the bound
-    /// on distinct `x` lines the domain can touch, so neither the reuse
-    /// stack's nor the gap table's hash table rehashes mid-trace.
-    fn new(expected_len: usize, distinct_lines: usize) -> Self {
-        XPairSink {
-            stack: ExactStack::with_line_capacity(expected_len, distinct_lines),
-            last_seen: LineTable::with_capacity(distinct_lines),
-            pairs: HashMap::new(),
-            cold: 0,
-            now: 0,
-            recording: false,
+    /// Creates a sink in the state a replay of the `len`-reference
+    /// warm-up iteration with last-access order `order` leaves behind:
+    /// the reuse stack is seeded ([`ExactStack::seed_lru`]) and the gap
+    /// table holds each line's warm-up position, so the clock keeps the
+    /// replay's numbering (measured reference `i` is time `len + i`).
+    /// Sized for a measured iteration of the same `len` references and
+    /// the bound on distinct `x` lines the domain can touch, so no table
+    /// rehashes mid-trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `2 * len` reaches `u32::MAX` (the clock's and the packed
+    /// keys' range).
+    fn seeded(order: &[LastAccess], len: usize, distinct_lines: usize) -> Self {
+        assert!(
+            2 * len < u32::MAX as usize,
+            "x trace exceeds u32 timestamp range"
+        );
+        let lines: Vec<u64> = order.iter().map(|a| a.line).collect();
+        let mut stack = ExactStack::with_line_capacity(lines.len() + len, distinct_lines);
+        stack.seed_lru(&lines);
+        let mut last_seen = LineTable::with_capacity(distinct_lines);
+        for a in order {
+            last_seen.insert(a.line, a.pos as u32);
         }
+        XPairSink {
+            stack,
+            last_seen,
+            keys: Vec::with_capacity(len),
+            cold: 0,
+            now: len as u32,
+        }
+    }
+
+    /// The measured iteration's pair counts, sorted by `(rd, gap)`.
+    fn pairs(mut self) -> Vec<((u64, u64), u64)> {
+        self.keys.sort_unstable();
+        let mut pairs: Vec<((u64, u64), u64)> = Vec::new();
+        for &key in &self.keys {
+            let pair = (key >> 32, key & u64::from(u32::MAX));
+            match pairs.last_mut() {
+                Some((last, count)) if *last == pair => *count += 1,
+                _ => pairs.push((pair, 1)),
+            }
+        }
+        obs::observe("core.xpair.distinct_pairs", pairs.len() as u64);
+        pairs
     }
 
     /// Reports the reuse stack's and the gap table's statistics to the
@@ -403,28 +467,53 @@ impl XPairSink {
             obs::gauge_max("reuse.linetable.displacement_max", probes.max_displacement);
             obs::gauge_max("reuse.linetable.slots_max", probes.slots);
             obs::add("reuse.linetable.rehashes", self.last_seen.rehashes());
-            obs::observe("core.xpair.distinct_pairs", self.pairs.len() as u64);
         }
     }
 }
 
 impl TraceSink for XPairSink {
     fn access(&mut self, access: Access) {
-        // The stack asserts the u32 time range before `now` can wrap.
+        // `seeded` bounds the total time below u32::MAX, so neither the
+        // clock nor the packed key can overflow.
         let rd = self.stack.access(access.line);
         let t = self.now;
         self.now += 1;
-        let gap = self
-            .last_seen
-            .insert(access.line, t)
-            .map(|prev| (t - prev) as u64);
-        if self.recording {
-            match (rd, gap) {
-                (Some(rd), Some(g)) => *self.pairs.entry((rd, g)).or_insert(0) += 1,
-                _ => self.cold += 1,
+        let gap = self.last_seen.insert(access.line, t).map(|prev| t - prev);
+        match (rd, gap) {
+            (Some(rd), Some(g)) => {
+                debug_assert!(rd < 1 << 32, "reuse distance exceeds the packed key");
+                self.keys.push(rd << 32 | u64::from(g));
+            }
+            _ => self.cold += 1,
+        }
+    }
+}
+
+/// Merges two pair-count vectors sorted by key into one, summing the
+/// counts of keys both hold — linear in the total length.
+fn merge_sorted_pairs(
+    a: Vec<((u64, u64), u64)>,
+    b: Vec<((u64, u64), u64)>,
+) -> Vec<((u64, u64), u64)> {
+    if a.is_empty() {
+        return b;
+    }
+    let mut merged = Vec::with_capacity(a.len() + b.len());
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    while let (Some(&(ka, ca)), Some(&(kb, cb))) = (a.peek(), b.peek()) {
+        match ka.cmp(&kb) {
+            std::cmp::Ordering::Less => merged.push(a.next().unwrap()),
+            std::cmp::Ordering::Greater => merged.push(b.next().unwrap()),
+            std::cmp::Ordering::Equal => {
+                merged.push((ka, ca + cb));
+                a.next();
+                b.next();
             }
         }
     }
+    merged.extend(a);
+    merged.extend(b);
+    merged
 }
 
 /// The capacity grids a sweep (marker-quantized) profile is exact at.
@@ -943,34 +1032,26 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
                         part1: routed.histograms1(),
                     }
                 } else {
-                    let len = cursors.spmv_len(d);
+                    // Warm-up: one last-position scan seeds the exact
+                    // stacks (see `ExactStack::seed_lru`) instead of a
+                    // replay through them.
+                    let mut lastpos = LastPosSink::new(self.layout.total_lines());
+                    cursors.feed_spmv_blocks(d, &mut lastpos);
+                    let order = lastpos.lru_order();
+                    let len = lastpos.pos as usize;
                     let x_refs_d = self.domains[d].x_refs;
                     let (b_shared, b0, b1) = self.domain_line_bounds(d);
                     // Partition 1 sees only `a` + `colidx`: two references
-                    // per `x` gather per pass.
-                    let mut shared = HistogramSink::with_line_capacity(
-                        ArraySet::EMPTY,
-                        2 * len,
-                        16,
-                        b_shared,
-                        16,
-                    );
-                    let mut routed = HistogramSink::with_line_capacity(
+                    // per `x` gather.
+                    let mut shared =
+                        HistogramSink::seeded(ArraySet::EMPTY, &order, (len, 0), (b_shared, 16));
+                    let mut routed = HistogramSink::seeded(
                         ArraySet::MATRIX_STREAM,
-                        2 * (len - 2 * x_refs_d),
-                        4 * x_refs_d,
-                        b0,
-                        b1,
+                        &order,
+                        (len - 2 * x_refs_d, 2 * x_refs_d),
+                        (b0, b1),
                     );
-                    cursors.feed_spmv(
-                        d,
-                        &mut TeeSink {
-                            first: &mut shared,
-                            second: &mut routed,
-                        },
-                    );
-                    shared.recording = true;
-                    routed.recording = true;
+                    drop((order, lastpos));
                     cursors.feed_spmv(
                         d,
                         &mut TeeSink {
@@ -989,17 +1070,20 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
                 }
             }
             Method::B => {
-                let mut sink = XPairSink::new(2 * cursors.x_len(d), self.domain_x_lines(d));
-                cursors.feed_x(d, &mut sink); // warm-up
-                sink.recording = true;
+                // Warm-up: a last-position scan seeds the reuse stack and
+                // the gap table instead of a replay through them.
+                let mut lastpos = LastPosSink::new(self.layout.total_lines());
+                cursors.feed_x_blocks(d, &mut lastpos);
+                let len = lastpos.pos as usize;
+                let mut sink = XPairSink::seeded(&lastpos.lru_order(), len, self.domain_x_lines(d));
+                drop(lastpos);
                 cursors.feed_x(d, &mut sink); // measured
                 let _extract = obs::span("reuse_stack.extract");
                 sink.flush_obs();
-                let mut pairs: Vec<((u64, u64), u64)> = sink.pairs.into_iter().collect();
-                pairs.sort_unstable();
+                let cold = sink.cold;
                 DomainPartial::XTrace {
-                    pairs,
-                    cold: sink.cold,
+                    pairs: sink.pairs(),
+                    cold,
                 }
             }
         }
@@ -1047,14 +1131,15 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
                 })
             }
             Method::B => {
-                let mut merged: HashMap<(u64, u64), u64> = HashMap::new();
+                let mut pairs: Vec<((u64, u64), u64)> = Vec::new();
                 let mut cold = 0u64;
-                for partial in &partials {
+                for partial in partials {
                     match partial {
-                        DomainPartial::XTrace { pairs, cold: c } => {
-                            for &(key, count) in pairs {
-                                *merged.entry(key).or_insert(0) += count;
-                            }
+                        DomainPartial::XTrace {
+                            pairs: run,
+                            cold: c,
+                        } => {
+                            pairs = merge_sorted_pairs(pairs, run);
                             cold += c;
                         }
                         DomainPartial::Trace { .. } | DomainPartial::TraceShard { .. } => {
@@ -1062,8 +1147,6 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
                         }
                     }
                 }
-                let mut pairs: Vec<((u64, u64), u64)> = merged.into_iter().collect();
-                pairs.sort_unstable();
                 ProfileKind::XTrace(XProfile { pairs, cold })
             }
         };

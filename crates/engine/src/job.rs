@@ -159,6 +159,10 @@ impl BatchSpec {
     /// scalar directives overwrite. At least one source is required.
     pub fn parse(text: &str) -> Result<BatchSpec, SpecError> {
         let mut spec = BatchSpec::default();
+        // Lines of the last `scale` directive and of each `machine`, for
+        // the whole-spec machine check after the loop.
+        let mut scale_line = None;
+        let mut machine_lines = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let line_no = i + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -268,6 +272,7 @@ impl BatchSpec {
                         return Err(err(line_no, format!("machine '{arg}' given twice")));
                     }
                     spec.machines.push(parsed);
+                    machine_lines.push(line_no);
                 }
                 "ecm" => {
                     let arg = words
@@ -298,6 +303,7 @@ impl BatchSpec {
                                 return Err(err(line_no, "scale must be at least 1"));
                             }
                             spec.scale = arg as usize;
+                            scale_line = Some(line_no);
                         }
                         "deadline_ms" => {
                             if arg == 0 {
@@ -326,6 +332,27 @@ impl BatchSpec {
                 0,
                 "spec names no matrices (add corpus/table1/mtx lines)",
             ));
+        }
+        // The scale must divide every swept machine's caches into whole
+        // sets; checked once the spec is complete, since `scale` and
+        // `machine` lines may come in any order.
+        let default_machine = [MachineSpec::A64fx];
+        let machines = if spec.machines.is_empty() {
+            &default_machine[..]
+        } else {
+            &spec.machines[..]
+        };
+        for (k, machine) in machines.iter().enumerate() {
+            if let Err(e) = machine.try_hierarchy(spec.scale) {
+                return Err(err(
+                    scale_line.or(machine_lines.get(k).copied()).unwrap_or(0),
+                    format!(
+                        "scale {} does not fit machine '{}': {e}",
+                        spec.scale,
+                        machine.label()
+                    ),
+                ));
+            }
         }
         Ok(spec)
     }
@@ -599,5 +626,25 @@ mod tests {
             BatchSpec::parse("threads 1 2\ncorpus count=1\n").is_err(),
             "trailing word"
         );
+    }
+
+    #[test]
+    fn rejects_scale_that_splits_cache_sets() {
+        // a64fx at 1/3 size: the L1 is no longer a whole number of sets.
+        let e = BatchSpec::parse("corpus count=1\nscale 3\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("scale 3"), "{e}");
+        // A later machine line is checked against an earlier scale line.
+        let e =
+            BatchSpec::parse("corpus count=1\nscale 64\nmachine custom:l1=24k,8,64;l2=1m,16,64\n")
+                .unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        // Without a scale line, the default scale is blamed on the machine.
+        let e = BatchSpec::parse(
+            "corpus count=1\nmachine a64fx\nmachine custom:l1=36k,8,64;l2=1m,16,64\n",
+        )
+        .unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(BatchSpec::parse("corpus count=1\nscale 64\n").is_ok());
     }
 }

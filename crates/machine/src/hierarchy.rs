@@ -420,16 +420,31 @@ impl HierarchyConfig {
     ///
     /// # Panics
     ///
-    /// Panics if a scaled level would not have a whole number of sets.
+    /// Panics if a scaled level would not have a whole number of sets
+    /// ([`try_scaled`](Self::try_scaled) returns that as an error).
     #[must_use]
-    pub fn scaled(mut self, factor: usize) -> Self {
+    pub fn scaled(self, factor: usize) -> Self {
+        self.try_scaled(factor).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Like [`scaled`](Self::scaled), but returns
+    /// [`HierarchyError::RaggedSets`] for the first level whose scaled
+    /// capacity is not a whole number of sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` is zero.
+    pub fn try_scaled(mut self, factor: usize) -> Result<Self, HierarchyError> {
         assert!(factor >= 1, "scale factor must be at least 1");
-        for level in &mut self.levels {
-            level.geometry.size_bytes /= factor;
-            let _ = level.geometry.num_sets();
+        for (i, level) in self.levels.iter_mut().enumerate() {
+            let g = &mut level.geometry;
+            g.size_bytes /= factor;
+            if g.size_bytes % (g.ways * g.line_bytes) != 0 {
+                return Err(HierarchyError::RaggedSets { level: i });
+            }
         }
         self.prefetch.l2_distance = (self.prefetch.l2_distance / factor).max(2);
-        self
+        Ok(self)
     }
 
     /// Sets the core count (builder style).

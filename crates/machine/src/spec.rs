@@ -163,16 +163,28 @@ impl MachineSpec {
 
     /// Builds the hierarchy at a capacity scale (1 = full size), matching
     /// the engine's `a64fx_scaled` convention for every backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scale leaves a level without a whole number of sets
+    /// ([`try_hierarchy`](Self::try_hierarchy) returns that as an error).
     pub fn hierarchy(&self, scale: usize) -> HierarchyConfig {
+        self.try_hierarchy(scale).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Like [`hierarchy`](Self::hierarchy), but returns
+    /// [`HierarchyError::RaggedSets`] when the scale leaves a level
+    /// without a whole number of sets.
+    pub fn try_hierarchy(&self, scale: usize) -> Result<HierarchyConfig, HierarchyError> {
         let base = match self {
             MachineSpec::A64fx => HierarchyConfig::a64fx(),
             MachineSpec::GenericX86 => HierarchyConfig::generic_x86(),
             MachineSpec::Custom(h) => h.clone(),
         };
         if scale <= 1 {
-            base
+            Ok(base)
         } else {
-            base.scaled(scale)
+            base.try_scaled(scale)
         }
     }
 }

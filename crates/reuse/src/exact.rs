@@ -29,6 +29,9 @@ pub struct ExactStack {
     last: LineTable,
     live: Fenwick,
     time: usize,
+    /// Lines placed by [`seed_lru`](Self::seed_lru): each holds one time
+    /// slot but was never an access of this processor.
+    seeded: usize,
 }
 
 impl Default for ExactStack {
@@ -50,6 +53,7 @@ impl ExactStack {
             last: LineTable::new(),
             live: Fenwick::new(expected_len.max(16)),
             time: 0,
+            seeded: 0,
         }
     }
 
@@ -61,7 +65,44 @@ impl ExactStack {
             last: LineTable::with_capacity(distinct_lines),
             live: Fenwick::new(expected_len.max(16)),
             time: 0,
+            seeded: 0,
         }
+    }
+
+    /// Rebuilds the state a replay of a warm-up stream would leave behind,
+    /// from nothing but that stream's distinct lines in
+    /// most-recently-accessed-first order — the exact-stack counterpart of
+    /// [`MarkerStack::seed_lru`](crate::MarkerStack::seed_lru).
+    ///
+    /// Why this is exact: after a replay, the live Fenwick positions are
+    /// the lines' last-access times, and a later reference's distance is
+    /// the number of live positions strictly between its line's last
+    /// access and now. That count depends only on the *order* of the live
+    /// positions, so renumbering the lines `0..n` in last-access order
+    /// (oldest first) yields the same distance for every later reference.
+    /// The seeded processor needs `n` time slots instead of the warm-up's
+    /// length: size it with
+    /// [`with_line_capacity`](Self::with_line_capacity)`(n + measured_len, …)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the processor already holds an access or a seeded line,
+    /// or if the order holds `u32::MAX` lines or more. Debug builds also
+    /// assert the lines are distinct.
+    pub fn seed_lru(&mut self, lines_most_recent_first: &[u64]) {
+        assert!(self.time == 0, "seed_lru requires an empty stack");
+        let n = lines_most_recent_first.len();
+        assert!(n < u32::MAX as usize, "seed exceeds u32 timestamp range");
+        if self.live.len() < n {
+            self.live = Fenwick::new(n.max(16));
+        }
+        self.live.fill_prefix_ones(n);
+        for (i, &line) in lines_most_recent_first.iter().enumerate() {
+            let previous = self.last.insert(line, (n - 1 - i) as u32);
+            debug_assert!(previous.is_none(), "seed line {line} repeated");
+        }
+        self.time = n;
+        self.seeded = n;
     }
 
     /// Processes one access, returning its exact reuse distance
@@ -92,30 +133,39 @@ impl ExactStack {
         distance
     }
 
-    /// Number of distinct lines seen so far.
+    /// Number of distinct lines seen so far, seeded lines included.
     pub fn distinct_lines(&self) -> usize {
         self.last.len()
     }
 
-    /// Number of accesses processed so far.
+    /// Number of accesses processed so far (seeded lines are state, not
+    /// accesses, and are not counted).
     pub fn accesses(&self) -> usize {
-        self.time
+        self.time - self.seeded
     }
 
     /// Reports this processor's accumulated statistics to the telemetry
     /// counters (`reuse.exact.*`, `reuse.linetable.*`). No-op when
     /// telemetry is disabled; the per-reference path never touches obs —
     /// everything reported here is state the processor tracks anyway.
+    ///
+    /// `reuse.exact.accesses` counts the references this processor
+    /// measured: after [`seed_lru`](Self::seed_lru) that is the measured
+    /// pass only, not the warm-up the seed stands in for.
+    /// `reuse.exact.cold` counts the lines first met by one of those
+    /// accesses (seeded lines are not cold), `reuse.exact.warm_accesses`
+    /// their difference, and `reuse.exact.distinct_lines` observes every
+    /// line the processor holds, seeded or accessed.
     pub fn flush_obs(&self) {
         if !obs::enabled() {
             return;
         }
-        let accesses = self.time as u64;
-        let cold = self.last.len() as u64;
+        let accesses = self.accesses() as u64;
+        let cold = (self.last.len() - self.seeded) as u64;
         obs::add("reuse.exact.accesses", accesses);
         obs::add("reuse.exact.cold", cold);
         obs::add("reuse.exact.warm_accesses", accesses - cold);
-        obs::observe("reuse.exact.distinct_lines", cold);
+        obs::observe("reuse.exact.distinct_lines", self.last.len() as u64);
         let probes = self.last.probe_stats();
         obs::add("reuse.linetable.entries", probes.entries);
         obs::add(
@@ -203,6 +253,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "requires an empty stack")]
+    fn seed_lru_rejects_non_empty_stack() {
+        let mut s = ExactStack::new();
+        s.access(1);
+        s.seed_lru(&[9]);
+    }
+
+    #[test]
     fn distinct_and_access_counters() {
         let mut s = ExactStack::new();
         for l in [9, 9, 8, 7, 9] {
@@ -210,5 +268,13 @@ mod tests {
         }
         assert_eq!(s.distinct_lines(), 3);
         assert_eq!(s.accesses(), 5);
+
+        // Seeded lines are held, not accessed.
+        let mut s = ExactStack::new();
+        s.seed_lru(&[7, 9, 8]);
+        assert_eq!((s.distinct_lines(), s.accesses()), (3, 0));
+        assert_eq!(s.access(8), Some(2));
+        assert_eq!(s.access(6), None);
+        assert_eq!((s.distinct_lines(), s.accesses()), (4, 2));
     }
 }

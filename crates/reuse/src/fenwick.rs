@@ -86,6 +86,32 @@ impl Fenwick {
         }
     }
 
+    /// Sets slots `0..n` of a zeroed tree to 1 in O(n + log len) — the
+    /// bulk form of `n` calls to `add(i, 1)`. Node `i` (1-based) covers
+    /// slots `(i - lowbit(i), i]`: nodes up to `n` cover only set slots,
+    /// and the nodes above `n` that cover some set slot are exactly the
+    /// ones whose range contains `n`, i.e. the update path of `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > len`. Debug builds also assert the tree is zeroed.
+    pub fn fill_prefix_ones(&mut self, n: usize) {
+        assert!(n <= self.len(), "{n} ones exceed {} slots", self.len());
+        debug_assert_eq!(self.total(), 0, "fill_prefix_ones needs a zeroed tree");
+        for (i, node) in self.tree.iter_mut().enumerate().take(n + 1).skip(1) {
+            *node = (i & i.wrapping_neg()) as u64;
+        }
+        if n == 0 {
+            return;
+        }
+        let mut i = n + (n & n.wrapping_neg());
+        while i < self.tree.len() {
+            let low = i & i.wrapping_neg();
+            self.tree[i] = (n - (i - low)) as u64;
+            i += low;
+        }
+    }
+
     /// Grows the tree to at least `new_len` slots, preserving contents.
     pub fn grow(&mut self, new_len: usize) {
         if new_len <= self.len() {
@@ -158,6 +184,21 @@ mod tests {
         assert_eq!(f.total(), 4);
         f.add(15, 2);
         assert_eq!(f.total(), 6);
+    }
+
+    #[test]
+    fn fill_prefix_ones_matches_repeated_adds() {
+        for len in [0usize, 1, 2, 7, 8, 9, 33, 64] {
+            for n in 0..=len {
+                let mut bulk = Fenwick::new(len);
+                bulk.fill_prefix_ones(n);
+                let mut adds = Fenwick::new(len);
+                for i in 0..n {
+                    adds.add(i, 1);
+                }
+                assert_eq!(bulk.tree, adds.tree, "len {len} n {n}");
+            }
+        }
     }
 
     #[test]

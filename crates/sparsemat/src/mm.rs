@@ -94,6 +94,11 @@ enum Symmetry {
     SkewSymmetric,
 }
 
+/// Most entries [`read_coo`] reserves room for before reading any: 1M
+/// (about 60 MB of COO buffers and duplicate set). Larger files grow
+/// past it as their entries arrive.
+const PRESIZE_ENTRIES_MAX: usize = 1 << 20;
+
 /// Reads a Matrix Market coordinate file into COO form.
 ///
 /// Supports `matrix coordinate {real, integer, pattern}` with
@@ -168,9 +173,14 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
     let num_cols = parse_usize(it.next(), "column count")?;
     let declared_nnz = parse_usize(it.next(), "nonzero count")?;
 
-    let mut coo = CooMatrix::with_capacity(num_rows, num_cols, declared_nnz);
+    // The declared count is untrusted: pre-size for at most
+    // `PRESIZE_ENTRIES_MAX` entries and let real entries grow the buffers,
+    // so a lying header cannot force a huge allocation up front. The
+    // declared-vs-actual check below still rejects the file.
+    let presize = declared_nnz.min(PRESIZE_ENTRIES_MAX);
+    let mut coo = CooMatrix::with_capacity(num_rows, num_cols, presize);
     let mut seen = 0usize;
-    let mut occupied: HashSet<(usize, usize)> = HashSet::with_capacity(declared_nnz);
+    let mut occupied: HashSet<(usize, usize)> = HashSet::with_capacity(presize);
     for line in lines {
         let line = line?;
         let trimmed = line.trim();
@@ -423,6 +433,17 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
         let err = read_coo(Cursor::new(text)).unwrap_err();
         assert!(err.to_string().contains("declares 2 entries"));
+    }
+
+    #[test]
+    fn huge_declared_entry_count_is_an_error_not_an_abort() {
+        // 4e12 declared entries would ask for ~32 TB if trusted.
+        let text = "%%MatrixMarket matrix coordinate real general\n2000000 2000000 4000000000000\n1 1 1.0\n";
+        let err = read_coo(Cursor::new(text)).unwrap_err();
+        assert!(
+            err.to_string().contains("declares 4000000000000 entries"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -22,11 +22,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "== perfbench: the benchmark still builds and its statistics pass =="
+echo "== perfbench: the benchmark still builds and its own tests pass =="
 # perfbench/layers links the workspace crates by path, so an engine API
 # change that breaks the benchmark fails here rather than at benchmark
 # time. Its own workspace: the build lands in perfbench/layers/target.
 cargo build --release --offline --manifest-path perfbench/layers/Cargo.toml
+cargo test --offline --manifest-path perfbench/layers/Cargo.toml
 python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 echo "== validate smoke: differential harness =="

@@ -495,6 +495,14 @@ fn parse_cli() -> Cli {
             _ => usage(),
         }
     }
+    if let Err(e) = cli.machine.try_hierarchy(cli.scale) {
+        eprintln!(
+            "spmv-locality: --scale {} does not fit machine '{}': {e}",
+            cli.scale,
+            cli.machine.label()
+        );
+        std::process::exit(2);
+    }
     if cli.command == "simulate" && cli.format != FormatSpec::Csr {
         eprintln!("spmv-locality: the simulator is CSR-only (drop --format or use csr)");
         std::process::exit(2);

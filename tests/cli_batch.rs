@@ -58,6 +58,35 @@ fn batch_bad_spec_reports_line_number() {
 }
 
 #[test]
+fn batch_scale_that_splits_cache_sets_is_a_spec_error() {
+    let dir = scratch("ragged-scale");
+    let spec = dir.join("jobs.spec");
+    std::fs::write(&spec, "corpus count=1 scale=64\nscale 3\nsettings off\n").unwrap();
+
+    let out = Command::new(BIN)
+        .args(["batch", spec.to_str().unwrap()])
+        .output()
+        .expect("spawn spmv-locality");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("line 2") && stderr.contains("scale 3"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+
+    // The one-shot commands reject the same scale as a bad flag value.
+    let out = Command::new(BIN)
+        .args(["analyze", "whatever.mtx", "--scale", "3"])
+        .output()
+        .expect("spawn spmv-locality");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--scale 3"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
 fn bad_flag_value_exits_cleanly() {
     let out = Command::new(BIN)
         .args(["analyze", "whatever.mtx", "--threads", "notanumber"])

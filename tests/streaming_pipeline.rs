@@ -125,4 +125,25 @@ proptest! {
             );
         }
     }
+
+    /// With two cores per domain, 1..=8 threads span one to four L2
+    /// domains, so the streaming profile merges per-domain partials whose
+    /// pair sets and histograms overlap. The whole profile — not only its
+    /// predictions — must equal the materialised oracle's.
+    #[test]
+    fn multi_domain_profile_matches_materialized_oracle(
+        m in arb_matrix(),
+        threads in 1usize..=8,
+    ) {
+        let mut cfg = MachineConfig::a64fx_scaled(64).with_cores(threads);
+        cfg.cores_per_domain = 2;
+        for method in [Method::A, Method::B] {
+            prop_assert_eq!(
+                LocalityProfile::compute(&m, &cfg, method, threads),
+                LocalityProfile::compute_materialized(&m, &cfg, method, threads),
+                "method {:?}",
+                method
+            );
+        }
+    }
 }
