@@ -149,7 +149,7 @@ mod tests {
             for d in [0i64, -1, 1] {
                 let c = r as i64 + d;
                 if (0..n as i64).contains(&c) {
-                    coo.push(r, c as usize, 1.0);
+                    coo.push(r, c as usize);
                 }
             }
         }
@@ -164,7 +164,7 @@ mod tests {
         for r in 0..rows {
             for _ in 0..nnz_per_row {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
-                coo.push(r, ((state >> 33) as usize) % rows, 1.0);
+                coo.push(r, ((state >> 33) as usize) % rows);
             }
         }
         coo.to_csr()

@@ -15,7 +15,7 @@ fn streaming_matrix(rows: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix {
     for r in 0..rows {
         for _ in 0..nnz_per_row {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
-            coo.push(r, ((state >> 33) as usize) % rows, 1.0);
+            coo.push(r, ((state >> 33) as usize) % rows);
         }
     }
     coo.to_csr()

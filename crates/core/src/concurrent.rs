@@ -212,7 +212,7 @@ mod tests {
         for r in 0..60 {
             for _ in 0..4 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(13);
-                coo.push(r, (state >> 33) as usize % 60, 1.0);
+                coo.push(r, (state >> 33) as usize % 60);
             }
         }
         let m = coo.to_csr();
@@ -252,7 +252,7 @@ mod tests {
         for r in 0..80 {
             for _ in 0..5 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(13);
-                coo.push(r, (state >> 33) as usize % 80, 1.0);
+                coo.push(r, (state >> 33) as usize % 80);
             }
         }
         let m = coo.to_csr();

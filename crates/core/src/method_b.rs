@@ -64,7 +64,7 @@ mod tests {
         for r in 0..n {
             for _ in 0..nnz_per_row {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(13);
-                coo.push(r, (state >> 33) as usize % n, 1.0);
+                coo.push(r, (state >> 33) as usize % n);
             }
         }
         coo.to_csr()

@@ -51,7 +51,7 @@ pub fn rmat(scale: u32, edges: usize, params: RmatParams, seed: u64) -> CsrMatri
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut coo = CooMatrix::with_capacity(n, n, edges + n);
     for v in 0..n {
-        coo.push(v, v, 1.0);
+        coo.push(v, v);
     }
     for _ in 0..edges {
         let (mut r, mut c) = (0usize, 0usize);
@@ -69,7 +69,7 @@ pub fn rmat(scale: u32, edges: usize, params: RmatParams, seed: u64) -> CsrMatri
                 c |= bit;
             }
         }
-        coo.push(r, c, -1.0);
+        coo.push(r, c);
     }
     coo.to_csr()
 }
@@ -127,7 +127,7 @@ mod tests {
     fn diagonal_always_present() {
         let m = rmat(7, 300, RmatParams::graph500(), 9);
         for r in 0..m.num_rows() {
-            assert!(m.get(r, r).is_some(), "row {r} lost its diagonal");
+            assert!(m.contains(r, r), "row {r} lost its diagonal");
         }
     }
 }

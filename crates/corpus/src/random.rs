@@ -19,9 +19,9 @@ pub fn uniform_random(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut coo = CooMatrix::with_capacity(n, n, n * (nnz_per_row + 1));
     for r in 0..n {
-        coo.push(r, r, nnz_per_row as f64 + 1.0);
+        coo.push(r, r);
         for _ in 0..nnz_per_row {
-            coo.push(r, rng.gen_range(0..n), -1.0);
+            coo.push(r, rng.gen_range(0..n));
         }
     }
     coo.to_csr()
@@ -43,7 +43,7 @@ pub fn power_law(n: usize, mean_nnz_per_row: usize, alpha: f64, seed: u64) -> Cs
     }
     let mut coo = CooMatrix::with_capacity(n, n, n * (mean_nnz_per_row + 1));
     for r in 0..n {
-        coo.push(r, r, 1.0);
+        coo.push(r, r);
         // Pareto-ish row length with mean `mean_nnz_per_row`: draw from a
         // geometric-like heavy tail, capped at 16x the mean.
         let u: f64 = rng.gen_range(1e-6..1.0f64);
@@ -51,7 +51,7 @@ pub fn power_law(n: usize, mean_nnz_per_row: usize, alpha: f64, seed: u64) -> Cs
             .min(16.0 * mean_nnz_per_row as f64) as usize;
         for _ in 0..len {
             let c = zipf_like(&mut rng, n, alpha);
-            coo.push(r, perm[c] as usize, -1.0);
+            coo.push(r, perm[c] as usize);
         }
     }
     coo.to_csr()
@@ -90,7 +90,7 @@ mod tests {
         assert!(m.nnz() > 500 * 7);
         // Diagonal present everywhere.
         for r in [0, 250, 499] {
-            assert!(m.get(r, r).is_some());
+            assert!(m.contains(r, r));
         }
     }
 

@@ -15,18 +15,18 @@ pub fn laplacian_2d(nx: usize, ny: usize) -> CsrMatrix {
     for i in 0..nx {
         for j in 0..ny {
             let r = idx(i, j);
-            coo.push(r, r, 4.0);
+            coo.push(r, r);
             if i > 0 {
-                coo.push(r, idx(i - 1, j), -1.0);
+                coo.push(r, idx(i - 1, j));
             }
             if i + 1 < nx {
-                coo.push(r, idx(i + 1, j), -1.0);
+                coo.push(r, idx(i + 1, j));
             }
             if j > 0 {
-                coo.push(r, idx(i, j - 1), -1.0);
+                coo.push(r, idx(i, j - 1));
             }
             if j + 1 < ny {
-                coo.push(r, idx(i, j + 1), -1.0);
+                coo.push(r, idx(i, j + 1));
             }
         }
     }
@@ -42,24 +42,24 @@ pub fn laplacian_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
         for j in 0..ny {
             for k in 0..nz {
                 let r = idx(i, j, k);
-                coo.push(r, r, 6.0);
+                coo.push(r, r);
                 if i > 0 {
-                    coo.push(r, idx(i - 1, j, k), -1.0);
+                    coo.push(r, idx(i - 1, j, k));
                 }
                 if i + 1 < nx {
-                    coo.push(r, idx(i + 1, j, k), -1.0);
+                    coo.push(r, idx(i + 1, j, k));
                 }
                 if j > 0 {
-                    coo.push(r, idx(i, j - 1, k), -1.0);
+                    coo.push(r, idx(i, j - 1, k));
                 }
                 if j + 1 < ny {
-                    coo.push(r, idx(i, j + 1, k), -1.0);
+                    coo.push(r, idx(i, j + 1, k));
                 }
                 if k > 0 {
-                    coo.push(r, idx(i, j, k - 1), -1.0);
+                    coo.push(r, idx(i, j, k - 1));
                 }
                 if k + 1 < nz {
-                    coo.push(r, idx(i, j, k + 1), -1.0);
+                    coo.push(r, idx(i, j, k + 1));
                 }
             }
         }
@@ -89,8 +89,7 @@ pub fn stencil_3d_27pt(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
                                 && (kk as usize) < nz
                             {
                                 let c = idx(ii as usize, jj as usize, kk as usize);
-                                let v = if c == r { 26.0 } else { -1.0 };
-                                coo.push(r, c, v);
+                                coo.push(r, c);
                             }
                         }
                     }
@@ -113,18 +112,16 @@ mod tests {
         // n diagonal entries plus two per grid edge:
         // horizontal edges nx*(ny-1) = 16, vertical (nx-1)*ny = 15.
         assert_eq!(m.nnz(), 20 + 2 * (16 + 15));
-        // Symmetric pattern, diagonally dominant.
-        assert_eq!(m.get(0, 0), Some(4.0));
-        assert_eq!(m.get(0, 1), Some(-1.0));
-        assert_eq!(m.get(1, 0), Some(-1.0));
+        // Corner (0,0): itself and its two grid neighbours.
+        assert_eq!(m.row(0).collect::<Vec<_>>(), vec![0, 1, 5]);
+        assert!(m.contains(1, 0));
     }
 
     #[test]
-    fn laplacian_2d_row_sums_zero_in_interior() {
+    fn laplacian_2d_interior_row_is_a_five_point_stencil() {
         let m = laplacian_2d(5, 5);
-        // Interior row (2,2) -> r = 12: 4 - 4 = 0.
-        let sum: f64 = m.row(12).map(|(_, v)| v).sum();
-        assert_eq!(sum, 0.0);
+        // Interior row (2,2) -> r = 12: itself and its four neighbours.
+        assert_eq!(m.row(12).collect::<Vec<_>>(), vec![7, 11, 12, 13, 17]);
     }
 
     #[test]
@@ -133,7 +130,10 @@ mod tests {
         assert_eq!(m.num_rows(), 27);
         // Centre point has full 7-point stencil.
         assert_eq!(m.row_nnz(13), 7);
-        assert_eq!(m.get(13, 13), Some(6.0));
+        assert_eq!(
+            m.row(13).collect::<Vec<_>>(),
+            vec![4, 10, 12, 13, 14, 16, 22]
+        );
         let s = MatrixStats::compute(&m);
         assert!(s.bandwidth <= 9); // ny * nz
     }
@@ -142,7 +142,7 @@ mod tests {
     fn stencil_27pt_centre_row() {
         let m = stencil_3d_27pt(3, 3, 3);
         assert_eq!(m.row_nnz(13), 27);
-        assert_eq!(m.get(13, 13), Some(26.0));
+        assert_eq!(m.row(13).collect::<Vec<_>>(), (0..27).collect::<Vec<_>>());
         // Corner has a 2x2x2 neighbourhood.
         assert_eq!(m.row_nnz(0), 8);
     }

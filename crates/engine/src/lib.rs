@@ -1075,8 +1075,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wide.mtx");
         let mut coo = sparsemat::CooMatrix::new(2, 5);
-        coo.push(0, 4, 1.0);
-        coo.push(1, 0, 1.0);
+        coo.push(0, 4);
+        coo.push(1, 0);
         let mut file = std::fs::File::create(&path).unwrap();
         sparsemat::mm::write_csr(&mut file, &coo.to_csr()).unwrap();
         drop(file);

@@ -844,7 +844,7 @@ pub const CG_SWEEP_REFS_PER_ROW: usize = 10;
 
 /// One conjugate-gradient iteration as a trace: the inner SpMV cursor's
 /// references followed by the solver's four vector sweeps in pass-major
-/// order, mirroring `examples/cg_solver.rs` loop for loop.
+/// order, loop for loop as unpreconditioned CG runs them.
 ///
 /// The `x` array role holds the three reused solver vectors as
 /// consecutive `n`-element segments — `p` at offset `0` (so the SpMV
@@ -1010,13 +1010,7 @@ mod tests {
     use sparsemat::{CooMatrix, RowPartition};
 
     fn fig1() -> (CsrMatrix, DataLayout) {
-        let m = CsrMatrix::from_parts(
-            4,
-            4,
-            vec![0, 2, 3, 5, 7],
-            vec![1, 2, 0, 2, 3, 1, 3],
-            vec![1.0; 7],
-        );
+        let m = CsrMatrix::from_parts(4, 4, vec![0, 2, 3, 5, 7], vec![1, 2, 0, 2, 3, 1, 3]);
         let l = DataLayout::new(&m, 16);
         (m, l)
     }
@@ -1027,7 +1021,7 @@ mod tests {
         for r in 0..n {
             for _ in 0..per_row {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(13);
-                coo.push(r, (state >> 33) as usize % n, 1.0);
+                coo.push(r, (state >> 33) as usize % n);
             }
         }
         coo.to_csr()
@@ -1057,7 +1051,7 @@ mod tests {
         let mut coo = CooMatrix::new(10, 10);
         // Rows 0, 4, 9 empty; others sparse.
         for (r, c) in [(1, 3), (2, 0), (2, 9), (3, 3), (5, 5), (6, 1), (8, 8)] {
-            coo.push(r, c, 1.0);
+            coo.push(r, c);
         }
         let m = coo.to_csr();
         let l = DataLayout::new(&m, 16);
@@ -1151,7 +1145,7 @@ mod tests {
             }
             for _ in 0..(r % 5) + 1 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
-                coo.push(r, (state >> 33) as usize % 13, 1.0);
+                coo.push(r, (state >> 33) as usize % 13);
             }
         }
         coo.to_csr()

@@ -93,7 +93,7 @@ mod tests {
         for r in 0..10usize {
             for _ in 0..(r % 4) + 1 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                coo.push(r, (state >> 33) as usize % 10, 1.0);
+                coo.push(r, (state >> 33) as usize % 10);
             }
         }
         coo.to_csr()

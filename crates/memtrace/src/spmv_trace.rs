@@ -172,13 +172,7 @@ mod tests {
     /// The paper's Fig. 1 matrix: 4x4, 7 nonzeros, rows
     /// {1,2}, {0}, {2,3}, {1,3}; 16-byte cache lines.
     fn fig1() -> (CsrMatrix, DataLayout) {
-        let m = CsrMatrix::from_parts(
-            4,
-            4,
-            vec![0, 2, 3, 5, 7],
-            vec![1, 2, 0, 2, 3, 1, 3],
-            vec![1.0; 7],
-        );
+        let m = CsrMatrix::from_parts(4, 4, vec![0, 2, 3, 5, 7], vec![1, 2, 0, 2, 3, 1, 3]);
         let l = DataLayout::new(&m, 16);
         (m, l)
     }
@@ -304,7 +298,7 @@ mod tests {
     #[test]
     fn empty_rows_still_touch_rowptr_and_y() {
         let mut coo = CooMatrix::new(3, 3);
-        coo.push(1, 1, 1.0);
+        coo.push(1, 1);
         let m = coo.to_csr();
         let l = DataLayout::new(&m, 16);
         let mut sink = CountSink::new();

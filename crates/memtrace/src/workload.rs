@@ -790,9 +790,9 @@ impl SpmvWorkload for SpmmWorkload {
     }
 }
 
-/// A CG-iteration view of a storage workload, mirroring
-/// `examples/cg_solver.rs`: the SpMV (`ap = A·p`) plus the four vector
-/// sweeps of one iteration, traced pass for pass (see
+/// A CG-iteration view of a storage workload: the SpMV (`ap = A·p`) of
+/// unpreconditioned conjugate gradient plus the four vector sweeps of one
+/// iteration, traced pass for pass (see
 /// [`CgCursor`](crate::cursor::CgCursor)).
 ///
 /// The `x` array role holds the three reused solver vectors (`p`, `r`,
@@ -1147,7 +1147,7 @@ mod tests {
         for r in 0..30usize {
             for _ in 0..(r % 5) + 1 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
-                coo.push(r, (state >> 33) as usize % 30, 1.0);
+                coo.push(r, (state >> 33) as usize % 30);
             }
         }
         coo.to_csr()

@@ -109,13 +109,7 @@ mod tests {
     use sparsemat::{CsrMatrix, RowPartition};
 
     fn fig1() -> (CsrMatrix, DataLayout) {
-        let m = CsrMatrix::from_parts(
-            4,
-            4,
-            vec![0, 2, 3, 5, 7],
-            vec![1, 2, 0, 2, 3, 1, 3],
-            vec![1.0; 7],
-        );
+        let m = CsrMatrix::from_parts(4, 4, vec![0, 2, 3, 5, 7], vec![1, 2, 0, 2, 3, 1, 3]);
         let l = DataLayout::new(&m, 16);
         (m, l)
     }

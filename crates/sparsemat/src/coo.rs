@@ -1,15 +1,17 @@
-//! Coordinate (triplet) sparse matrix format.
+//! Coordinate (row, column pair) sparsity-pattern format.
 //!
 //! COO is the assembly format: entries can be pushed in any order and
-//! duplicates are allowed until conversion. [`CooMatrix::to_csr`] sorts,
-//! sums duplicates and produces a canonical [`CsrMatrix`].
+//! duplicates are allowed until conversion. Only positions are stored —
+//! the matrix values are modelled, not kept (see [`crate::csr`]) — so
+//! [`CooMatrix::to_csr`] sorts and collapses each duplicate position to a
+//! single nonzero, producing a canonical [`CsrMatrix`].
 
 use crate::csr::CsrMatrix;
 
-/// A sparse matrix in coordinate (triplet) format.
+/// A sparsity pattern in coordinate format.
 ///
-/// Entries are stored in insertion order; rows, columns and values are kept
-/// in parallel arrays. The matrix dimensions are fixed at construction and
+/// Entries are stored in insertion order; rows and columns are kept in
+/// parallel arrays. The matrix dimensions are fixed at construction and
 /// every pushed entry is bounds-checked against them.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CooMatrix {
@@ -17,7 +19,6 @@ pub struct CooMatrix {
     num_cols: usize,
     rows: Vec<usize>,
     cols: Vec<u32>,
-    values: Vec<f64>,
 }
 
 impl CooMatrix {
@@ -38,7 +39,6 @@ impl CooMatrix {
             num_cols,
             rows: Vec::new(),
             cols: Vec::new(),
-            values: Vec::new(),
         }
     }
 
@@ -47,7 +47,6 @@ impl CooMatrix {
         let mut m = Self::new(num_rows, num_cols);
         m.rows.reserve(nnz);
         m.cols.reserve(nnz);
-        m.values.reserve(nnz);
         m
     }
 
@@ -61,22 +60,22 @@ impl CooMatrix {
         self.num_cols
     }
 
-    /// Number of stored entries, including any duplicates not yet summed.
+    /// Number of stored entries, including any duplicates not yet collapsed.
     pub fn nnz(&self) -> usize {
-        self.values.len()
+        self.cols.len()
     }
 
     /// Returns `true` if no entries are stored.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.cols.is_empty()
     }
 
-    /// Appends the entry `(row, col, value)`.
+    /// Appends the entry `(row, col)`.
     ///
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of bounds.
-    pub fn push(&mut self, row: usize, col: usize, value: f64) {
+    pub fn push(&mut self, row: usize, col: usize) {
         assert!(
             row < self.num_rows,
             "row {row} out of bounds ({})",
@@ -89,83 +88,69 @@ impl CooMatrix {
         );
         self.rows.push(row);
         self.cols.push(col as u32);
-        self.values.push(value);
     }
 
     /// Appends the entry, and its transpose mirror if off-diagonal.
     ///
     /// Convenience for assembling symmetric matrices from one triangle, as
     /// Matrix Market symmetric files store them.
-    pub fn push_symmetric(&mut self, row: usize, col: usize, value: f64) {
-        self.push(row, col, value);
+    pub fn push_symmetric(&mut self, row: usize, col: usize) {
+        self.push(row, col);
         if row != col {
-            self.push(col, row, value);
+            self.push(col, row);
         }
     }
 
-    /// Iterates over stored entries as `(row, col, value)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+    /// Iterates over stored entries as `(row, col)`.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.rows
             .iter()
             .zip(&self.cols)
-            .zip(&self.values)
-            .map(|((&r, &c), &v)| (r, c as usize, v))
+            .map(|(&r, &c)| (r, c as usize))
     }
 
-    /// Converts to CSR, sorting entries and summing duplicates.
+    /// Converts to CSR, sorting entries and collapsing duplicates.
     ///
     /// Sorting is done with a counting pass over rows (O(nnz + rows)), then
-    /// each row is sorted by column and duplicates within a row are summed.
-    /// The resulting CSR is canonical: strictly increasing column indices
+    /// each row's columns are sorted and repeated columns removed. The
+    /// resulting CSR is canonical: strictly increasing column indices
     /// within each row.
     pub fn to_csr(&self) -> CsrMatrix {
         // Counting sort by row.
-        let mut row_counts = vec![0i64; self.num_rows + 1];
+        let mut next = vec![0i64; self.num_rows + 1];
         for &r in &self.rows {
-            row_counts[r + 1] += 1;
+            next[r + 1] += 1;
         }
         for i in 0..self.num_rows {
-            row_counts[i + 1] += row_counts[i];
+            next[i + 1] += next[i];
         }
-        let rowptr_raw = row_counts.clone();
-        let mut next = row_counts;
+        let rowptr_raw = next.clone();
         let mut cols = vec![0u32; self.nnz()];
-        let mut vals = vec![0.0f64; self.nnz()];
-        for i in 0..self.nnz() {
-            let r = self.rows[i];
-            let dst = next[r] as usize;
-            cols[dst] = self.cols[i];
-            vals[dst] = self.values[i];
+        for (&r, &c) in self.rows.iter().zip(&self.cols) {
+            cols[next[r] as usize] = c;
             next[r] += 1;
         }
 
-        // Sort within each row by column, then compact duplicates.
-        let mut out_cols: Vec<u32> = Vec::with_capacity(self.nnz());
-        let mut out_vals: Vec<f64> = Vec::with_capacity(self.nnz());
-        let mut out_rowptr: Vec<i64> = Vec::with_capacity(self.num_rows + 1);
-        out_rowptr.push(0);
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
+        // Sort within each row by column, then compact duplicates in place:
+        // the output written so far never passes the input still unread.
+        let mut rowptr: Vec<i64> = Vec::with_capacity(self.num_rows + 1);
+        rowptr.push(0);
+        let mut len = 0;
         for r in 0..self.num_rows {
             let (b, e) = (rowptr_raw[r] as usize, rowptr_raw[r + 1] as usize);
-            scratch.clear();
-            scratch.extend(cols[b..e].iter().copied().zip(vals[b..e].iter().copied()));
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-            let mut i = 0;
-            while i < scratch.len() {
-                let (c, mut v) = scratch[i];
-                let mut j = i + 1;
-                while j < scratch.len() && scratch[j].0 == c {
-                    v += scratch[j].1;
-                    j += 1;
+            cols[b..e].sort_unstable();
+            let row_start = len;
+            for i in b..e {
+                if len == row_start || cols[len - 1] != cols[i] {
+                    cols[len] = cols[i];
+                    len += 1;
                 }
-                out_cols.push(c);
-                out_vals.push(v);
-                i = j;
             }
-            out_rowptr.push(out_cols.len() as i64);
+            rowptr.push(len as i64);
         }
+        cols.truncate(len);
 
-        CsrMatrix::from_parts(self.num_rows, self.num_cols, out_rowptr, out_cols, out_vals)
+        CsrMatrix::from_parts(self.num_rows, self.num_cols, rowptr, cols)
     }
 }
 
@@ -186,60 +171,61 @@ mod tests {
     #[test]
     fn unsorted_entries_become_canonical() {
         let mut coo = CooMatrix::new(2, 3);
-        coo.push(1, 2, 3.0);
-        coo.push(0, 1, 1.0);
-        coo.push(1, 0, 2.0);
-        coo.push(0, 0, 0.5);
+        coo.push(1, 2);
+        coo.push(0, 1);
+        coo.push(1, 0);
+        coo.push(0, 0);
         let csr = coo.to_csr();
         assert_eq!(csr.rowptr(), &[0, 2, 4]);
         assert_eq!(csr.colidx(), &[0, 1, 0, 2]);
-        assert_eq!(csr.values(), &[0.5, 1.0, 2.0, 3.0]);
     }
 
     #[test]
-    fn duplicates_are_summed() {
-        let mut coo = CooMatrix::new(1, 2);
-        coo.push(0, 1, 1.0);
-        coo.push(0, 1, 2.5);
-        coo.push(0, 0, -1.0);
+    fn duplicates_collapse() {
+        let mut coo = CooMatrix::new(3, 2);
+        coo.push(0, 1);
+        coo.push(2, 0);
+        coo.push(0, 1);
+        coo.push(0, 0);
+        coo.push(2, 0);
         let csr = coo.to_csr();
-        assert_eq!(csr.nnz(), 2);
-        assert_eq!(csr.colidx(), &[0, 1]);
-        assert_eq!(csr.values(), &[-1.0, 3.5]);
+        assert_eq!(csr.nnz(), 3);
+        assert_eq!(csr.rowptr(), &[0, 2, 2, 3]);
+        assert_eq!(csr.colidx(), &[0, 1, 0]);
     }
 
     #[test]
     fn symmetric_push_mirrors_offdiagonal() {
         let mut coo = CooMatrix::new(3, 3);
-        coo.push_symmetric(0, 0, 1.0);
-        coo.push_symmetric(2, 0, 5.0);
+        coo.push_symmetric(0, 0);
+        coo.push_symmetric(2, 0);
         let csr = coo.to_csr();
         assert_eq!(csr.nnz(), 3);
-        assert_eq!(csr.get(0, 2), Some(5.0));
-        assert_eq!(csr.get(2, 0), Some(5.0));
-        assert_eq!(csr.get(0, 0), Some(1.0));
+        assert!(csr.contains(0, 2));
+        assert!(csr.contains(2, 0));
+        assert!(csr.contains(0, 0));
     }
 
     #[test]
     #[should_panic(expected = "row 2 out of bounds")]
     fn row_bounds_checked() {
         let mut coo = CooMatrix::new(2, 2);
-        coo.push(2, 0, 1.0);
+        coo.push(2, 0);
     }
 
     #[test]
     #[should_panic(expected = "col 7 out of bounds")]
     fn col_bounds_checked() {
         let mut coo = CooMatrix::new(2, 2);
-        coo.push(1, 7, 1.0);
+        coo.push(1, 7);
     }
 
     #[test]
     fn iter_yields_insertion_order() {
         let mut coo = CooMatrix::new(2, 2);
-        coo.push(1, 1, 4.0);
-        coo.push(0, 0, 1.0);
+        coo.push(1, 1);
+        coo.push(0, 0);
         let got: Vec<_> = coo.iter().collect();
-        assert_eq!(got, vec![(1, 1, 4.0), (0, 0, 1.0)]);
+        assert_eq!(got, vec![(1, 1), (0, 0)]);
     }
 }

@@ -1,20 +1,23 @@
 //! Compressed Sparse Row (CSR) matrix format.
 //!
-//! CSR is the format studied by the paper (Listing 1). The index/value
-//! types deliberately match the paper's byte accounting: 8-byte `f64`
-//! values (`a`), 4-byte `u32` column indices (`colidx`) and 8-byte `i64`
-//! row pointers (`rowptr`). The locality model's closed-form traffic terms
+//! CSR is the format studied by the paper (Listing 1). The matrix stores
+//! only the sparsity pattern: 4-byte `u32` column indices (`colidx`) and
+//! 8-byte `i64` row pointers (`rowptr`). The 8-byte `f64` value array `a`
+//! is *modelled*, not stored: the locality model and the trace addresses
+//! depend only on where the nonzeros are, so [`CsrMatrix::matrix_bytes`]
+//! and the layouts built on it still count [`VALUE_BYTES`] per nonzero.
+//! The closed-form traffic terms
 //! (`⌈8K/L⌉ + ⌈4K/L⌉ + ⌈8(M+1)/L⌉ + ⌈8M/L⌉`) depend on these sizes.
 
 use crate::coo::CooMatrix;
 use crate::{COLIDX_BYTES, ROWPTR_BYTES, VALUE_BYTES, VECTOR_BYTES};
 
-/// A sparse matrix in CSR format.
+/// The sparsity pattern of a matrix in CSR format.
 ///
 /// Invariants (validated by [`CsrMatrix::from_parts`]):
 /// * `rowptr.len() == num_rows + 1`, `rowptr[0] == 0`,
-///   `rowptr[num_rows] == nnz`, and `rowptr` is non-decreasing;
-/// * `colidx.len() == values.len() == nnz`;
+///   `rowptr[num_rows] == colidx.len()` (the nonzero count), and `rowptr`
+///   is non-decreasing;
 /// * every column index is `< num_cols`.
 ///
 /// Column indices within a row are *not* required to be sorted (CSR from
@@ -26,7 +29,6 @@ pub struct CsrMatrix {
     num_cols: usize,
     rowptr: Vec<i64>,
     colidx: Vec<u32>,
-    values: Vec<f64>,
 }
 
 impl CsrMatrix {
@@ -40,17 +42,11 @@ impl CsrMatrix {
         num_cols: usize,
         rowptr: Vec<i64>,
         colidx: Vec<u32>,
-        values: Vec<f64>,
     ) -> Self {
         assert_eq!(
             rowptr.len(),
             num_rows + 1,
             "rowptr length must be num_rows + 1"
-        );
-        assert_eq!(
-            colidx.len(),
-            values.len(),
-            "colidx and values must have equal length"
         );
         assert_eq!(rowptr[0], 0, "rowptr must start at 0");
         assert_eq!(
@@ -79,7 +75,6 @@ impl CsrMatrix {
             num_cols,
             rowptr,
             colidx,
-            values,
         }
     }
 
@@ -87,8 +82,7 @@ impl CsrMatrix {
     pub fn identity(n: usize) -> Self {
         let rowptr = (0..=n as i64).collect();
         let colidx = (0..n as u32).collect();
-        let values = vec![1.0; n];
-        Self::from_parts(n, n, rowptr, colidx, values)
+        Self::from_parts(n, n, rowptr, colidx)
     }
 
     /// Number of rows (the paper's `M`).
@@ -103,7 +97,7 @@ impl CsrMatrix {
 
     /// Number of stored nonzeros (the paper's `K`).
     pub fn nnz(&self) -> usize {
-        self.values.len()
+        self.colidx.len()
     }
 
     /// The row pointer array (`rowptr`), `num_rows + 1` entries.
@@ -114,16 +108,6 @@ impl CsrMatrix {
     /// The column index array (`colidx`), `nnz` entries.
     pub fn colidx(&self) -> &[u32] {
         &self.colidx
-    }
-
-    /// The nonzero values array (`a`), `nnz` entries.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Mutable access to the nonzero values (pattern is immutable).
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
     }
 
     /// The half-open nonzero index range of row `r`.
@@ -138,20 +122,16 @@ impl CsrMatrix {
         (self.rowptr[r + 1] - self.rowptr[r]) as usize
     }
 
-    /// Iterates over `(colidx, value)` pairs of row `r`.
-    pub fn row(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let range = self.row_range(r);
-        self.colidx[range.clone()]
-            .iter()
-            .zip(&self.values[range])
-            .map(|(&c, &v)| (c as usize, v))
+    /// Iterates over the column indices of row `r`.
+    pub fn row(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
+        self.colidx[self.row_range(r)].iter().map(|&c| c as usize)
     }
 
-    /// Looks up the entry at `(row, col)`, or `None` if not stored.
+    /// Returns `true` if `(row, col)` is a stored nonzero.
     ///
     /// Linear scan over the row; intended for tests and small matrices.
-    pub fn get(&self, row: usize, col: usize) -> Option<f64> {
-        self.row(row).find(|&(c, _)| c == col).map(|(_, v)| v)
+    pub fn contains(&self, row: usize, col: usize) -> bool {
+        self.row(row).any(|c| c == col)
     }
 
     /// Returns `true` if every row has strictly increasing column indices.
@@ -166,8 +146,8 @@ impl CsrMatrix {
     pub fn to_coo(&self) -> CooMatrix {
         let mut coo = CooMatrix::with_capacity(self.num_rows, self.num_cols, self.nnz());
         for r in 0..self.num_rows {
-            for (c, v) in self.row(r) {
-                coo.push(r, c, v);
+            for c in self.row(r) {
+                coo.push(r, c);
             }
         }
         coo
@@ -185,17 +165,14 @@ impl CsrMatrix {
         let rowptr = counts.clone();
         let mut next = counts;
         let mut colidx = vec![0u32; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
         for r in 0..self.num_rows {
-            for i in self.row_range(r) {
-                let c = self.colidx[i] as usize;
+            for c in self.row(r) {
                 let dst = next[c] as usize;
                 colidx[dst] = r as u32;
-                values[dst] = self.values[i];
                 next[c] += 1;
             }
         }
-        CsrMatrix::from_parts(self.num_cols, self.num_rows, rowptr, colidx, values)
+        CsrMatrix::from_parts(self.num_cols, self.num_rows, rowptr, colidx)
     }
 
     /// Applies a symmetric permutation `perm` (new index -> old index) to a
@@ -226,26 +203,19 @@ impl CsrMatrix {
 
         let mut rowptr = Vec::with_capacity(self.num_rows + 1);
         rowptr.push(0i64);
-        let mut colidx = Vec::with_capacity(self.nnz());
-        let mut values = Vec::with_capacity(self.nnz());
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
-        for &old_r in perm.iter().take(self.num_rows) {
-            scratch.clear();
-            for (c, v) in self.row(old_r) {
-                scratch.push((inv[c] as u32, v));
-            }
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-            for &(c, v) in &scratch {
-                colidx.push(c);
-                values.push(v);
-            }
+        let mut colidx: Vec<u32> = Vec::with_capacity(self.nnz());
+        for &old_r in perm {
+            let b = colidx.len();
+            colidx.extend(self.row(old_r).map(|c| inv[c] as u32));
+            colidx[b..].sort_unstable();
             rowptr.push(colidx.len() as i64);
         }
-        CsrMatrix::from_parts(self.num_rows, self.num_cols, rowptr, colidx, values)
+        CsrMatrix::from_parts(self.num_rows, self.num_cols, rowptr, colidx)
     }
 
     /// Total bytes of the CSR data structures (`a` + `colidx` + `rowptr`),
-    /// the paper's "matrix data".
+    /// the paper's "matrix data". The modelled `a` counts [`VALUE_BYTES`]
+    /// per nonzero although no values are stored.
     pub fn matrix_bytes(&self) -> usize {
         self.nnz() * (VALUE_BYTES + COLIDX_BYTES) + (self.num_rows + 1) * ROWPTR_BYTES
     }
@@ -257,9 +227,9 @@ impl CsrMatrix {
     }
 
     /// A stable 64-bit fingerprint of the *sparsity structure*: dimensions,
-    /// `rowptr`, and `colidx`. Numerical values are deliberately excluded —
-    /// the locality model depends only on the access pattern, so two
-    /// matrices with equal structure but different values share reuse
+    /// `rowptr`, and `colidx` — everything the matrix stores. The locality
+    /// model depends only on the access pattern, so matrices read from
+    /// files with different values but equal structure share reuse
     /// profiles (and may share a memoized prediction).
     ///
     /// The hash is FNV-1a over a fixed little-endian serialization, so it
@@ -286,13 +256,7 @@ mod tests {
     fn example() -> CsrMatrix {
         // The 4x4, 7-nonzero example of the paper's Fig. 1:
         // row 0: cols 1,2 ; row 1: col 0 ; row 2: cols 2,3 ; row 3: cols 1,3
-        CsrMatrix::from_parts(
-            4,
-            4,
-            vec![0, 2, 3, 5, 7],
-            vec![1, 2, 0, 2, 3, 1, 3],
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
-        )
+        CsrMatrix::from_parts(4, 4, vec![0, 2, 3, 5, 7], vec![1, 2, 0, 2, 3, 1, 3])
     }
 
     #[test]
@@ -305,8 +269,9 @@ mod tests {
         assert_eq!(a.row_nnz(1), 1);
         assert_eq!(a.row_range(2), 3..5);
         assert!(a.has_sorted_rows());
-        assert_eq!(a.get(3, 1), Some(6.0));
-        assert_eq!(a.get(3, 0), None);
+        assert!(a.contains(3, 1));
+        assert!(!a.contains(3, 0));
+        assert_eq!(a.row(2).collect::<Vec<_>>(), vec![2, 3]);
     }
 
     #[test]
@@ -314,7 +279,7 @@ mod tests {
         let i = CsrMatrix::identity(5);
         assert_eq!(i.nnz(), 5);
         for r in 0..5 {
-            assert_eq!(i.get(r, r), Some(1.0));
+            assert_eq!(i.row(r).collect::<Vec<_>>(), vec![r]);
         }
     }
 
@@ -329,9 +294,10 @@ mod tests {
     fn transpose_moves_entries() {
         let a = example();
         let at = a.transpose();
-        assert_eq!(at.get(1, 0), Some(1.0));
-        assert_eq!(at.get(2, 0), Some(2.0));
-        assert_eq!(at.get(0, 1), Some(3.0));
+        assert!(at.contains(1, 0));
+        assert!(at.contains(2, 0));
+        assert!(at.contains(0, 1));
+        assert!(!at.contains(0, 0));
     }
 
     #[test]
@@ -353,10 +319,11 @@ mod tests {
         let a = example();
         let perm = vec![3, 2, 1, 0];
         let p = a.permute_symmetric(&perm);
-        // Old (3,1)=6.0 maps to new (0,2).
-        assert_eq!(p.get(0, 2), Some(6.0));
-        // Old (1,0)=3.0 maps to new (2,3).
-        assert_eq!(p.get(2, 3), Some(3.0));
+        // Old (3,1) maps to new (0,2).
+        assert!(p.contains(0, 2));
+        // Old (1,0) maps to new (2,3).
+        assert!(p.contains(2, 3));
+        assert!(p.has_sorted_rows());
         // Applying the inverse (same reversal) restores the matrix.
         assert_eq!(p.permute_symmetric(&perm), a);
     }
@@ -373,63 +340,39 @@ mod tests {
     #[test]
     #[should_panic(expected = "rowptr must end at nnz")]
     fn invalid_rowptr_rejected() {
-        CsrMatrix::from_parts(1, 1, vec![0, 2], vec![0], vec![1.0]);
+        CsrMatrix::from_parts(1, 1, vec![0, 2], vec![0]);
     }
 
     #[test]
     #[should_panic(expected = "column index 5 out of bounds")]
     fn invalid_colidx_rejected() {
-        CsrMatrix::from_parts(1, 2, vec![0, 1], vec![5], vec![1.0]);
+        CsrMatrix::from_parts(1, 2, vec![0, 1], vec![5]);
     }
 
     #[test]
     #[should_panic(expected = "non-decreasing")]
     fn decreasing_rowptr_rejected() {
-        CsrMatrix::from_parts(3, 2, vec![0, 2, 1, 2], vec![0, 1], vec![1.0, 1.0]);
+        CsrMatrix::from_parts(3, 2, vec![0, 2, 1, 2], vec![0, 1]);
     }
 
     #[test]
-    fn fingerprint_is_stable_and_structural() {
-        let a = example();
+    fn fingerprint_is_stable() {
         // Equal structure, equal fingerprint — deterministic across calls.
-        assert_eq!(a.fingerprint(), example().fingerprint());
-        // Values do not participate: the model only sees the pattern.
-        let mut b = example();
-        for v in b.values_mut() {
-            *v *= -3.5;
-        }
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(example().fingerprint(), example().fingerprint());
     }
 
     #[test]
     fn fingerprint_distinguishes_patterns() {
         let a = example();
         // Moving one nonzero to a different column changes the print.
-        let shifted = CsrMatrix::from_parts(
-            4,
-            4,
-            vec![0, 2, 3, 5, 7],
-            vec![1, 3, 0, 2, 3, 1, 3],
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
-        );
+        let shifted = CsrMatrix::from_parts(4, 4, vec![0, 2, 3, 5, 7], vec![1, 3, 0, 2, 3, 1, 3]);
         assert_ne!(a.fingerprint(), shifted.fingerprint());
         // Same arrays, different dimensions (extra empty column).
-        let wider = CsrMatrix::from_parts(
-            4,
-            5,
-            vec![0, 2, 3, 5, 7],
-            vec![1, 2, 0, 2, 3, 1, 3],
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
-        );
+        let wider = CsrMatrix::from_parts(4, 5, vec![0, 2, 3, 5, 7], vec![1, 2, 0, 2, 3, 1, 3]);
         assert_ne!(a.fingerprint(), wider.fingerprint());
         // Same flat nonzero sequence, different row boundaries.
-        let rebalanced = CsrMatrix::from_parts(
-            4,
-            4,
-            vec![0, 1, 3, 5, 7],
-            vec![1, 2, 0, 2, 3, 1, 3],
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
-        );
+        let rebalanced =
+            CsrMatrix::from_parts(4, 4, vec![0, 1, 3, 5, 7], vec![1, 2, 0, 2, 3, 1, 3]);
         assert_ne!(a.fingerprint(), rebalanced.fingerprint());
         assert_ne!(a.fingerprint(), CsrMatrix::identity(4).fingerprint());
     }

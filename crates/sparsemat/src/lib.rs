@@ -1,16 +1,16 @@
 //! Sparse matrix substrate for the A64FX SpMV locality study.
 //!
-//! This crate provides the sparse-matrix machinery the paper's SpMV kernel
-//! and locality model are built on:
+//! This crate provides the sparsity-pattern machinery the paper's locality
+//! model is built on. The model predicts cache misses from nothing but the
+//! pattern and the dimensions, so the matrix types store no values: the
+//! `f64` array `a` is modelled ([`VALUE_BYTES`] per nonzero), not kept.
 //!
-//! * [`coo::CooMatrix`] — coordinate (triplet) format used as an assembly
-//!   and interchange format.
+//! * [`coo::CooMatrix`] — coordinate (pair) format used as an assembly
+//!   and interchange format; duplicate positions collapse on conversion.
 //! * [`csr::CsrMatrix`] — Compressed Sparse Row, the storage format studied
-//!   by the paper (Listing 1). Value and index types match the paper's
-//!   accounting exactly: `f64` nonzero values (8 bytes), `u32` column
-//!   indices (4 bytes) and `i64` row pointers (8 bytes).
-//! * [`spmv`] — sequential, row-parallel and merge-based CSR SpMV kernels
-//!   computing `y += A*x`.
+//!   by the paper (Listing 1). Index types and the modelled value size match
+//!   the paper's accounting exactly: `f64` nonzero values (8 bytes), `u32`
+//!   column indices (4 bytes) and `i64` row pointers (8 bytes).
 //! * [`partition`] — static row partitioning (contiguous row blocks, as an
 //!   OpenMP static worksharing loop would produce) and balanced-nonzero
 //!   partitioning (the load-balancing optimisation of Alappat et al.
@@ -23,23 +23,24 @@
 //!   optimisation the paper cites from Alappat et al.
 //! * [`sell`] — the SELL-C-σ sliced-ELLPACK format the paper's related
 //!   work highlights as the faster A64FX alternative to CSR.
+//! * [`join_propagating`] — scoped fork-join that re-raises worker panics.
 //!
 //! # Quick example
 //!
 //! ```
 //! use sparsemat::coo::CooMatrix;
-//! use sparsemat::spmv;
 //!
 //! let mut coo = CooMatrix::new(2, 2);
-//! coo.push(0, 0, 2.0);
-//! coo.push(1, 0, 1.0);
-//! coo.push(1, 1, 3.0);
+//! coo.push(0, 0);
+//! coo.push(1, 1);
+//! coo.push(1, 0);
+//! coo.push(1, 0); // a repeated position collapses to one nonzero
 //! let a = coo.to_csr();
 //!
-//! let x = vec![1.0, 1.0];
-//! let mut y = vec![0.0, 0.0];
-//! spmv::spmv_seq(&a, &x, &mut y);
-//! assert_eq!(y, vec![2.0, 4.0]);
+//! assert_eq!(a.nnz(), 3);
+//! assert_eq!(a.row(1).collect::<Vec<_>>(), vec![0, 1]);
+//! // The modelled `a` array still counts 8 bytes per nonzero.
+//! assert_eq!(a.matrix_bytes(), 3 * (8 + 4) + 3 * 8);
 //! ```
 
 #![warn(missing_docs)]
@@ -52,7 +53,6 @@ pub mod mm;
 pub mod partition;
 pub mod reorder;
 pub mod sell;
-pub mod spmv;
 pub mod stats;
 pub mod thread;
 
@@ -63,7 +63,8 @@ pub use sell::SellMatrix;
 pub use stats::MatrixStats;
 pub use thread::join_propagating;
 
-/// Size in bytes of a nonzero matrix value (`f64`), as in the paper.
+/// Size in bytes of a modelled nonzero matrix value (`f64`), as in the
+/// paper. No values are stored; layouts and byte counts still include them.
 pub const VALUE_BYTES: usize = 8;
 /// Size in bytes of a column index (`u32`), as in the paper.
 pub const COLIDX_BYTES: usize = 4;

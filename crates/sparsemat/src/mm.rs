@@ -5,8 +5,9 @@
 //! the format (the one SuiteSparse uses for sparse matrices): `real`,
 //! `integer` and `pattern` fields with `general` or `symmetric` symmetry,
 //! so real collections can be dropped into the experiment harness when
-//! available. Writing is supported for round-tripping and for exporting
-//! generated corpus matrices.
+//! available. Only the sparsity pattern is kept: value tokens are parsed
+//! and validated, then dropped. Writing (as `pattern` files) is supported
+//! for round-tripping and for exporting generated corpus matrices.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -36,9 +37,9 @@ pub enum MmError {
         num_cols: usize,
     },
     /// The same coordinate appeared twice (directly, or via the symmetric
-    /// mirror of another entry). Silently summing duplicates — what COO
-    /// assembly would do — corrupts the nonzero count every downstream
-    /// byte-accounting formula depends on, so the reader rejects them.
+    /// mirror of another entry). Silently collapsing duplicates — what COO
+    /// assembly would do — would leave fewer nonzeros than the file
+    /// declares, so the reader rejects the malformed file instead.
     Duplicate {
         /// 1-based row index.
         row: usize,
@@ -78,14 +79,6 @@ impl From<io::Error> for MmError {
     }
 }
 
-/// Field type of a Matrix Market file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Field {
-    Real,
-    Integer,
-    Pattern,
-}
-
 /// Symmetry of a Matrix Market file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Symmetry {
@@ -102,9 +95,13 @@ const PRESIZE_ENTRIES_MAX: usize = 1 << 20;
 /// Reads a Matrix Market coordinate file into COO form.
 ///
 /// Supports `matrix coordinate {real, integer, pattern}` with
-/// `{general, symmetric, skew-symmetric}` symmetry. Pattern entries get
-/// value `1.0`. Symmetric entries are mirrored. Complex and array (dense)
-/// files are rejected with [`MmError::Parse`].
+/// `{general, symmetric, skew-symmetric}` symmetry. The value token of a
+/// `real` or `integer` entry must parse as a number and is then dropped;
+/// symmetric and skew-symmetric entries are mirrored into the pattern.
+/// Complex and array (dense) files are rejected with [`MmError::Parse`].
+///
+/// A row or column count that does not fit `u32` is [`MmError::Parse`],
+/// checked before anything is allocated for the matrix.
 ///
 /// Malformed coordinate data is rejected with a typed error instead of
 /// being silently absorbed into the CSR: out-of-bounds entries
@@ -130,10 +127,10 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
             tokens[1], tokens[2]
         )));
     }
-    let field = match tokens[3] {
-        "real" => Field::Real,
-        "integer" => Field::Integer,
-        "pattern" => Field::Pattern,
+    // `real` and `integer` entries carry a value token; `pattern` ones don't.
+    let has_value = match tokens[3] {
+        "real" | "integer" => true,
+        "pattern" => false,
         other => return Err(MmError::Parse(format!("unsupported field type '{other}'"))),
     };
     let symmetry = match tokens[4] {
@@ -142,10 +139,10 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
         "skew-symmetric" => Symmetry::SkewSymmetric,
         other => return Err(MmError::Parse(format!("unsupported symmetry '{other}'"))),
     };
-    if field == Field::Pattern && symmetry == Symmetry::SkewSymmetric {
+    if !has_value && symmetry == Symmetry::SkewSymmetric {
         // The format specification has no skew-symmetric pattern matrices
-        // (the mirrored entries would need value -1); mirroring them as if
-        // they were symmetric would silently fabricate values.
+        // (the mirrored entries would need value -1), so the banner is
+        // malformed rather than a pattern to mirror.
         return Err(MmError::Parse(
             "'pattern skew-symmetric' is not a valid Matrix Market banner".into(),
         ));
@@ -172,6 +169,16 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
     let num_rows = parse_usize(it.next(), "row count")?;
     let num_cols = parse_usize(it.next(), "column count")?;
     let declared_nnz = parse_usize(it.next(), "nonzero count")?;
+    // Indices are stored as `u32` (the paper's `colidx`), and CSR
+    // conversion allocates `num_rows + 1` row pointers: refuse dimensions
+    // the formats cannot hold before either can panic or abort.
+    for (what, n) in [("row", num_rows), ("column", num_cols)] {
+        if u32::try_from(n).is_err() {
+            return Err(MmError::Parse(format!(
+                "{what} count {n} exceeds the u32 index range"
+            )));
+        }
+    }
 
     // The declared count is untrusted: pre-size for at most
     // `PRESIZE_ENTRIES_MAX` entries and let real entries grow the buffers,
@@ -204,13 +211,9 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
                 num_cols,
             });
         }
-        let v = match field {
-            Field::Pattern => 1.0,
-            Field::Real | Field::Integer => it
-                .next()
-                .and_then(|t| t.parse::<f64>().ok())
-                .ok_or_else(|| MmError::Parse(format!("bad value in '{trimmed}'")))?,
-        };
+        if has_value && it.next().and_then(|t| t.parse::<f64>().ok()).is_none() {
+            return Err(MmError::Parse(format!("bad value in '{trimmed}'")));
+        }
         if it.next().is_some() {
             return Err(MmError::Parse(format!(
                 "trailing tokens after entry '{trimmed}'"
@@ -241,12 +244,8 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
         }
         let (r, c) = (r - 1, c - 1);
         match symmetry {
-            Symmetry::General => coo.push(r, c, v),
-            Symmetry::Symmetric => coo.push_symmetric(r, c, v),
-            Symmetry::SkewSymmetric => {
-                coo.push(r, c, v);
-                coo.push(c, r, -v);
-            }
+            Symmetry::General => coo.push(r, c),
+            Symmetry::Symmetric | Symmetry::SkewSymmetric => coo.push_symmetric(r, c),
         }
         seen += 1;
     }
@@ -264,9 +263,10 @@ pub fn read_csr_file<P: AsRef<Path>>(path: P) -> Result<CsrMatrix, MmError> {
     Ok(read_coo(io::BufReader::new(file))?.to_csr())
 }
 
-/// Writes `matrix` as a `matrix coordinate real general` Matrix Market file.
+/// Writes `matrix` as a `matrix coordinate pattern general` Matrix Market
+/// file.
 pub fn write_csr<W: Write>(writer: &mut W, matrix: &CsrMatrix) -> io::Result<()> {
-    writeln!(writer, "%%MatrixMarket matrix coordinate real general")?;
+    writeln!(writer, "%%MatrixMarket matrix coordinate pattern general")?;
     writeln!(
         writer,
         "{} {} {}",
@@ -275,8 +275,8 @@ pub fn write_csr<W: Write>(writer: &mut W, matrix: &CsrMatrix) -> io::Result<()>
         matrix.nnz()
     )?;
     for r in 0..matrix.num_rows() {
-        for (c, v) in matrix.row(r) {
-            writeln!(writer, "{} {} {v:e}", r + 1, c + 1)?;
+        for c in matrix.row(r) {
+            writeln!(writer, "{} {}", r + 1, c + 1)?;
         }
     }
     Ok(())
@@ -298,9 +298,8 @@ mod tests {
         let csr = read_coo(Cursor::new(text)).unwrap().to_csr();
         assert_eq!(csr.num_rows(), 3);
         assert_eq!(csr.nnz(), 3);
-        assert_eq!(csr.get(0, 0), Some(2.5));
-        assert_eq!(csr.get(1, 2), Some(-1.0));
-        assert_eq!(csr.get(2, 0), Some(4.0));
+        assert_eq!(csr.rowptr(), &[0, 1, 2, 3]);
+        assert_eq!(csr.colidx(), &[0, 2, 0]);
     }
 
     #[test]
@@ -311,8 +310,8 @@ mod tests {
                     2 1 5.0\n";
         let csr = read_coo(Cursor::new(text)).unwrap().to_csr();
         assert_eq!(csr.nnz(), 3);
-        assert_eq!(csr.get(0, 1), Some(5.0));
-        assert_eq!(csr.get(1, 0), Some(5.0));
+        assert!(csr.contains(0, 1));
+        assert!(csr.contains(1, 0));
     }
 
     #[test]
@@ -321,19 +320,72 @@ mod tests {
                     2 2 1\n\
                     2 1 3.0\n";
         let csr = read_coo(Cursor::new(text)).unwrap().to_csr();
-        assert_eq!(csr.get(1, 0), Some(3.0));
-        assert_eq!(csr.get(0, 1), Some(-3.0));
+        assert_eq!(csr.nnz(), 2);
+        assert!(csr.contains(1, 0));
+        assert!(csr.contains(0, 1));
     }
 
     #[test]
-    fn reads_pattern_as_ones() {
+    fn reads_pattern() {
         let text = "%%MatrixMarket matrix coordinate pattern general\n\
                     2 3 2\n\
                     1 2\n\
                     2 3\n";
         let csr = read_coo(Cursor::new(text)).unwrap().to_csr();
-        assert_eq!(csr.get(0, 1), Some(1.0));
-        assert_eq!(csr.get(1, 2), Some(1.0));
+        assert_eq!(csr.rowptr(), &[0, 1, 2]);
+        assert_eq!(csr.colidx(), &[1, 2]);
+    }
+
+    #[test]
+    fn real_and_pattern_files_read_to_the_same_matrix() {
+        let real = "%%MatrixMarket matrix coordinate real general\n\
+                    3 3 3\n1 1 2.5\n2 3 -1.0\n3 1 4e3\n";
+        let pattern = "%%MatrixMarket matrix coordinate pattern general\n\
+                       3 3 3\n1 1\n2 3\n3 1\n";
+        let a = read_coo(Cursor::new(real)).unwrap().to_csr();
+        let b = read_coo(Cursor::new(pattern)).unwrap().to_csr();
+        assert_eq!(a, b);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn rejects_non_numeric_value() {
+        let text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 x\n";
+        let err = read_coo(Cursor::new(text)).unwrap_err();
+        assert!(matches!(err, MmError::Parse(_)), "{err:?}");
+        assert!(err.to_string().contains("bad value in '1 1 x'"), "{err}");
+    }
+
+    /// A `pattern general` file with `size` as its size line and the one
+    /// entry `1 1`.
+    fn one_entry_file(size: &str) -> String {
+        format!("%%MatrixMarket matrix coordinate pattern general\n{size}\n1 1\n")
+    }
+
+    #[test]
+    fn column_count_beyond_u32_is_a_parse_error() {
+        let err = read_coo(Cursor::new(one_entry_file("2 5000000000 1"))).unwrap_err();
+        assert!(matches!(err, MmError::Parse(_)), "{err:?}");
+        assert!(err.to_string().contains("column count 5000000000"), "{err}");
+    }
+
+    #[test]
+    fn huge_row_count_is_a_parse_error_not_an_abort() {
+        // Trusted, 10^12 rows would allocate 8 TB of row counters.
+        let err = read_coo(Cursor::new(one_entry_file("1000000000000 2 1"))).unwrap_err();
+        assert!(matches!(err, MmError::Parse(_)), "{err:?}");
+        assert!(err.to_string().contains("row count 1000000000000"), "{err}");
+    }
+
+    #[test]
+    fn row_count_at_usize_max_is_a_parse_error_not_a_wrap() {
+        // `num_rows + 1` would wrap to 0 row counters.
+        let err = read_coo(Cursor::new(one_entry_file("18446744073709551615 2 1"))).unwrap_err();
+        assert!(matches!(err, MmError::Parse(_)), "{err:?}");
+        assert!(
+            err.to_string().contains("exceeds the u32 index range"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -449,9 +501,9 @@ mod tests {
     #[test]
     fn write_read_roundtrip() {
         let mut coo = CooMatrix::new(3, 4);
-        coo.push(0, 3, 1.25);
-        coo.push(2, 0, -7.5);
-        coo.push(1, 1, 0.003);
+        coo.push(0, 3);
+        coo.push(2, 0);
+        coo.push(1, 1);
         let original = coo.to_csr();
         let mut buf = Vec::new();
         write_csr(&mut buf, &original).unwrap();

@@ -116,10 +116,10 @@ mod tests {
         // 8 rows; row 0 has 16 nonzeros, the rest have 1 each.
         let mut coo = CooMatrix::new(8, 16);
         for c in 0..16 {
-            coo.push(0, c, 1.0);
+            coo.push(0, c);
         }
         for r in 1..8 {
-            coo.push(r, r, 1.0);
+            coo.push(r, r);
         }
         coo.to_csr()
     }

@@ -6,6 +6,7 @@
 //! Table 1 comparator applies this reordering; it is also exposed publicly
 //! as a locality optimisation users can combine with the sector cache.
 
+use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 
 /// Computes the Cuthill–McKee ordering of a square matrix's symmetrised
@@ -44,7 +45,7 @@ pub fn cuthill_mckee(matrix: &CsrMatrix) -> Vec<usize> {
         while let Some(v) = queue.pop_front() {
             perm.push(v);
             neighbour_buf.clear();
-            for (u, _) in adj.row(v) {
+            for u in adj.row(v) {
                 if !visited[u] {
                     visited[u] = true;
                     neighbour_buf.push(u);
@@ -70,47 +71,17 @@ pub fn rcm_reorder(matrix: &CsrMatrix) -> CsrMatrix {
     matrix.permute_symmetric(&reverse_cuthill_mckee(matrix))
 }
 
-/// Builds the pattern of `A + Aᵀ` (values unused, set to 1.0), without
-/// diagonal entries — the undirected adjacency used for BFS orderings.
+/// Builds the pattern of `A + Aᵀ` without diagonal entries — the
+/// undirected adjacency used for BFS orderings.
 fn symmetrized_adjacency(matrix: &CsrMatrix) -> CsrMatrix {
     let n = matrix.num_rows();
-    let mut counts = vec![0i64; n + 1];
-    let mut edges: Vec<(usize, usize)> = Vec::with_capacity(matrix.nnz() * 2);
+    let mut coo = CooMatrix::with_capacity(n, n, matrix.nnz() * 2);
     for r in 0..n {
-        for (c, _) in matrix.row(r) {
-            if r != c {
-                edges.push((r, c));
-                edges.push((c, r));
-            }
+        for c in matrix.row(r).filter(|&c| c != r) {
+            coo.push_symmetric(r, c);
         }
     }
-    for &(r, _) in &edges {
-        counts[r + 1] += 1;
-    }
-    for i in 0..n {
-        counts[i + 1] += counts[i];
-    }
-    let rowptr_raw = counts.clone();
-    let mut next = counts;
-    let mut cols = vec![0u32; edges.len()];
-    for &(r, c) in &edges {
-        cols[next[r] as usize] = c as u32;
-        next[r] += 1;
-    }
-    // Sort and dedup each row.
-    let mut rowptr = Vec::with_capacity(n + 1);
-    rowptr.push(0i64);
-    let mut out_cols = Vec::with_capacity(edges.len());
-    for r in 0..n {
-        let (b, e) = (rowptr_raw[r] as usize, rowptr_raw[r + 1] as usize);
-        let mut row: Vec<u32> = cols[b..e].to_vec();
-        row.sort_unstable();
-        row.dedup();
-        out_cols.extend_from_slice(&row);
-        rowptr.push(out_cols.len() as i64);
-    }
-    let nnz = out_cols.len();
-    CsrMatrix::from_parts(n, n, rowptr, out_cols, vec![1.0; nnz])
+    coo.to_csr()
 }
 
 /// Finds a pseudo-peripheral vertex of the component containing `start`
@@ -131,7 +102,7 @@ fn pseudo_peripheral(adj: &CsrMatrix, degree: &[usize], start: usize) -> usize {
         let mut deepest = current;
         let mut ecc = 0usize;
         while let Some(v) = queue.pop_front() {
-            for (u, _) in adj.row(v) {
+            for u in adj.row(v) {
                 if level[u] == usize::MAX {
                     level[u] = level[v] + 1;
                     if level[u] > ecc || (level[u] == ecc && degree[u] < degree[deepest]) {
@@ -160,7 +131,7 @@ pub fn permuted_bandwidth(matrix: &CsrMatrix, perm: &[usize]) -> usize {
     }
     let mut bw = 0usize;
     for r in 0..n {
-        for (c, _) in matrix.row(r) {
+        for c in matrix.row(r) {
             bw = bw.max(inv[r].abs_diff(inv[c]));
         }
     }
@@ -170,7 +141,6 @@ pub fn permuted_bandwidth(matrix: &CsrMatrix, perm: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coo::CooMatrix;
     use crate::stats::MatrixStats;
 
     /// Path graph 0-1-2-...-(n-1) but with shuffled labels.
@@ -184,10 +154,10 @@ mod tests {
         }
         let mut coo = CooMatrix::new(n, n);
         for v in 0..n {
-            coo.push(v, v, 2.0);
+            coo.push(v, v);
         }
         for w in labels.windows(2) {
-            coo.push_symmetric(w[0], w[1], -1.0);
+            coo.push_symmetric(w[0], w[1]);
         }
         coo.to_csr()
     }
@@ -223,10 +193,10 @@ mod tests {
     fn handles_disconnected_components() {
         // Two disjoint edges plus an isolated vertex.
         let mut coo = CooMatrix::new(5, 5);
-        coo.push_symmetric(0, 1, 1.0);
-        coo.push_symmetric(2, 3, 1.0);
+        coo.push_symmetric(0, 1);
+        coo.push_symmetric(2, 3);
         for v in 0..5 {
-            coo.push(v, v, 1.0);
+            coo.push(v, v);
         }
         let m = coo.to_csr();
         let perm = reverse_cuthill_mckee(&m);
@@ -236,19 +206,20 @@ mod tests {
     }
 
     #[test]
-    fn rcm_preserves_spmv_result_up_to_permutation() {
+    fn rcm_permutes_the_pattern() {
         let m = shuffled_path(30, 77);
         let perm = reverse_cuthill_mckee(&m);
         let pm = m.permute_symmetric(&perm);
-        let x: Vec<f64> = (0..30).map(|i| i as f64 + 1.0).collect();
-        // Permute x accordingly: new index i corresponds to old perm[i].
-        let px: Vec<f64> = perm.iter().map(|&old| x[old]).collect();
-        let mut y = vec![0.0; 30];
-        let mut py = vec![0.0; 30];
-        crate::spmv::spmv_seq(&m, &x, &mut y);
-        crate::spmv::spmv_seq(&pm, &px, &mut py);
+        let mut inv = vec![0; 30];
         for (new, &old) in perm.iter().enumerate() {
-            assert!((py[new] - y[old]).abs() < 1e-12);
+            inv[old] = new;
+        }
+        // (i, j) ∈ A ⇔ (inv[i], inv[j]) ∈ P A Pᵀ.
+        assert_eq!(pm.nnz(), m.nnz());
+        for i in 0..30 {
+            for j in 0..30 {
+                assert_eq!(m.contains(i, j), pm.contains(inv[i], inv[j]), "({i}, {j})");
+            }
         }
     }
 

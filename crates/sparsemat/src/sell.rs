@@ -6,11 +6,12 @@
 //! unexplored. This implementation makes the format available as an
 //! extension: rows are sorted by length within windows of `σ` rows, packed
 //! into chunks of `C` rows stored column-major, and padded to the longest
-//! row of each chunk.
+//! row of each chunk. Like [`CsrMatrix`], only the pattern is stored; the
+//! padded value array is modelled from [`SellMatrix::stored_entries`].
 
 use crate::csr::CsrMatrix;
 
-/// A sparse matrix in SELL-C-σ format.
+/// The sparsity pattern of a matrix in SELL-C-σ format.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SellMatrix {
     num_rows: usize,
@@ -18,15 +19,13 @@ pub struct SellMatrix {
     nnz: usize,
     chunk_size: usize,
     sigma: usize,
-    /// Start of each chunk in `values`/`colidx` (length `num_chunks + 1`).
+    /// Start of each chunk in `colidx` (length `num_chunks + 1`).
     chunk_ptr: Vec<usize>,
     /// Width (padded row length) of each chunk.
     chunk_width: Vec<u32>,
     /// Column indices, chunk-major (`chunk_width * chunk_size` per chunk,
     /// padding entries repeat the row's last valid column).
     colidx: Vec<u32>,
-    /// Values, chunk-major (padding entries are 0.0).
-    values: Vec<f64>,
     /// `row_perm[packed_row] = original_row`: the sorting permutation.
     row_perm: Vec<usize>,
 }
@@ -58,7 +57,6 @@ impl SellMatrix {
         let mut chunk_width = Vec::with_capacity(num_chunks);
         chunk_ptr.push(0usize);
         let mut colidx = Vec::new();
-        let mut values = Vec::new();
 
         for c in 0..num_chunks {
             let rows = &row_perm[c * chunk_size..((c + 1) * chunk_size).min(n)];
@@ -72,24 +70,20 @@ impl SellMatrix {
                         let range = a.row_range(r);
                         if j < range.len() {
                             colidx.push(a.colidx()[range.start + j]);
-                            values.push(a.values()[range.start + j]);
                         } else if !range.is_empty() {
                             // Pad with the row's last column (harmless
-                            // gather target) and a zero value.
+                            // gather target).
                             colidx.push(a.colidx()[range.end - 1]);
-                            values.push(0.0);
                         } else {
                             colidx.push(0);
-                            values.push(0.0);
                         }
                     } else {
                         // Lane beyond the last row of a ragged final chunk.
                         colidx.push(0);
-                        values.push(0.0);
                     }
                 }
             }
-            chunk_ptr.push(values.len());
+            chunk_ptr.push(colidx.len());
         }
 
         SellMatrix {
@@ -101,7 +95,6 @@ impl SellMatrix {
             chunk_ptr,
             chunk_width,
             colidx,
-            values,
             row_perm,
         }
     }
@@ -133,7 +126,7 @@ impl SellMatrix {
 
     /// Stored entries including padding.
     pub fn stored_entries(&self) -> usize {
-        self.values.len()
+        self.colidx.len()
     }
 
     /// Padding overhead: `stored / nnz` (1.0 = no padding).
@@ -166,11 +159,6 @@ impl SellMatrix {
         &self.colidx
     }
 
-    /// The padded, chunk-major values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
     /// The row permutation (`row_perm[packed] = original`).
     pub fn row_perm(&self) -> &[usize] {
         &self.row_perm
@@ -179,8 +167,7 @@ impl SellMatrix {
     /// A stable, *format-tagged* 64-bit fingerprint of the stored
     /// structure: a `"sell-c-sigma"` tag, the format parameters `C` and
     /// `σ`, the dimensions, and the chunk/permutation/index arrays that
-    /// determine the access pattern. Values are excluded, exactly as in
-    /// [`CsrMatrix::fingerprint`].
+    /// determine the access pattern.
     ///
     /// The leading tag guarantees a SELL view of a matrix never hashes
     /// equal to the CSR view of the same (or any other) matrix, so
@@ -207,42 +194,12 @@ impl SellMatrix {
         }
         h.finish()
     }
-
-    /// SpMV: `y ← y + A·x` (accumulating, like the CSR kernels).
-    ///
-    /// # Panics
-    ///
-    /// Panics if vector lengths do not match.
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.num_cols, "x length must equal num_cols");
-        assert_eq!(y.len(), self.num_rows, "y length must equal num_rows");
-        let c = self.chunk_size;
-        let mut acc = vec![0.0f64; c];
-        for (k, &width) in self.chunk_width.iter().enumerate() {
-            let base = self.chunk_ptr[k];
-            let rows = &self.row_perm[k * c..((k + 1) * c).min(self.num_rows)];
-            acc[..c].iter_mut().for_each(|v| *v = 0.0);
-            for j in 0..width as usize {
-                let off = base + j * c;
-                // The lane loop is the SIMD dimension on real hardware.
-                for (lane, a) in acc.iter_mut().enumerate().take(c) {
-                    let v = self.values[off + lane];
-                    let col = self.colidx[off + lane] as usize;
-                    *a += v * x[col];
-                }
-            }
-            for (lane, &r) in rows.iter().enumerate() {
-                y[r] += acc[lane];
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
-    use crate::spmv::spmv_seq;
 
     fn random_matrix(rows: usize, cols: usize, max_per_row: usize, seed: u64) -> CsrMatrix {
         let mut state = seed | 1;
@@ -254,46 +211,49 @@ mod tests {
         for r in 0..rows {
             let len = next() % (max_per_row + 1);
             for _ in 0..len {
-                coo.push(r, next() % cols, (next() % 100) as f64 / 10.0 - 5.0);
+                coo.push(r, next() % cols);
             }
         }
         coo.to_csr()
     }
 
-    fn assert_spmv_matches(a: &CsrMatrix, c: usize, sigma: usize) {
+    /// Every packed row's non-padding columns, reached through `row_perm`,
+    /// are exactly the CSR row's column indices.
+    fn assert_rows_match(a: &CsrMatrix, c: usize, sigma: usize) {
         let sell = SellMatrix::from_csr(a, c, sigma);
-        let x: Vec<f64> = (0..a.num_cols()).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut y_csr: Vec<f64> = (0..a.num_rows()).map(|i| i as f64 * 0.1).collect();
-        let mut y_sell = y_csr.clone();
-        spmv_seq(a, &x, &mut y_csr);
-        sell.spmv(&x, &mut y_sell);
-        for (i, (s, g)) in y_csr.iter().zip(&y_sell).enumerate() {
-            assert!(
-                (s - g).abs() < 1e-10,
-                "row {i}: {s} vs {g} (C={c}, sigma={sigma})"
+        for (packed, &r) in sell.row_perm().iter().enumerate() {
+            let (chunk, lane) = (packed / c, packed % c);
+            let base = sell.chunk_ptr()[chunk];
+            let got: Vec<u32> = (0..a.row_nnz(r))
+                .map(|j| sell.colidx()[base + j * c + lane])
+                .collect();
+            assert_eq!(
+                got,
+                &a.colidx()[a.row_range(r)],
+                "row {r} (C={c}, sigma={sigma})"
             );
         }
     }
 
     #[test]
-    fn spmv_matches_csr_various_shapes() {
+    fn rows_match_csr_various_shapes() {
         let a = random_matrix(100, 80, 12, 5);
         for (c, sigma) in [(1, 1), (4, 4), (8, 8), (8, 64), (16, 128), (7, 21)] {
-            assert_spmv_matches(&a, c, sigma);
+            assert_rows_match(&a, c, sigma);
         }
     }
 
     #[test]
-    fn spmv_matches_with_empty_rows_and_ragged_tail() {
+    fn rows_match_with_empty_rows_and_ragged_tail() {
         // 13 rows (not a multiple of typical C), some empty.
         let mut coo = CooMatrix::new(13, 13);
         for r in [0usize, 3, 12] {
-            coo.push(r, r, 2.0);
-            coo.push(r, (r + 5) % 13, -1.0);
+            coo.push(r, r);
+            coo.push(r, (r + 5) % 13);
         }
         let a = coo.to_csr();
         for c in [4, 8] {
-            assert_spmv_matches(&a, c, 4 * c);
+            assert_rows_match(&a, c, 4 * c);
         }
     }
 
@@ -308,7 +268,7 @@ mod tests {
             let len = if r % 2 == 0 { 16 } else { 1 };
             for _ in 0..len {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                coo.push(r, (state >> 33) as usize % 64, 1.0);
+                coo.push(r, (state >> 33) as usize % 64);
             }
         }
         let a = coo.to_csr();
@@ -321,8 +281,8 @@ mod tests {
             unsorted.padding_ratio()
         );
         assert!(sorted.padding_ratio() < 1.2);
-        // Sorting must not change the result.
-        assert_spmv_matches(&a, 8, 64);
+        // Sorting must not change the rows.
+        assert_rows_match(&a, 8, 64);
     }
 
     #[test]
@@ -366,8 +326,6 @@ mod tests {
         let a = CooMatrix::new(0, 5).to_csr();
         let sell = SellMatrix::from_csr(&a, 8, 8);
         assert_eq!(sell.stored_entries(), 0);
-        let x = vec![1.0; 5];
-        let mut y = vec![];
-        sell.spmv(&x, &mut y);
+        assert_eq!(sell.num_chunks(), 0);
     }
 }

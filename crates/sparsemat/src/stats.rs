@@ -113,10 +113,10 @@ mod tests {
         // Rows with 4, 0, 2 nonzeros: mean = 2, var = (16+0+4)/3 - 4 = 8/3.
         let mut coo = CooMatrix::new(3, 8);
         for c in 0..4 {
-            coo.push(0, c, 1.0);
+            coo.push(0, c);
         }
-        coo.push(2, 2, 1.0);
-        coo.push(2, 7, 1.0);
+        coo.push(2, 2);
+        coo.push(2, 7);
         let s = MatrixStats::compute(&coo.to_csr());
         assert_eq!(s.row_nnz_mean, 2.0);
         assert!((s.row_nnz_std - (8.0f64 / 3.0).sqrt()).abs() < 1e-12);
@@ -133,7 +133,7 @@ mod tests {
         let mut coo = CooMatrix::new(4, 16);
         for r in 0..4 {
             for c in 0..10 {
-                coo.push(r, c, 1.0);
+                coo.push(r, c);
             }
         }
         assert!(MatrixStats::compute(&coo.to_csr()).is_method_b_friendly());

@@ -1,6 +1,6 @@
-//! Quickstart: generate a sparse matrix, run SpMV, classify it, predict
-//! its cache misses with the locality model, and check the prediction
-//! against the A64FX simulator.
+//! Quickstart: generate a sparse matrix, classify it, predict its cache
+//! misses with the locality model, and check the prediction against the
+//! A64FX simulator.
 //!
 //! Run: `cargo run --release --example quickstart`
 
@@ -18,19 +18,12 @@ fn main() {
         matrix.matrix_bytes() as f64 / 1024.0
     );
 
-    // 1. Run the actual kernel: y <- y + A x.
-    let x = vec![1.0; matrix.num_cols()];
-    let mut y = vec![0.0; matrix.num_rows()];
-    let partition = RowPartition::static_rows(matrix.num_rows(), 8);
-    spmv::spmv_parallel(&matrix, &x, &mut y, &partition);
-    println!("spmv done: y[0] = {}, y[n-1] = {}", y[0], y[y.len() - 1]);
-
-    // 2. Where does the matrix fall in the paper's classification?
+    // 1. Where does the matrix fall in the paper's classification?
     let threads = 48;
     let class = classify_for(&matrix, &cfg.clone().with_l2_sector(5), threads);
     println!("classification with 5 sector-1 ways: {}", class.label());
 
-    // 3. Model prediction (method B: single x-trace pass + analytics).
+    // 2. Model prediction (method B: single x-trace pass + analytics).
     let settings = [SectorSetting::Off, SectorSetting::L2Ways(5)];
     let preds = predict(&matrix, &cfg, Method::B, &settings, threads);
     for p in &preds {
@@ -41,7 +34,7 @@ fn main() {
         );
     }
 
-    // 4. Simulator measurement of the same two configurations, 48 threads.
+    // 3. Simulator measurement of the same two configurations, 48 threads.
     let base = simulate_spmv(&matrix, &cfg, ArraySet::EMPTY, threads, 1);
     let part_cfg = cfg.clone().with_l2_sector(5);
     let part = simulate_spmv(&matrix, &part_cfg, ArraySet::MATRIX_STREAM, threads, 1);
@@ -51,7 +44,7 @@ fn main() {
         part.pmu.l2_misses()
     );
 
-    // 5. Estimated performance impact.
+    // 4. Estimated performance impact.
     let perf_base = estimate(&cfg, matrix.nnz(), &base);
     let perf_part = estimate(&part_cfg, matrix.nnz(), &part);
     println!(

@@ -9,20 +9,14 @@ use memtrace::spmv_trace;
 
 fn main() {
     // The paper's Fig. 1 matrix: 4x4 with 7 nonzeros, 16-byte lines.
-    let matrix = CsrMatrix::from_parts(
-        4,
-        4,
-        vec![0, 2, 3, 5, 7],
-        vec![1, 2, 0, 2, 3, 1, 3],
-        vec![1.0; 7],
-    );
+    let matrix = CsrMatrix::from_parts(4, 4, vec![0, 2, 3, 5, 7], vec![1, 2, 0, 2, 3, 1, 3]);
     let layout = DataLayout::new(&matrix, 16);
 
     println!("# sparsity pattern (Fig. 1a)");
     for r in 0..matrix.num_rows() {
         let mut row = String::new();
         for c in 0..matrix.num_cols() {
-            row.push(if matrix.get(r, c).is_some() { 'x' } else { '.' });
+            row.push(if matrix.contains(r, c) { 'x' } else { '.' });
             row.push(' ');
         }
         println!("  {row}");

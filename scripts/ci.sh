@@ -421,4 +421,18 @@ grep -q '"ecm":{"gflops":' "$OBS_TMP/machine_x86.jsonl" || {
 cargo run --release --offline --bin spmv-locality -- \
     validate --matrices 4 --smoke --machine generic-x86
 
+echo "== table1 oracle: the 18 Table-1 generators, byte for byte =="
+# The batch oracle above covers two corpus matrices; this one covers every
+# Table-1 analogue (banded, kron, stencil, arrow and random generators).
+# Same spec as the batch-table1 benchmark workload; perfbench/ is only
+# read here.
+printf 'table1 scale=32\nmethods A,B\nsettings paper\nthreads 48\nscale 32\n' \
+    > "$OBS_TMP/table1.spec"
+cargo run --release --offline --bin spmv-locality -- \
+    batch "$OBS_TMP/table1.spec" > "$OBS_TMP/table1.jsonl"
+cmp perfbench/expected/batch-table1.jsonl "$OBS_TMP/table1.jsonl" || {
+    echo "ci: table1 batch drifted from perfbench/expected/batch-table1.jsonl" >&2
+    exit 1
+}
+
 echo "ci: all gates passed"

@@ -52,7 +52,7 @@
 //! vector SpMV (`--rhs-layout` picks row-major interleaved RHS, the
 //! default, or `col` for separate vectors); `--workload cg` traces a full
 //! conjugate-gradient iteration (the SpMV plus the solver's vector
-//! sweeps, see `examples/cg_solver.rs`), `--workload spmm:K[,row|col]`
+//! sweeps, see `memtrace::cursor::CgCursor`), `--workload spmm:K[,row|col]`
 //! is the spelled-out SpMM form. With `--rhs 1` every output is
 //! byte-identical to the plain SpMV. The simulator executes the SpMV
 //! kernel itself, so `simulate` accepts neither flag.

@@ -5,8 +5,8 @@
 //! (SC-W 2023), as a Rust workspace. This facade crate re-exports the
 //! member crates:
 //!
-//! * [`sparsemat`] — COO/CSR formats, SpMV kernels (sequential, parallel,
-//!   merge-based), partitioning, statistics, Matrix Market I/O, RCM;
+//! * [`sparsemat`] — pattern-only COO/CSR/SELL-C-σ formats, partitioning,
+//!   statistics, Matrix Market I/O, RCM;
 //! * [`memtrace`] — SpMV memory-trace generation from the sparsity
 //!   pattern (methods A and B), MCS-lock trace collation, interleaving;
 //! * [`reuse`] — reuse-distance engines: exact Fenwick stack, the Kim
@@ -79,6 +79,6 @@ pub mod prelude {
     pub use machine::{CacheHierarchy, HierarchyConfig, MachineParseError, MachineSpec};
     pub use memtrace::{Access, Array, ArraySet, DataLayout};
     pub use reuse::{ExactStack, MarkerStack, PartitionedStack, ReuseHistogram};
-    pub use sparsemat::{spmv, CooMatrix, CsrMatrix, MatrixStats, RowPartition};
+    pub use sparsemat::{CooMatrix, CsrMatrix, MatrixStats, RowPartition};
     pub use valid::{run_validation, ValidationConfig, ValidationReport};
 }

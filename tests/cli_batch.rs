@@ -43,6 +43,56 @@ fn batch_missing_matrix_path_reports_engine_error() {
 }
 
 #[test]
+fn hostile_matrix_market_dimensions_are_parse_errors_not_aborts() {
+    // Each size line overflows a `u32` index or `num_rows + 1`: it must be
+    // a typed parse error (exit 1), never a panic (101) or an allocation
+    // abort (134), which under `serve` would get past `catch_unwind`.
+    let dir = scratch("hostile-header");
+    for (i, size) in [
+        "2 5000000000 1",
+        "1000000000000 2 1",
+        "18446744073709551615 2 1",
+    ]
+    .iter()
+    .enumerate()
+    {
+        let mtx = dir.join(format!("hostile{i}.mtx"));
+        std::fs::write(
+            &mtx,
+            format!("%%MatrixMarket matrix coordinate pattern general\n{size}\n1 1\n"),
+        )
+        .unwrap();
+        let spec = dir.join(format!("hostile{i}.spec"));
+        std::fs::write(
+            &spec,
+            format!("mtx {}\nsettings off\nthreads 1\nscale 64\n", mtx.display()),
+        )
+        .unwrap();
+
+        for args in [
+            ["analyze", mtx.to_str().unwrap()],
+            ["batch", spec.to_str().unwrap()],
+        ] {
+            let out = Command::new(BIN)
+                .args(args)
+                .output()
+                .expect("spawn spmv-locality");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("Matrix Market parse error")
+                    && stderr.contains("exceeds the u32 index range"),
+                "{args:?}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            if args[0] == "batch" {
+                assert!(stderr.contains("cannot load"), "{args:?}: {stderr}");
+            }
+        }
+    }
+}
+
+#[test]
 fn batch_bad_spec_reports_line_number() {
     let dir = scratch("bad-spec");
     let spec = dir.join("jobs.spec");

@@ -1,4 +1,4 @@
-//! End-to-end SELL-C-σ integration: numerics against CSR, trace-driven
+//! End-to-end SELL-C-σ integration: packed rows against CSR, trace-driven
 //! simulation through the A64FX machine, and the sector-cache story for
 //! the chunked format.
 
@@ -13,17 +13,19 @@ fn banded(n: usize, band: usize, per_row: usize, seed: u64) -> CsrMatrix {
 }
 
 #[test]
-fn sell_numerics_match_csr_on_corpus_matrices() {
+fn sell_rows_match_csr_on_corpus_matrices() {
     for nm in corpus::corpus(4, 64, 5) {
         let a = &nm.matrix;
-        let sell = sparsemat::SellMatrix::from_csr(a, 8, 64);
-        let x: Vec<f64> = (0..a.num_cols()).map(|i| ((i * 7) % 13) as f64).collect();
-        let mut y_csr = vec![0.0; a.num_rows()];
-        let mut y_sell = vec![0.0; a.num_rows()];
-        spmv::spmv_seq(a, &x, &mut y_csr);
-        sell.spmv(&x, &mut y_sell);
-        for (c, s) in y_csr.iter().zip(&y_sell) {
-            assert!((c - s).abs() < 1e-9, "{}", nm.name);
+        let c = 8;
+        let sell = sparsemat::SellMatrix::from_csr(a, c, 64);
+        // Packed row `p` sits in lane `p % C` of chunk `p / C`; its first
+        // `row_nnz` column-major slots are the non-padding entries.
+        for (p, &r) in sell.row_perm().iter().enumerate() {
+            let base = sell.chunk_ptr()[p / c] + p % c;
+            let cols: Vec<u32> = (0..a.row_nnz(r))
+                .map(|j| sell.colidx()[base + j * c])
+                .collect();
+            assert_eq!(cols, &a.colidx()[a.row_range(r)], "{} row {r}", nm.name);
         }
     }
 }
@@ -71,7 +73,7 @@ fn sell_padding_shows_up_as_extra_stream_traffic() {
         let len = if r % 8 == 0 { 32 } else { 2 };
         for _ in 0..len {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            coo.push(r, (state >> 33) as usize % 4096, 1.0);
+            coo.push(r, (state >> 33) as usize % 4096);
         }
     }
     let a = coo.to_csr();

@@ -21,7 +21,7 @@ fn arb_matrix() -> impl Strategy<Value = CsrMatrix> {
         .prop_map(|(n, entries)| {
             let mut coo = CooMatrix::new(n, n);
             for (r, c) in entries {
-                coo.push(r, c, 1.0);
+                coo.push(r, c);
             }
             coo.to_csr()
         })
