@@ -26,4 +26,4 @@ pub mod random;
 pub mod stencil;
 pub mod suite;
 
-pub use suite::{corpus, table1_suite, NamedMatrix};
+pub use suite::{corpus, corpus_member, table1_member, table1_suite, NamedMatrix, TABLE1_LEN};

@@ -27,6 +27,10 @@ pub struct NamedMatrix {
     pub matrix: CsrMatrix,
 }
 
+/// Number of Table 1 analogues: [`table1_suite`] returns this many and
+/// [`table1_member`] accepts indices below it.
+pub const TABLE1_LEN: usize = 18;
+
 /// Builds the 18 Table 1 analogues at `1/scale` of the original sizes.
 ///
 /// Row counts and nonzeros-per-row follow the paper's Table 1; the
@@ -37,14 +41,19 @@ pub struct NamedMatrix {
 ///
 /// Panics if `scale` is zero.
 pub fn table1_suite(scale: usize) -> Vec<NamedMatrix> {
+    (0..TABLE1_LEN).map(|i| table1_member(scale, i)).collect()
+}
+
+/// Builds Table 1 analogue `index` (in table order) at `1/scale` of the
+/// original size: `table1_member(scale, i)` is `table1_suite(scale)[i]`,
+/// without building the other 17.
+///
+/// # Panics
+///
+/// Panics if `scale` is zero or `index >= TABLE1_LEN`.
+pub fn table1_member(scale: usize, index: usize) -> NamedMatrix {
     assert!(scale > 0, "scale must be positive");
     let s = scale;
-    // (name, rows, nnz/row, family builder)
-    let mk = |name: &str, family: &'static str, matrix: CsrMatrix| NamedMatrix {
-        name: name.to_string(),
-        family,
-        matrix,
-    };
     let grid2 = |rows: usize| {
         let side = (rows as f64).sqrt().round() as usize;
         laplacian_2d(side.max(2), side.max(2))
@@ -62,51 +71,57 @@ pub fn table1_suite(scale: usize) -> Vec<NamedMatrix> {
         let blocks_per_row = (per_row / block).max(2);
         block_banded(n, block, blocks_per_row, blocks_per_row * 3, seed)
     };
-
-    vec![
-        mk("pdb1HYS", "block-banded", blockb(36_000 / s, 6, 120, 101)),
-        mk(
+    // (name, family, generator) per Table 1 row.
+    let (name, family, matrix) = match index {
+        0 => ("pdb1HYS", "block-banded", blockb(36_000 / s, 6, 120, 101)),
+        1 => (
             "Hamrle3",
             "circuit",
             tridiag_plus_random(1_447_000 / s, 1, 102),
         ),
-        mk("G3_circuit", "grid-2d", grid2(1_585_000 / s)),
-        mk("shipsec1", "block-banded", blockb(141_000 / s, 6, 55, 103)),
-        mk("pwtk", "block-banded", blockb(218_000 / s, 6, 53, 104)),
-        mk(
+        2 => ("G3_circuit", "grid-2d", grid2(1_585_000 / s)),
+        3 => ("shipsec1", "block-banded", blockb(141_000 / s, 6, 55, 103)),
+        4 => ("pwtk", "block-banded", blockb(218_000 / s, 6, 53, 104)),
+        5 => (
             "kkt_power",
             "power-law",
             power_law(2_063_000 / s, 7, 0.8, 105),
         ),
-        mk(
+        6 => (
             "Si41Ge41H72",
             "banded",
             random_banded(186_000 / s, (186_000 / s) / 8, 80, 106),
         ),
         // Border sized so the average row length lands near the original's
         // ~39 nonzeros/row: nnz ~ n * (block + border).
-        mk("bundle_adj", "arrow", arrow(513_000 / s, 9, 30, 107)),
-        mk("msdoor", "block-banded", blockb(416_000 / s, 6, 49, 108)),
-        mk("Fault_639", "block-banded", blockb(639_000 / s, 6, 45, 109)),
-        mk(
+        7 => ("bundle_adj", "arrow", arrow(513_000 / s, 9, 30, 107)),
+        8 => ("msdoor", "block-banded", blockb(416_000 / s, 6, 49, 108)),
+        9 => ("Fault_639", "block-banded", blockb(639_000 / s, 6, 45, 109)),
+        10 => (
             "af_shell10",
             "block-banded",
             blockb(1_508_000 / s, 5, 35, 110),
         ),
-        mk("Serena", "block-banded", blockb(1_391_000 / s, 6, 46, 111)),
-        mk("bone010", "grid-27pt", grid27(987_000 / s)),
-        mk("audikw_1", "block-banded", blockb(944_000 / s, 9, 82, 112)),
+        11 => ("Serena", "block-banded", blockb(1_391_000 / s, 6, 46, 111)),
+        12 => ("bone010", "grid-27pt", grid27(987_000 / s)),
+        13 => ("audikw_1", "block-banded", blockb(944_000 / s, 9, 82, 112)),
         // channel-500 is a 3-D mesh graph; the 7-point grid is the closest
         // structural family (the analogue ends up slightly sparser per row).
-        mk("channel-500x100x100-b050", "grid-3d", grid3(4_802_000 / s)),
-        mk("nlpkkt120", "grid-27pt", grid27(3_542_000 / s)),
-        mk(
+        14 => ("channel-500x100x100-b050", "grid-3d", grid3(4_802_000 / s)),
+        15 => ("nlpkkt120", "grid-27pt", grid27(3_542_000 / s)),
+        16 => (
             "delaunay_n24",
             "random",
             uniform_random(16_777_000 / s, 6, 114),
         ),
-        mk("ML_Geer", "block-banded", blockb(1_504_000 / s, 6, 74, 115)),
-    ]
+        17 => ("ML_Geer", "block-banded", blockb(1_504_000 / s, 6, 74, 115)),
+        _ => panic!("Table 1 has {TABLE1_LEN} rows, no index {index}"),
+    };
+    NamedMatrix {
+        name: name.to_string(),
+        family,
+        matrix,
+    }
 }
 
 /// Builds the evaluation corpus of `count` matrices at machine scale
@@ -121,6 +136,21 @@ pub fn table1_suite(scale: usize) -> Vec<NamedMatrix> {
 /// Panics if `count` is zero or `scale` is zero.
 pub fn corpus(count: usize, scale: usize, seed: u64) -> Vec<NamedMatrix> {
     assert!(count > 0, "need at least one matrix");
+    (0..count)
+        .map(|i| corpus_member(count, scale, seed, i))
+        .collect()
+}
+
+/// Builds member `index` of the `count`-matrix corpus alone:
+/// `corpus_member(count, scale, seed, i)` is `corpus(count, scale, seed)[i]`.
+/// Each member's size target and generator seed depend only on
+/// `(count, scale, seed, index)`, so no other member is built.
+///
+/// # Panics
+///
+/// Panics if `scale` is zero or `index >= count`.
+pub fn corpus_member(count: usize, scale: usize, seed: u64, index: usize) -> NamedMatrix {
+    assert!(index < count, "corpus of {count} has no member {index}");
     assert!(scale > 0, "scale must be positive");
     // Size targets relative to the scaled L2 segment (8 MiB / scale).
     let segment_bytes = (8usize << 20) / scale;
@@ -129,25 +159,22 @@ pub fn corpus(count: usize, scale: usize, seed: u64) -> Vec<NamedMatrix> {
     let log_lo = (min_bytes as f64).ln();
     let log_hi = (max_bytes as f64).ln();
 
-    (0..count)
-        .map(|i| {
-            let frac = (i as f64 + 0.5) / count as f64;
-            // Deterministic low-discrepancy jitter from the seed.
-            let jitter = (((seed ^ i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 40) as f64
-                / (1u64 << 24) as f64
-                - 0.5)
-                / count as f64;
-            let target_bytes = (log_lo + (frac + jitter).clamp(0.0, 1.0) * (log_hi - log_lo)).exp();
-            let mseed = seed.wrapping_add(1000 + i as u64);
-            // Family weights mirror the SuiteSparse population the paper
-            // samples: predominantly structured PDE/FEM matrices with good
-            // x locality, a minority of irregular graph/optimisation
-            // matrices (the paper's §4.5.5 finds only 42/490 matrices with
-            // x-dominated traffic).
-            const FAMILIES: [usize; 14] = [2, 5, 1, 2, 6, 4, 5, 2, 1, 6, 3, 5, 0, 4];
-            build_family(FAMILIES[i % 14], target_bytes as usize, mseed, i)
-        })
-        .collect()
+    let i = index;
+    let frac = (i as f64 + 0.5) / count as f64;
+    // Deterministic low-discrepancy jitter from the seed.
+    let jitter = (((seed ^ i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 40) as f64
+        / (1u64 << 24) as f64
+        - 0.5)
+        / count as f64;
+    let target_bytes = (log_lo + (frac + jitter).clamp(0.0, 1.0) * (log_hi - log_lo)).exp();
+    let mseed = seed.wrapping_add(1000 + i as u64);
+    // Family weights mirror the SuiteSparse population the paper
+    // samples: predominantly structured PDE/FEM matrices with good
+    // x locality, a minority of irregular graph/optimisation
+    // matrices (the paper's §4.5.5 finds only 42/490 matrices with
+    // x-dominated traffic).
+    const FAMILIES: [usize; 14] = [2, 5, 1, 2, 6, 4, 5, 2, 1, 6, 3, 5, 0, 4];
+    build_family(FAMILIES[i % 14], target_bytes as usize, mseed, i)
 }
 
 /// Builds one corpus member of the given family sized to ~`target_bytes`
@@ -307,6 +334,27 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.matrix, y.matrix);
+        }
+    }
+
+    #[test]
+    fn members_equal_the_assembled_suites() {
+        let same = |a: &NamedMatrix, b: &NamedMatrix| {
+            assert_eq!(a.name, b.name);
+            assert_eq!(a.family, b.family);
+            assert!(a.matrix == b.matrix, "{}", a.name);
+        };
+        let suite = table1_suite(64);
+        assert_eq!(suite.len(), TABLE1_LEN);
+        for (i, nm) in suite.iter().enumerate() {
+            same(&table1_member(64, i), nm);
+        }
+        for count in [1, 7, 20] {
+            for seed in [0, 9, 2023] {
+                for (i, nm) in corpus(count, 64, seed).iter().enumerate() {
+                    same(&corpus_member(count, 64, seed, i), nm);
+                }
+            }
         }
     }
 

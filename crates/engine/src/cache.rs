@@ -30,7 +30,18 @@
 //! a bounded cache retains: [`Admission::SecondTouch`] computes but does
 //! not cache a key on first sight, so one-off matrices cannot evict the
 //! repeat customers that make a shared cache worthwhile.
+//!
+//! # Source memo
+//!
+//! Next to the profiles the cache keeps a small memo from each generated
+//! matrix's source key to what a job needs before its lookup — report
+//! name, reorder-tagged fingerprint, shape — so a warm request builds no
+//! matrix at all. The memo is bounded by the same `max_entries` (LRU) and
+//! gains an entry only after a build succeeds. The cache also owns the
+//! source counters (`engine.sources.*`): matrices built, memo hits, and
+//! the most matrices alive at once.
 
+use crate::source::{SourceKey, SourceMeta};
 use locality_core::{LocalityProfile, Method};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,6 +132,35 @@ pub struct ProfileCache {
     evictions: AtomicU64,
     admission_skips: AtomicU64,
     cancellations: AtomicU64,
+    sources: Mutex<SourceMemo>,
+    sources_built: AtomicU64,
+    source_memo_hits: AtomicU64,
+    sources_live: AtomicU64,
+    sources_live_max: AtomicU64,
+}
+
+/// Source key → matrix meta, with a use stamp per entry for LRU eviction.
+#[derive(Debug, Default)]
+struct SourceMemo {
+    map: HashMap<SourceKey, (Arc<SourceMeta>, u64)>,
+    clock: u64,
+}
+
+impl SourceMemo {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+}
+
+/// A built matrix's hold on the cache's live-source count, from
+/// [`ProfileCache::source_built`]; dropping it releases the hold.
+pub(crate) struct LiveSource<'c>(&'c ProfileCache);
+
+impl Drop for LiveSource<'_> {
+    fn drop(&mut self) {
+        self.0.sources_live.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 type Slot = Arc<OnceLock<Option<Arc<LocalityProfile>>>>;
@@ -348,6 +388,61 @@ impl ProfileCache {
         false
     }
 
+    /// The memoized meta of a generated matrix, if an earlier build
+    /// recorded it (a memo hit touches the entry).
+    pub(crate) fn source_meta(&self, key: &SourceKey) -> Option<Arc<SourceMeta>> {
+        let mut memo = self.sources.lock().expect("source memo poisoned");
+        let now = memo.tick();
+        let (meta, used) = memo.map.get_mut(key)?;
+        *used = now;
+        self.source_memo_hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(meta))
+    }
+
+    /// Records a successfully built matrix's meta, evicting the
+    /// least-recently-used entry beyond `max_entries`.
+    pub(crate) fn remember_source(&self, key: SourceKey, meta: Arc<SourceMeta>) {
+        let mut memo = self.sources.lock().expect("source memo poisoned");
+        let now = memo.tick();
+        memo.map.insert(key, (meta, now));
+        if let Some(max) = self.max_entries {
+            while memo.map.len() > max {
+                let coldest = memo
+                    .map
+                    .iter()
+                    .min_by_key(|(_, (_, used))| *used)
+                    .map(|(k, _)| k.clone())
+                    .expect("an over-full memo is non-empty");
+                memo.map.remove(&coldest);
+            }
+        }
+    }
+
+    /// Counts one matrix build; the returned hold keeps it in the live
+    /// count until dropped.
+    pub(crate) fn source_built(&self) -> LiveSource<'_> {
+        self.sources_built.fetch_add(1, Ordering::Relaxed);
+        let live = self.sources_live.fetch_add(1, Ordering::Relaxed) + 1;
+        self.sources_live_max.fetch_max(live, Ordering::Relaxed);
+        LiveSource(self)
+    }
+
+    /// Matrices built (or read from `mtx` files) for jobs on this cache.
+    pub fn sources_built(&self) -> u64 {
+        self.sources_built.load(Ordering::Relaxed)
+    }
+
+    /// Generated matrices whose name, fingerprint and shape came from the
+    /// source memo instead of a build.
+    pub fn source_memo_hits(&self) -> u64 {
+        self.source_memo_hits.load(Ordering::Relaxed)
+    }
+
+    /// The most built matrices held at once.
+    pub fn sources_live_max(&self) -> u64 {
+        self.sources_live_max.load(Ordering::Relaxed)
+    }
+
     /// Requests served from an already-(being-)computed slot.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -419,8 +514,11 @@ impl ProfileCache {
         obs::add("engine.cache.evictions", self.evictions());
         obs::add("engine.cache.admission_skips", self.admission_skips());
         obs::add("engine.cache.cancellations", self.cancellations());
+        obs::add("engine.sources.built", self.sources_built());
+        obs::add("engine.sources.memo_hits", self.source_memo_hits());
         obs::gauge_max("engine.cache.size", self.len() as u64);
         obs::gauge_max("engine.cache.hit_rate_pct", self.hit_rate_pct() as u64);
+        obs::gauge_max("engine.sources.live_max", self.sources_live_max());
     }
 }
 
@@ -536,6 +634,33 @@ mod tests {
         }
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.evictions(), 0);
+    }
+
+    #[test]
+    fn source_memo_is_bounded_by_capacity_and_evicts_lru() {
+        let spec = crate::BatchSpec::parse("corpus count=3 scale=64 seed=1\n").unwrap();
+        let keys: Vec<SourceKey> = crate::source::entries(&spec)
+            .map(|entry| match entry {
+                crate::source::Entry::Key(key) => key,
+                crate::source::Entry::Mtx(_) => unreachable!("corpus entries are keyed"),
+            })
+            .collect();
+        let meta = |fingerprint| {
+            Arc::new(SourceMeta {
+                name: String::new(),
+                fingerprint,
+                shape: (1, 1, 1),
+            })
+        };
+        let cache = ProfileCache::bounded(2);
+        cache.remember_source(keys[0].clone(), meta(0));
+        cache.remember_source(keys[1].clone(), meta(1));
+        assert!(cache.source_meta(&keys[0]).is_some()); // touch 0
+        cache.remember_source(keys[2].clone(), meta(2)); // evicts 1
+        assert!(cache.source_meta(&keys[1]).is_none());
+        assert_eq!(cache.source_meta(&keys[0]).unwrap().fingerprint, 0);
+        assert_eq!(cache.source_meta(&keys[2]).unwrap().fingerprint, 2);
+        assert_eq!(cache.source_memo_hits(), 3);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 /// Where a job's matrix comes from.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum MatrixSource {
     /// `count` synthetic corpus matrices (the §4.1 population) at
     /// `1/scale` size from `seed`.

@@ -10,7 +10,10 @@
 //! computes only `matrices × methods` profiles.
 //!
 //! Six entry points, over one private job path (plan the run once, then
-//! look up or compute, evaluate and report each job):
+//! look up or compute, evaluate and report each job). A spec's matrices
+//! enter that path as per-matrix source keys: a matrix is built only when
+//! one of its jobs misses the cache, and dropped after its last job (see
+//! the `source` module and [`ProfileCache`]'s source memo).
 //!
 //! * [`try_compute_profile`] — one profile, its L2 domains (or capacity
 //!   shards) fanned out over the pool; cancellable and traceable.
@@ -59,6 +62,7 @@ pub mod cancel;
 pub mod job;
 pub mod pool;
 pub mod report;
+mod source;
 
 pub use cache::{Admission, CacheLookup, EvictionPolicy, ProfileCache, ProfileKey};
 pub use cancel::{CancelToken, Cancelled};
@@ -67,12 +71,15 @@ pub use report::{BatchResult, BatchStats, EcmSummary, Report};
 
 use a64fx::MachineConfig;
 use locality_core::{
-    DomainPartial, FormatSpec, LocalityProfile, Method, Prediction, ProfileBuilder, ReorderSpec,
-    RhsLayout, ScenarioSpec, SectorSetting, SpmvWorkload, TrackedCaps, Workload,
+    DomainPartial, LocalityProfile, Method, Prediction, ProfileBuilder, SectorSetting,
+    SpmvWorkload, TrackedCaps, Workload,
 };
 use machine::{CacheHierarchy, HierarchyConfig, MachineSpec};
-use sparsemat::CsrMatrix;
+use source::{Entry, MatrixSlot};
+use std::collections::{hash_map, HashMap};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A batch that could not run: bad spec, unreadable matrix file, or a run
 /// stopped by its cancellation token.
@@ -128,118 +135,19 @@ impl From<Cancelled> for EngineError {
     }
 }
 
-/// A resolved workload: the data plus everything the reports need.
-struct BatchMatrix {
-    name: String,
-    workload: Workload,
-}
-
-/// Decorates a matrix name with the non-default format/reorder/scenario
-/// suffixes, e.g. `"band-7@rcm@sell:32,128@rhs16"`. CSR with natural
-/// order and plain SpMV keeps the bare name, so existing batch outputs
-/// are byte-identical. An SpMM view with `k = 1` also keeps the bare
-/// name — it *is* the plain SpMV, bit for bit.
-fn workload_name(
-    base: &str,
-    format: FormatSpec,
-    reorder: ReorderSpec,
-    scenario: ScenarioSpec,
-) -> String {
-    let mut name = base.to_string();
-    if reorder != ReorderSpec::None {
-        name.push('@');
-        name.push_str(reorder.label());
+/// The job at position `id` of the spec's deterministic order: matrices
+/// outermost, then machines, then methods, then settings.
+fn job_at(spec: &BatchSpec, id: usize) -> Job {
+    let settings = spec.settings.len();
+    let per_machine = spec.methods.len() * settings;
+    let within = id % spec.jobs_per_matrix();
+    Job {
+        id,
+        matrix: id / spec.jobs_per_matrix(),
+        machine: within / per_machine,
+        method: spec.methods[within % per_machine / settings],
+        setting: spec.settings[within % settings],
     }
-    if format != FormatSpec::Csr {
-        name.push('@');
-        name.push_str(&format.label());
-    }
-    match scenario {
-        ScenarioSpec::Spmv | ScenarioSpec::Spmm { k: 1, .. } => {}
-        ScenarioSpec::Spmm { k, layout } => {
-            name.push_str(&format!("@rhs{k}"));
-            if layout == RhsLayout::Separate {
-                name.push_str(":col");
-            }
-        }
-        ScenarioSpec::Cg => name.push_str("@cg"),
-    }
-    name
-}
-
-/// Resolves the spec's sources, in order, into concrete workloads (the
-/// spec's reorder is applied to each CSR matrix, then the format view is
-/// built, then the scenario view is wrapped around it).
-fn resolve_sources(spec: &BatchSpec) -> Result<Vec<BatchMatrix>, EngineError> {
-    let make = |name: String, matrix: CsrMatrix| -> Result<BatchMatrix, EngineError> {
-        if spec.scenario == ScenarioSpec::Cg && matrix.num_rows() != matrix.num_cols() {
-            return Err(EngineError::Scenario {
-                name,
-                message: format!(
-                    "a CG iteration needs a square matrix, got {}x{}",
-                    matrix.num_rows(),
-                    matrix.num_cols()
-                ),
-            });
-        }
-        Ok(BatchMatrix {
-            name: workload_name(&name, spec.format, spec.reorder, spec.scenario),
-            workload: Workload::build_scenario(matrix, spec.format, spec.reorder, spec.scenario),
-        })
-    };
-    let mut out = Vec::new();
-    for source in &spec.sources {
-        match source {
-            MatrixSource::Corpus { count, scale, seed } => {
-                for nm in corpus::corpus(*count, *scale, *seed) {
-                    out.push(make(nm.name, nm.matrix)?);
-                }
-            }
-            MatrixSource::Table1 { scale } => {
-                for nm in corpus::table1_suite(*scale) {
-                    out.push(make(nm.name, nm.matrix)?);
-                }
-            }
-            MatrixSource::MtxFile(path) => {
-                let matrix =
-                    sparsemat::mm::read_csr_file(path).map_err(|e| EngineError::Matrix {
-                        path: path.clone(),
-                        message: e.to_string(),
-                    })?;
-                let name = path
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| path.display().to_string());
-                out.push(make(name, matrix)?);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Expands the spec into per-(matrix, machine, method, setting) jobs, in
-/// the deterministic order: matrices outermost, then machines, then
-/// methods, then settings.
-fn expand_jobs(spec: &BatchSpec, num_matrices: usize) -> Vec<Job> {
-    let mut jobs = Vec::with_capacity(num_matrices * spec.jobs_per_matrix());
-    let mut id = 0;
-    for matrix in 0..num_matrices {
-        for machine in 0..spec.num_machines() {
-            for &method in &spec.methods {
-                for &setting in &spec.settings {
-                    jobs.push(Job {
-                        id,
-                        matrix,
-                        machine,
-                        method,
-                        setting,
-                    });
-                    id += 1;
-                }
-            }
-        }
-    }
-    jobs
 }
 
 /// One machine of the batch's sweep, resolved at the spec's scale and
@@ -475,28 +383,18 @@ pub fn compute_profile_sharded<W: SpmvWorkload>(
     .expect("a never-cancelled computation completes")
 }
 
-/// Everything a run resolves once, before its first job: the matrices'
-/// reorder-tagged fingerprints, the expanded jobs, the machine sweep and
-/// each machine's tracked-capacity grid fingerprint.
-struct Plan<'a, W> {
+/// Everything a run resolves once, before its first job: the machine
+/// sweep and each machine's tracked-capacity grid fingerprint.
+struct Plan<'a> {
     spec: &'a BatchSpec,
-    matrices: &'a [(&'a str, &'a W)],
-    fingerprints: Vec<u64>,
-    jobs: Vec<Job>,
     machines: Vec<ResolvedMachine>,
     caps_fingerprints: Vec<u64>,
 }
 
-fn plan<'a, W: SpmvWorkload>(spec: &'a BatchSpec, matrices: &'a [(&'a str, &'a W)]) -> Plan<'a, W> {
+fn plan(spec: &BatchSpec) -> Plan<'_> {
     let machines = resolve_machines(spec);
     Plan {
         spec,
-        matrices,
-        fingerprints: matrices
-            .iter()
-            .map(|(_, m)| spec.reorder.tag_fingerprint(m.fingerprint()))
-            .collect(),
-        jobs: expand_jobs(spec, matrices.len()),
         caps_fingerprints: machines
             .iter()
             .map(|rm| TrackedCaps::for_sweep(&rm.cfg, &spec.settings).fingerprint())
@@ -505,30 +403,37 @@ fn plan<'a, W: SpmvWorkload>(spec: &'a BatchSpec, matrices: &'a [(&'a str, &'a W
     }
 }
 
-/// Runs one job of `plan` against `cache`: the profile lookup (computing
-/// it on a miss), the per-setting evaluation and the report. Returns the
-/// report and whether the profile was a cache hit, or `None` once `token`
-/// trips. Records `cache-lookup` and `compute` phases into `ctx`.
-fn run_job<W: SpmvWorkload>(
-    plan: &Plan<'_, W>,
+/// Runs one job of `plan` on its matrix `slot` against `cache`: the
+/// profile lookup (building the matrix and computing the profile on a
+/// miss), the per-setting evaluation and the report. Returns the report
+/// and whether the profile was a cache hit. `token` is polled before the
+/// job and before a build inside the lookup. Records `build`,
+/// `cache-lookup` and `compute` phases into `ctx`.
+fn run_job<'a, W, H>(
+    plan: &Plan<'_>,
     job: &Job,
-    cache: &ProfileCache,
+    slot: &MatrixSlot<'a, H>,
+    cache: &'a ProfileCache,
     token: &CancelToken,
     ctx: &obs::RequestCtx,
-) -> Option<(Report, bool)> {
+) -> Result<(Report, bool), EngineError>
+where
+    W: SpmvWorkload,
+    H: Deref<Target = W> + Clone,
+{
+    let cancelled = || EngineError::from(token.cancelled().unwrap_or(Cancelled::Shutdown));
     if token.is_cancelled() {
-        return None;
+        return Err(cancelled());
     }
     let spec = plan.spec;
-    let (name, matrix) = plan.matrices[job.matrix];
-    let fingerprint = plan.fingerprints[job.matrix];
+    let meta = slot.meta(cache, ctx)?;
     let rm = &plan.machines[job.machine];
     // Method (A) keys on the sweep-restricted capacity grid (marker stacks
     // only answer at the capacities they tracked); method (B) profiles are
     // capacity-independent. The hierarchy fingerprint keeps machines whose
     // two-level projections happen to agree from sharing slots.
     let key = ProfileKey {
-        fingerprint,
+        fingerprint: meta.fingerprint,
         method: job.method,
         threads: spec.threads,
         line_bytes: rm.cfg.l2.line_bytes,
@@ -539,12 +444,20 @@ fn run_job<W: SpmvWorkload>(
         },
         machine_tag: rm.tag,
     };
+    let mut build_error = None;
     let lookup = {
         let _lookup_phase = ctx.phase(&["cache-lookup"], Some("serve.phase.cache_lookup_ns"));
         cache.get_or_try_compute(key, || {
+            if token.is_cancelled() {
+                return None;
+            }
+            let workload = slot
+                .workload(cache, ctx)
+                .map_err(|e| build_error = Some(e))
+                .ok()?;
             let _compute_phase = ctx.phase(&["compute"], Some("serve.phase.compute_ns"));
             try_compute_profile(
-                matrix,
+                &*workload,
                 &rm.cfg,
                 job.method,
                 spec.threads,
@@ -554,44 +467,79 @@ fn run_job<W: SpmvWorkload>(
                 token,
                 ctx,
             )
-        })?
+        })
     };
+    let lookup = lookup.ok_or_else(|| build_error.unwrap_or_else(cancelled))?;
     let prediction = lookup.profile.evaluate(&rm.cfg, &[job.setting])[0];
-    let ecm = spec.ecm.then(|| ecm_for(matrix, &rm.hier, &prediction));
+    let ecm = if spec.ecm {
+        Some(ecm_for(&*slot.workload(cache, ctx)?, &rm.hier, &prediction))
+    } else {
+        None
+    };
     let report = report::report_for(
         job,
-        name,
-        fingerprint,
-        (matrix.num_rows(), matrix.num_cols(), matrix.nnz()),
+        &meta.name,
+        meta.fingerprint,
+        meta.shape,
         spec.threads,
         prediction,
         rm.emit_label.then(|| rm.label.clone()),
         ecm,
     );
-    Some((report, lookup.hit))
+    slot.job_done();
+    Ok((report, lookup.hit))
 }
 
-/// Borrows resolved matrices in the `(name, workload)` form the job path
-/// takes.
-fn as_refs(matrices: &[BatchMatrix]) -> Vec<(&str, &Workload)> {
-    matrices
-        .iter()
-        .map(|m| (m.name.as_str(), &m.workload))
-        .collect()
-}
-
-/// Runs a batch: resolves workloads from the spec's sources (applying its
-/// `reorder`, `format` and scenario), then fans the jobs out over the
-/// work-stealing pool as [`run_on`] does. A spec with `deadline_ms` runs
-/// under a [`CancelToken`] covering the whole batch and reports
+/// Runs a batch: expands the spec's sources into per-matrix source keys
+/// (reading `mtx` files up front, so their errors come first), then fans
+/// the jobs out over the work-stealing pool as [`run_on`] does. Each
+/// matrix is built — with the spec's `reorder`, `format` and scenario —
+/// by the first job that needs it, on that job's worker, and dropped when
+/// its last job finishes. A spec with `deadline_ms` runs under a
+/// [`CancelToken`] covering the whole batch and reports
 /// [`EngineError::Cancelled`] if the budget runs out.
 pub fn run_batch(spec: &BatchSpec) -> Result<BatchResult, EngineError> {
     let token = match spec.deadline_ms {
         Some(ms) => CancelToken::with_deadline_ms(ms),
         None => CancelToken::never(),
     };
-    let matrices = resolve_sources(spec)?;
-    Ok(batch_on(spec, &as_refs(&matrices), &token)?)
+    batch_spec(spec, &ProfileCache::new(), &token)
+}
+
+/// [`run_batch`] against an explicit cache and token: one slot per
+/// distinct source, then [`batch_on`].
+fn batch_spec(
+    spec: &BatchSpec,
+    cache: &ProfileCache,
+    token: &CancelToken,
+) -> Result<BatchResult, EngineError> {
+    let jobs = spec.jobs_per_matrix();
+    // A source named twice shares one slot (and one countdown), so it is
+    // built once whatever the schedule.
+    let mut slots: Vec<MatrixSlot<Arc<Workload>>> = Vec::new();
+    let mut slot_of = Vec::new();
+    let mut by_key = HashMap::new();
+    for entry in source::entries(spec) {
+        let slot = match entry {
+            Entry::Key(key) => match by_key.entry(key) {
+                hash_map::Entry::Occupied(seen) => {
+                    let i: usize = *seen.get();
+                    slots[i].add_jobs(jobs);
+                    slot_of.push(i);
+                    continue;
+                }
+                hash_map::Entry::Vacant(new) => {
+                    let slot = MatrixSlot::keyed(new.key().clone(), jobs);
+                    new.insert(slots.len());
+                    slot
+                }
+            },
+            Entry::Mtx(path) => MatrixSlot::read(path, spec, cache, jobs)?,
+        };
+        slot_of.push(slots.len());
+        slots.push(slot);
+    }
+    batch_on(spec, &slots, &slot_of, cache, token)
 }
 
 /// Runs the spec's methods × settings sweep over an explicit list of
@@ -611,63 +559,85 @@ pub fn run_batch(spec: &BatchSpec) -> Result<BatchResult, EngineError> {
 /// method, then setting, matching the spec's orders — and carry no
 /// timing, so the output is byte-identical for any worker count.
 pub fn run_on<W: SpmvWorkload>(spec: &BatchSpec, matrices: &[(&str, &W)]) -> BatchResult {
-    batch_on(spec, matrices, &CancelToken::never()).expect("a never-cancelled batch completes")
+    let cache = ProfileCache::new();
+    let jobs = spec.jobs_per_matrix();
+    let slots: Vec<_> = matrices
+        .iter()
+        .map(|&(name, workload)| MatrixSlot::given(name, workload, spec.reorder, jobs))
+        .collect();
+    let slot_of: Vec<usize> = (0..slots.len()).collect();
+    batch_on(spec, &slots, &slot_of, &cache, &CancelToken::never())
+        .expect("a never-cancelled batch over built workloads completes")
 }
 
-/// The batch runner behind [`run_batch`] and [`run_on`]: the plan's jobs
-/// on the work-stealing pool against a fresh cache. `token` is polled
-/// before every job and between the per-domain partials inside each
-/// profile computation. Once it trips the whole run reports
-/// [`Cancelled`] — reports are all or nothing, matching the batch
-/// contract (deterministic, complete JSON-lines output).
-fn batch_on<W: SpmvWorkload>(
+/// The batch runner behind [`run_batch`] and [`run_on`]: every job on the
+/// work-stealing pool against `cache`, matrix `m`'s jobs on
+/// `slots[slot_of[m]]`. `token` is polled before every job and between
+/// the per-domain partials inside each profile computation. Once it trips
+/// the whole run reports [`Cancelled`] — reports are all or nothing,
+/// matching the batch contract (deterministic, complete JSON-lines
+/// output).
+fn batch_on<'a, W, H>(
     spec: &BatchSpec,
-    matrices: &[(&str, &W)],
+    slots: &[MatrixSlot<'a, H>],
+    slot_of: &[usize],
+    cache: &'a ProfileCache,
     token: &CancelToken,
-) -> Result<BatchResult, Cancelled> {
+) -> Result<BatchResult, EngineError>
+where
+    W: SpmvWorkload,
+    H: Deref<Target = W> + Clone + Send,
+{
     let _span = obs::span("batch.run");
     obs::add("engine.batch.runs", 1);
-    let plan = plan(spec, matrices);
-    let cache = ProfileCache::new();
+    let plan = plan(spec);
+    let jobs: Vec<Job> = (0..slot_of.len() * spec.jobs_per_matrix())
+        .map(|id| job_at(spec, id))
+        .collect();
     let ctx = obs::RequestCtx::disabled();
-    let reports: Option<Vec<Report>> = pool::run_indexed(spec.workers, &plan.jobs, |_, job| {
-        run_job(&plan, job, &cache, token, &ctx).map(|(report, _)| report)
-    })
-    .into_iter()
-    .collect();
+    let reports: Result<Vec<Report>, EngineError> =
+        pool::run_indexed(spec.workers, &jobs, |_, job| {
+            let slot = &slots[slot_of[job.matrix]];
+            run_job(&plan, job, slot, cache, token, &ctx).map(|(report, _)| report)
+        })
+        .into_iter()
+        .collect();
 
     // The cache is the single source of truth for both the report stats
     // and the telemetry counters — no parallel tally.
     cache.flush_obs();
-    obs::add("engine.batch.jobs", plan.jobs.len() as u64);
+    obs::add("engine.batch.jobs", jobs.len() as u64);
 
-    let Some(reports) = reports else {
-        return Err(token.cancelled().unwrap_or(Cancelled::Shutdown));
-    };
     Ok(BatchResult {
         stats: BatchStats {
-            matrices: matrices.len(),
-            jobs: plan.jobs.len(),
+            matrices: slot_of.len(),
+            jobs: jobs.len(),
             profile_computations: cache.computations(),
             profile_hits: cache.hits(),
         },
-        reports,
+        reports: reports?,
     })
 }
 
-/// Streaming batch run for the prediction service: resolves the spec's
-/// sources, then runs the jobs **in job order on the calling thread**,
+/// Streaming batch run for the prediction service: reads the spec's `mtx`
+/// sources (so file errors come before any report), then walks its
+/// matrices and their jobs **in job order on the calling thread**,
 /// emitting each finished [`Report`] through `emit` the moment it exists
-/// rather than collecting the batch. Parallelism comes from the
-/// per-domain fan-out inside each profile computation (`spec.workers`)
-/// and from the caller running many requests concurrently — all sharing
-/// `cache`, which is where repeated matrices across clients become
-/// near-free. The returned [`BatchStats`] count this request's hits
-/// against the shared cache and the profiles computed for it.
+/// rather than collecting the batch. One matrix is held at a time, and a
+/// matrix is only built when a job misses `cache` (or needs it for an
+/// `ecm on` estimate): the cache's source memo answers the name,
+/// fingerprint and shape of matrices it has seen. Parallelism comes from
+/// the per-domain fan-out inside each profile computation
+/// (`spec.workers`) and from the caller running many requests
+/// concurrently — all sharing `cache`, which is where repeated matrices
+/// across clients become near-free. The returned [`BatchStats`] count
+/// this request's hits against the shared cache and the profiles
+/// computed for it.
 ///
-/// `token` is polled before every job and between domain partials; a
-/// tripped token aborts the remainder (already-emitted reports stand —
-/// a streaming protocol cannot unsend them) and returns the reason.
+/// `token` is polled before every job, before every build, and between
+/// domain partials; a tripped token aborts the remainder (already-emitted
+/// reports stand — a streaming protocol cannot unsend them) and returns
+/// the reason.
 pub fn run_streaming(
     spec: &BatchSpec,
     cache: &ProfileCache,
@@ -678,12 +648,12 @@ pub fn run_streaming(
 }
 
 /// [`run_streaming`] under a per-request trace ctx (the serve daemon's
-/// entry point). Each job's shared-cache lookup records a `cache-lookup`
-/// phase, profile computations record `compute` (with `domain`/`shard`
-/// children from the pool workers — see [`try_compute_profile`]), and
-/// each report emission records `stream-out`; every phase also feeds a
-/// fleet-wide `serve.phase.*` latency histogram. Report bytes are
-/// identical to an untraced run.
+/// entry point). Each matrix build records a `build` phase, each job's
+/// shared-cache lookup a `cache-lookup` phase, profile computations
+/// record `compute` (with `domain`/`shard` children from the pool workers
+/// — see [`try_compute_profile`]), and each report emission records
+/// `stream-out`; every phase also feeds a fleet-wide `serve.phase.*`
+/// latency histogram. Report bytes are identical to an untraced run.
 pub fn run_streaming_traced(
     spec: &BatchSpec,
     cache: &ProfileCache,
@@ -692,24 +662,35 @@ pub fn run_streaming_traced(
     mut emit: impl FnMut(&Report),
 ) -> Result<BatchStats, EngineError> {
     let _span = obs::span("serve.request");
-    let matrices = resolve_sources(spec)?;
-    let refs = as_refs(&matrices);
-    let plan = plan(spec, &refs);
+    let jobs = spec.jobs_per_matrix();
+    let mut mtx = std::collections::VecDeque::new();
+    for source in &spec.sources {
+        if let MatrixSource::MtxFile(path) = source {
+            mtx.push_back(MatrixSlot::read(path, spec, cache, jobs)?);
+        }
+    }
+    let plan = plan(spec);
+    let matrices = source::num_matrices(spec);
     let mut stats = BatchStats {
-        matrices: matrices.len(),
-        jobs: plan.jobs.len(),
+        matrices,
+        jobs: matrices.saturating_mul(jobs),
         ..BatchStats::default()
     };
-    for job in &plan.jobs {
-        let (report, hit) = run_job(&plan, job, cache, token, ctx)
-            .ok_or_else(|| EngineError::from(token.cancelled().unwrap_or(Cancelled::Shutdown)))?;
-        if hit {
-            stats.profile_hits += 1;
-        } else {
-            stats.profile_computations += 1;
+    for (m, entry) in source::entries(spec).enumerate() {
+        let slot = match entry {
+            Entry::Key(key) => MatrixSlot::keyed(key, jobs),
+            Entry::Mtx(_) => mtx.pop_front().expect("every mtx source was read"),
+        };
+        for id in m * jobs..(m + 1) * jobs {
+            let (report, hit) = run_job(&plan, &job_at(spec, id), &slot, cache, token, ctx)?;
+            if hit {
+                stats.profile_hits += 1;
+            } else {
+                stats.profile_computations += 1;
+            }
+            let _out_phase = ctx.phase(&["stream-out"], Some("serve.phase.stream_out_ns"));
+            emit(&report);
         }
-        let _out_phase = ctx.phase(&["stream-out"], Some("serve.phase.stream_out_ns"));
-        emit(&report);
     }
     Ok(stats)
 }
@@ -718,6 +699,8 @@ pub fn run_streaming_traced(
 mod tests {
     use super::*;
     use locality_core::predict::predict;
+    use locality_core::ScenarioSpec;
+    use sparsemat::CsrMatrix;
 
     fn small_spec() -> BatchSpec {
         BatchSpec::parse(
@@ -1100,9 +1083,8 @@ mod tests {
         let spec = small_spec();
         let token = CancelToken::never();
         token.cancel();
-        let matrices = resolve_sources(&spec).unwrap();
-        match batch_on(&spec, &as_refs(&matrices), &token) {
-            Err(Cancelled::Shutdown) => {}
+        match batch_spec(&spec, &ProfileCache::new(), &token) {
+            Err(EngineError::Cancelled(Cancelled::Shutdown)) => {}
             other => panic!("expected shutdown cancellation, got {other:?}"),
         }
         let cache = ProfileCache::new();
@@ -1118,9 +1100,8 @@ mod tests {
     fn expired_deadline_reports_typed_error() {
         let spec = small_spec();
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        let matrices = resolve_sources(&spec).unwrap();
-        match batch_on(&spec, &as_refs(&matrices), &token) {
-            Err(Cancelled::DeadlineExceeded) => {}
+        match batch_spec(&spec, &ProfileCache::new(), &token) {
+            Err(EngineError::Cancelled(Cancelled::DeadlineExceeded)) => {}
             other => panic!("expected deadline error, got {other:?}"),
         }
         let cache = ProfileCache::new();
@@ -1357,5 +1338,198 @@ mod tests {
         // Three cache levels + memory = links l1-l2, l2-l3, mem.
         let labels: Vec<&str> = ecm.links.iter().map(|(l, _)| l.as_str()).collect();
         assert_eq!(labels, ["l1-l2", "l2-l3", "mem"]);
+    }
+
+    /// A streaming run's report lines.
+    fn stream_lines(spec: &BatchSpec, cache: &ProfileCache) -> String {
+        let mut out = String::new();
+        run_streaming(spec, cache, &CancelToken::never(), |r| {
+            out.push_str(&r.to_json_line());
+            out.push('\n');
+        })
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn memo_meta_equals_a_fresh_build() {
+        let ctx = obs::RequestCtx::disabled();
+        for source in ["corpus count=3 scale=256 seed=5", "table1 scale=2048"] {
+            for format in ["csr", "sell:8,32"] {
+                for reorder in ["none", "rcm"] {
+                    for scenario in ["workload spmv", "rhs 4", "workload cg"] {
+                        let spec = BatchSpec::parse(&format!(
+                            "{source}\nformat {format}\nreorder {reorder}\n{scenario}\nscale 64\n"
+                        ))
+                        .unwrap();
+                        let reference = match spec.sources[0] {
+                            MatrixSource::Corpus { count, scale, seed } => {
+                                corpus::corpus(count, scale, seed)
+                            }
+                            MatrixSource::Table1 { scale } => corpus::table1_suite(scale),
+                            MatrixSource::MtxFile(_) => unreachable!(),
+                        };
+                        let cache = ProfileCache::new();
+                        for (entry, nm) in source::entries(&spec).zip(reference) {
+                            let Entry::Key(key) = entry else {
+                                unreachable!("generated sources are keyed")
+                            };
+                            MatrixSlot::keyed(key.clone(), 1)
+                                .meta(&cache, &ctx)
+                                .unwrap();
+                            let memo = cache.source_meta(&key).expect("a build is memoized");
+                            let built = Workload::build_scenario(
+                                nm.matrix,
+                                spec.format,
+                                spec.reorder,
+                                spec.scenario,
+                            );
+                            let what = format!("{} {format} {reorder} {scenario}", nm.name);
+                            assert_eq!(
+                                memo.fingerprint,
+                                spec.reorder.tag_fingerprint(built.fingerprint()),
+                                "{what}"
+                            );
+                            assert_eq!(
+                                memo.shape,
+                                (built.num_rows(), built.num_cols(), built.nnz()),
+                                "{what}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_streaming_builds_no_matrix() {
+        let spec = small_spec();
+        let cache = ProfileCache::new();
+        let first = stream_lines(&spec, &cache);
+        assert_eq!(cache.sources_built(), 4);
+        assert_eq!(cache.source_memo_hits(), 0);
+        assert_eq!(stream_lines(&spec, &cache), first);
+        assert_eq!(cache.sources_built(), 4, "the repeat built nothing");
+        assert_eq!(cache.source_memo_hits(), 4);
+        assert_eq!(cache.sources_live_max(), 1, "one matrix at a time");
+    }
+
+    #[test]
+    fn memo_hit_with_an_evicted_profile_matches_batch() {
+        let spec = BatchSpec::parse(
+            "corpus count=1 scale=64 seed=11\n\
+             settings off,4\n\
+             methods A,B\n\
+             scale 64\n",
+        )
+        .unwrap();
+        let expected: String = run_batch(&spec)
+            .unwrap()
+            .reports
+            .iter()
+            .map(|r| r.to_json_line() + "\n")
+            .collect();
+        // One slot: the method-B profile evicts method A's, but the
+        // matrix's memo entry survives.
+        let cache = ProfileCache::bounded(1);
+        assert_eq!(stream_lines(&spec, &cache), expected);
+        assert_eq!(stream_lines(&spec, &cache), expected);
+        assert_eq!(cache.source_memo_hits(), 1);
+        assert_eq!(cache.sources_built(), 2, "the method-A miss rebuilt");
+    }
+
+    #[test]
+    fn rewritten_mtx_file_is_read_again() {
+        let dir = std::env::temp_dir().join("locality-engine-rewrite-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.mtx");
+        let spec = BatchSpec::parse(&format!(
+            "mtx {}\nsettings off\nmethods B\nscale 64\n",
+            path.display()
+        ))
+        .unwrap();
+        let cache = ProfileCache::bounded(8);
+        let serve = |m: &CsrMatrix| {
+            let mut file = std::fs::File::create(&path).unwrap();
+            sparsemat::mm::write_csr(&mut file, m).unwrap();
+            drop(file);
+            let mut fingerprint = 0;
+            run_streaming(&spec, &cache, &CancelToken::never(), |r| {
+                fingerprint = r.fingerprint
+            })
+            .unwrap();
+            fingerprint
+        };
+        let identity = CsrMatrix::identity(8);
+        assert_eq!(serve(&identity), identity.fingerprint());
+        let mut coo = sparsemat::CooMatrix::new(8, 8);
+        for i in 0..8 {
+            coo.push(i, (i + 3) % 8);
+        }
+        let shifted = coo.to_csr();
+        assert_eq!(serve(&shifted), shifted.fingerprint());
+        assert_eq!(cache.sources_built(), 2);
+        assert_eq!(
+            cache.source_memo_hits(),
+            0,
+            "mtx sources are never memoized"
+        );
+    }
+
+    #[test]
+    fn batch_builds_each_source_once_and_releases_it() {
+        let mut spec = small_spec();
+        let dup = BatchSpec::parse(
+            "corpus count=2 scale=64 seed=3\n\
+             corpus count=2 scale=64 seed=3\n\
+             settings off\n\
+             methods A,B\n\
+             scale 64\n",
+        )
+        .unwrap();
+        for workers in [1, 2, 4] {
+            spec.workers = workers;
+            let cache = ProfileCache::new();
+            batch_spec(&spec, &cache, &CancelToken::never()).unwrap();
+            assert_eq!(cache.sources_built(), 4, "{workers} workers");
+            if workers == 1 {
+                assert_eq!(cache.sources_live_max(), 1, "one live matrix");
+            }
+            // A source named twice shares its slot whatever the schedule.
+            let cache = ProfileCache::new();
+            batch_spec(
+                &BatchSpec {
+                    workers,
+                    ..dup.clone()
+                },
+                &cache,
+                &CancelToken::never(),
+            )
+            .unwrap();
+            assert_eq!(cache.sources_built(), 2, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn hostile_corpus_count_streams_until_its_deadline() {
+        // A hundred million matrices: no job list, no matrix list — one
+        // matrix at a time until the deadline.
+        let spec = BatchSpec::parse(
+            "corpus count=100000000 scale=64 seed=1\n\
+             settings off\n\
+             methods B\n\
+             scale 64\n",
+        )
+        .unwrap();
+        let cache = ProfileCache::new();
+        let token = CancelToken::with_deadline_ms(200);
+        let start = std::time::Instant::now();
+        match run_streaming(&spec, &cache, &token, |_| {}) {
+            Err(EngineError::Cancelled(Cancelled::DeadlineExceeded)) => {}
+            other => panic!("expected deadline error, got {other:?}"),
+        }
+        assert!(start.elapsed() < std::time::Duration::from_secs(5));
+        assert!(cache.sources_live_max() <= 1);
     }
 }

@@ -782,14 +782,14 @@ fn cancel_code(reason: Cancelled) -> ErrorCode {
 }
 
 /// The live counters/gauges as an [`obs::Aggregate`]: service atomics,
-/// the shared cache's SLO counters, and the end-to-end request-latency
+/// the shared cache's SLO and source counters, and the end-to-end request-latency
 /// histogram (whose JSON form carries `p50`/`p95`/`p99`). Both the
 /// `STATUS` document and the Prometheus exposition build on this.
 fn live_aggregate(shared: &Shared) -> obs::Aggregate {
     let stats = &shared.stats;
     let cache = &shared.cache;
     let mut agg = obs::Aggregate::default();
-    let counters: [(&str, u64); 11] = [
+    let counters: [(&str, u64); 13] = [
         (
             "serve.connections",
             stats.connections.load(Ordering::SeqCst),
@@ -807,11 +807,13 @@ fn live_aggregate(shared: &Shared) -> obs::Aggregate {
         ("engine.cache.evictions", cache.evictions()),
         ("engine.cache.admission_skips", cache.admission_skips()),
         ("engine.cache.cancellations", cache.cancellations()),
+        ("engine.sources.built", cache.sources_built()),
+        ("engine.sources.memo_hits", cache.source_memo_hits()),
     ];
     for (name, value) in counters {
         agg.counters.insert(name.to_string(), value);
     }
-    let gauges: [(&str, u64); 6] = [
+    let gauges: [(&str, u64); 7] = [
         (
             "serve.uptime_ms",
             shared.started.elapsed().as_millis() as u64,
@@ -830,6 +832,7 @@ fn live_aggregate(shared: &Shared) -> obs::Aggregate {
             "engine.cache.hit_rate_pct",
             cache.hit_rate_pct().round() as u64,
         ),
+        ("engine.sources.live_max", cache.sources_live_max()),
     ];
     for (name, value) in gauges {
         agg.gauges.insert(name.to_string(), value);
@@ -1129,10 +1132,13 @@ mod tests {
         assert_eq!(counter("engine.cache.hits"), 2);
         assert_eq!(counter("engine.cache.computations"), 2);
         assert_eq!(counter("serve.completed"), 2);
-        assert!(body
-            .get("gauges")
-            .and_then(|g| g.get("engine.cache.size"))
-            .is_some());
+        // The repeat built no matrix: its name, fingerprint and shape
+        // came from the source memo.
+        assert_eq!(counter("engine.sources.built"), 2);
+        assert_eq!(counter("engine.sources.memo_hits"), 2);
+        let gauge = |name: &str| body.get("gauges").and_then(|g| g.get(name)).is_some();
+        assert!(gauge("engine.cache.size"));
+        assert!(gauge("engine.sources.live_max"));
         // The extended STATUS carries the request-latency histogram with
         // percentiles and a series object with every window (rates are
         // null this early — the sampler has at most one sample).

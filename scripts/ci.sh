@@ -96,9 +96,10 @@ echo "== serve smoke: prediction daemon vs batch oracle =="
 # drained count, exit 0, socket file removed).
 printf 'corpus count=4 scale=64 seed=9\nmethods A,B\nsettings paper\nthreads 1\nscale 64\nworkers 1\n' \
     > "$OBS_TMP/serve.spec"
-# Seconds of uncached work (scale-4 machine) so the SIGTERM below is
+# Seconds of uncached work (full-size machine; about 2 s on a 2-vCPU
+# host, where scale 4 now takes 0.4 s) so the SIGTERM below is
 # guaranteed to land while the request is in flight.
-printf 'corpus count=1 scale=4 seed=3\nsettings paper\nmethods B\nthreads 4\nscale 4\nworkers 2\n' \
+printf 'corpus count=1 scale=1 seed=3\nsettings paper\nmethods B\nthreads 4\nscale 1\nworkers 2\n' \
     > "$OBS_TMP/serve_heavy.spec"
 cargo run --release --offline --bin spmv-locality -- \
     batch "$OBS_TMP/serve.spec" > "$OBS_TMP/serve_oracle.jsonl"
@@ -159,11 +160,14 @@ f.write("definitely not json\n"); f.flush()
 err = json.loads(f.readline())
 assert err["error"]["code"] == "bad_request", err
 
-# STATUS exposes the cache SLO counters.
+# STATUS exposes the cache SLO and source counters.
 f.write('{"id":"s1","status":true}\n'); f.flush()
 body = json.loads(f.readline())["status"]
 assert body["counters"]["engine.cache.computations"] == 8, body["counters"]
 assert body["counters"]["engine.cache.hits"] == 104, body["counters"]
+# Only c1 built its 4 matrices: the repeat's names, fingerprints and
+# shapes came from the source memo.
+assert body["counters"]["engine.sources.built"] == 4, body["counters"]
 
 # SIGTERM with a request in flight: the daemon drains it — the full
 # response still arrives — then exits cleanly.

@@ -93,6 +93,32 @@ fn hostile_matrix_market_dimensions_are_parse_errors_not_aborts() {
 }
 
 #[test]
+fn batch_deadline_stops_before_building_the_whole_corpus() {
+    // Three hundred scale-16 matrices: building them all takes seconds, so
+    // the deadline must be polled before each build, not after all of them.
+    let dir = scratch("deadline");
+    let spec = dir.join("jobs.spec");
+    std::fs::write(
+        &spec,
+        "corpus count=300 scale=16 seed=1\ndeadline_ms 100\nmethods B\nsettings off\nscale 16\n",
+    )
+    .unwrap();
+    let start = std::time::Instant::now();
+    let out = Command::new(BIN)
+        .args(["batch", spec.to_str().unwrap()])
+        .output()
+        .expect("spawn spmv-locality");
+    let elapsed = start.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("deadline exceeded"), "stderr: {stderr}");
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "took {elapsed:?}"
+    );
+}
+
+#[test]
 fn batch_bad_spec_reports_line_number() {
     let dir = scratch("bad-spec");
     let spec = dir.join("jobs.spec");
