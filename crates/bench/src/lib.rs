@@ -1,7 +1,8 @@
 //! Experiment harness for the paper reproduction.
 //!
-//! One binary per table/figure of the paper (see `src/bin/exp_*.rs`), plus
-//! Criterion micro-benchmarks under `benches/`. The binaries share:
+//! One binary per table/figure of the paper (see `src/bin/exp_*.rs`).
+//! Component throughput (marker and exact stacks, simulator) is measured
+//! by the repository's benchmark, `perfbench/`. The binaries share:
 //!
 //! * [`runner`] — machine setup per sweep point, the simulate-and-estimate
 //!   measurement, host-parallel corpus mapping, and CLI argument parsing;

@@ -9,21 +9,27 @@
 //! structural fingerprint so a `matrices × methods × settings` batch
 //! computes only `matrices × methods` profiles.
 //!
-//! Six entry points, over one private job path (plan the run once, then
+//! Five entry points, over one private job path (plan the run once, then
 //! look up or compute, evaluate and report each job). A spec's matrices
 //! enter that path as per-matrix source keys: a matrix is built only when
 //! one of its jobs misses the cache, and dropped after its last job (see
-//! the `source` module and [`ProfileCache`]'s source memo).
+//! the `source` module and [`ProfileCache`]'s source memo). In brackets
+//! after each, the callers outside this crate that pin it:
 //!
-//! * [`try_compute_profile`] — one profile, its L2 domains (or capacity
-//!   shards) fanned out over the pool; cancellable and traceable.
-//!   [`compute_profile_sharded`] is its infallible form.
-//! * [`run_batch`] — a whole spec, on the pool, against a fresh cache;
-//!   [`run_on`] runs the same sweep over caller-built workloads.
+//! * [`compute_profile_sharded`] — one profile, its L2 domains (or
+//!   capacity shards) fanned out over the pool (the benchmark's
+//!   `perfbench/layers/src/probes.rs`).
+//! * [`run_batch`] — a whole spec, on the pool, against a fresh cache
+//!   (the `batch` command and `tests/obs_telemetry.rs`).
+//! * [`run_on`] — the same sweep over caller-built workloads (the Table 2/3
+//!   and hard-matrix drivers, through `crates/bench/src/accuracy.rs` and
+//!   `crates/bench/src/bin/exp_hard.rs`).
 //! * [`run_streaming`] — a spec in job order on the calling thread against
-//!   a caller-owned shared cache, emitting each report as it is made (the
-//!   serve daemon's path); [`run_streaming_traced`] adds a per-request
-//!   trace.
+//!   a caller-owned shared cache, emitting each report as it is made
+//!   (`perfbench/layers/src/probes.rs` and `tests/obs_telemetry.rs`).
+//! * [`run_streaming_traced`] — the same with a per-request trace (the
+//!   serve daemon, `crates/serve/src/server.rs`, and
+//!   `tests/obs_telemetry.rs`).
 //!
 //! * [`job`] — [`BatchSpec`] (what to run) and its line-based spec format,
 //!   including the `format`/`reorder` directives that run a batch under a
@@ -287,7 +293,7 @@ pub fn ecm_for<W: SpmvWorkload>(
 /// [`disabled`](obs::RequestCtx::disabled) ctx records nothing and costs
 /// an `Option` check per partial — profiles are identical either way.
 #[allow(clippy::too_many_arguments)]
-pub fn try_compute_profile<W: SpmvWorkload>(
+fn try_compute_profile<W: SpmvWorkload>(
     workload: &W,
     cfg: &MachineConfig,
     method: Method,
@@ -358,8 +364,9 @@ pub fn try_compute_profile<W: SpmvWorkload>(
     Some(builder.finish(partials))
 }
 
-/// The infallible form of [`try_compute_profile`]: never cancelled,
-/// untraced.
+/// One profile with its L2 domains (or capacity shards) fanned out over
+/// `workers` pool threads; byte-identical for any worker or shard count.
+/// The engine's own jobs run the same computation cancellable and traced.
 pub fn compute_profile_sharded<W: SpmvWorkload>(
     workload: &W,
     cfg: &MachineConfig,
@@ -651,7 +658,7 @@ pub fn run_streaming(
 /// entry point). Each matrix build records a `build` phase, each job's
 /// shared-cache lookup a `cache-lookup` phase, profile computations
 /// record `compute` (with `domain`/`shard` children from the pool workers
-/// — see [`try_compute_profile`]), and each report emission records
+/// workers), and each report emission records
 /// `stream-out`; every phase also feeds a fleet-wide `serve.phase.*`
 /// latency histogram. Report bytes are identical to an untraced run.
 pub fn run_streaming_traced(

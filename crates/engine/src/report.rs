@@ -8,6 +8,7 @@
 use crate::job::Job;
 use locality_core::{Method, Prediction, SectorSetting};
 use memtrace::Array;
+use obs::json::escape;
 use std::fmt::Write as _;
 
 /// An ECM-style throughput estimate attached to a report (see the
@@ -80,19 +81,6 @@ pub struct BatchResult {
     pub stats: BatchStats,
 }
 
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn setting_json(setting: SectorSetting) -> String {
     match setting {
         SectorSetting::Off => "\"off\"".to_string(),
@@ -105,7 +93,7 @@ impl Report {
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(256);
         let _ = write!(out, "{{\"job\":{},\"matrix\":\"", self.id);
-        json_escape(&mut out, &self.matrix);
+        out.push_str(&escape(&self.matrix));
         let _ = write!(
             out,
             "\",\"fingerprint\":\"{:016x}\",\"rows\":{},\"cols\":{},\"nnz\":{},\
@@ -137,7 +125,7 @@ impl Report {
         // keep their historical bytes exactly.
         if let Some(machine) = &self.machine {
             out.push_str(",\"machine\":\"");
-            json_escape(&mut out, machine);
+            out.push_str(&escape(machine));
             out.push('"');
         }
         if let Some(ecm) = &self.ecm {

@@ -27,6 +27,30 @@ impl SpanStats {
             self.children.entry(name.clone()).or_default().merge(child);
         }
     }
+
+    /// Looks up a (possibly nested) descendant by name path; the empty
+    /// path is `self`.
+    pub fn get(&self, path: &[&str]) -> Option<&SpanStats> {
+        let mut node = self;
+        for name in path {
+            node = node.children.get(*name)?;
+        }
+        Some(node)
+    }
+
+    /// The descendant at `path`, created on first visit. Finding an
+    /// existing node allocates nothing; only a name's first visit
+    /// allocates its key.
+    pub(crate) fn entry_path(&mut self, path: &[&str]) -> &mut SpanStats {
+        let mut node = self;
+        for &name in path {
+            if !node.children.contains_key(name) {
+                node.children.insert(name.to_owned(), SpanStats::default());
+            }
+            node = node.children.get_mut(name).expect("inserted above");
+        }
+        node
+    }
 }
 
 /// One peak-RSS observation, labelled by where in the run it was taken.

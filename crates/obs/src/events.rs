@@ -220,7 +220,7 @@ mod tests {
                 break;
             }
             body += 1;
-            crate::json::validate(line).unwrap_or_else(|e| panic!("bad dump line {line}: {e}"));
+            crate::json::Json::parse(line).unwrap_or_else(|e| panic!("bad dump line {line}: {e}"));
         }
         assert_eq!(body, 2);
         assert!(dump.contains("\"kind\": \"overloaded\""));

@@ -72,8 +72,14 @@ pub fn enable() {
 }
 
 /// Turns the global sink off; recording calls become no-ops again.
+///
+/// Also flushes the calling thread's collector. Otherwise what this
+/// thread recorded would reach the global aggregate only when the thread
+/// exits, which can land after a later [`reset`] and leak one run's
+/// telemetry into the next one's snapshot.
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
+    flush_thread();
 }
 
 /// Clears the global aggregate and the calling thread's collector.
@@ -387,6 +393,18 @@ mod tests {
         assert!(agg.histograms.is_empty());
         assert!(agg.roots.is_empty());
         assert!(agg.checkpoints.is_empty());
+    }
+
+    #[test]
+    fn disable_flushes_the_calling_thread() {
+        let _guard = lock();
+        reset();
+        enable();
+        add("late", 1);
+        disable();
+        let pending = COLLECTOR.with(|c| c.borrow_mut().drain());
+        assert!(pending.counters.is_empty(), "left for thread exit");
+        assert_eq!(snapshot().counters["late"], 1);
     }
 
     #[test]

@@ -19,54 +19,23 @@
 //! * **Side channel only.** Traces never touch report payloads; the wire
 //!   bytes of a traced request are identical to an untraced one.
 //!
-//! Phases merge by *name path* exactly like span trees: same path ⇒ one
-//! node summing `count` and `wall_ns`, so per-domain fan-out shows up as
-//! one `domain` node with `count == domains`. Each phase may additionally
-//! feed a named global histogram ([`crate::observe`]) so the *fleet-wide*
-//! latency distribution of e.g. queue-wait builds up alongside the
-//! per-request numbers.
+//! The phase tree is a [`SpanStats`] tree, so phases merge by *name
+//! path* exactly like spans: same path ⇒ one node summing `count` and
+//! `wall_ns`, so per-domain fan-out shows up as one `domain` node with
+//! `count == domains`. Each phase may additionally feed a named global
+//! histogram ([`crate::observe`]) so the *fleet-wide* latency
+//! distribution of e.g. queue-wait builds up alongside the per-request
+//! numbers.
 
-use crate::json::escape;
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use crate::aggregate::SpanStats;
+use crate::json::{escape, write_span_list};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// One node of a finished request's phase tree (children keyed by phase
-/// name; `BTreeMap` keeps serialization order stable).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PhaseNode {
-    /// Times the phase was entered.
-    pub count: u64,
-    /// Total wall-clock nanoseconds across all entries.
-    pub wall_ns: u64,
-    /// Sub-phases by name.
-    pub children: BTreeMap<&'static str, PhaseNode>,
-}
-
-impl PhaseNode {
-    fn at_path<'a>(&'a mut self, path: &[&'static str]) -> &'a mut PhaseNode {
-        let mut node = self;
-        for name in path {
-            node = node.children.entry(name).or_default();
-        }
-        node
-    }
-
-    /// Looks up a (possibly nested) phase by path.
-    pub fn get(&self, path: &[&'static str]) -> Option<&PhaseNode> {
-        let mut node = self;
-        for name in path {
-            node = node.children.get(name)?;
-        }
-        Some(node)
-    }
-}
 
 struct TraceInner {
     request_id: String,
     admitted_at: Instant,
-    root: Mutex<PhaseNode>,
+    root: Mutex<SpanStats>,
 }
 
 /// Identity and phase accumulator for one in-flight request.
@@ -84,7 +53,7 @@ impl RequestCtx {
             inner: Some(Arc::new(TraceInner {
                 request_id: request_id.into(),
                 admitted_at: Instant::now(),
-                root: Mutex::new(PhaseNode::default()),
+                root: Mutex::new(SpanStats::default()),
             })),
         }
     }
@@ -170,7 +139,7 @@ impl RequestCtx {
 impl TraceInner {
     fn add(&self, path: &[&'static str], nanos: u64) {
         let mut root = self.root.lock().unwrap_or_else(|e| e.into_inner());
-        let node = root.at_path(path);
+        let node = root.entry_path(path);
         node.count += 1;
         node.wall_ns += nanos;
     }
@@ -205,8 +174,9 @@ pub struct Trace {
     pub request_id: String,
     /// Admission → finish wall time in nanoseconds.
     pub total_ns: u64,
-    /// Top-level phases (the root node's own count/wall_ns are unused).
-    pub root: PhaseNode,
+    /// Top-level phases are the root's children (its own count and
+    /// wall_ns are unused).
+    pub root: SpanStats,
 }
 
 impl Trace {
@@ -214,38 +184,15 @@ impl Trace {
     /// [{"name": ..., "count": ..., "wall_ns": ..., "children": [...]},
     /// ...]}` — the form a `TRACE` response embeds.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"request\": \"{}\", \"total_ns\": {}, \"phases\": ",
+        let mut out = format!(
+            "{{\"request\": \"{}\", \"total_ns\": {}, \"phases\": [",
             escape(&self.request_id),
             self.total_ns
         );
-        write_children(&mut out, &self.root.children);
-        out.push('}');
+        write_span_list(&mut out, &self.root.children, None);
+        out.push_str("]}");
         out
     }
-}
-
-fn write_children(out: &mut String, children: &BTreeMap<&'static str, PhaseNode>) {
-    out.push('[');
-    let mut first = true;
-    for (name, node) in children {
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\": \"{}\", \"count\": {}, \"wall_ns\": {}, \"children\": ",
-            escape(name),
-            node.count,
-            node.wall_ns
-        );
-        write_children(out, &node.children);
-        out.push('}');
-    }
-    out.push(']');
 }
 
 #[cfg(test)]
@@ -296,7 +243,7 @@ mod tests {
         }
         let json = ctx.finish().unwrap().to_json();
         assert!(!json.contains('\n'));
-        crate::json::validate(&json).unwrap_or_else(|e| panic!("invalid: {e}\n{json}"));
+        crate::json::Json::parse(&json).unwrap_or_else(|e| panic!("invalid: {e}\n{json}"));
         assert!(
             json.contains("\"request\": \"req \\\"quoted\\\"\""),
             "{json}"

@@ -14,8 +14,6 @@
 //!
 //! * [`codec`] — newline framing with a line cap and typed
 //!   oversize/UTF-8 rejection;
-//! * [`json`] — the request-side JSON value parser (the offline build
-//!   has no serde);
 //! * [`protocol`] — request/response types and their wire rendering;
 //! * [`server`] — listeners, sessions, the bounded queue, executors,
 //!   and graceful drain;
@@ -34,12 +32,10 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod signal;
 
 pub use codec::{Frame, LineFramer};
-pub use json::{Json, JsonError};
 pub use protocol::{ErrorCode, Request, RequestError};
 pub use server::{ServeConfig, ServeSummary, Server};

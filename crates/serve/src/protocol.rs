@@ -8,8 +8,8 @@
 //! — followed by a `done` line. Errors are always typed: a machine-
 //! readable [`ErrorCode`] plus a human-readable message.
 
-use crate::json::Json;
 use locality_engine::BatchStats;
+use obs::json::{escape, Json};
 use std::fmt;
 
 /// Machine-readable error discriminants on the wire.
@@ -207,25 +207,6 @@ impl Request {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A `report` response line: the batch engine's report JSON wrapped in
 /// id framing. `report_json` must already be a single-line JSON value
 /// (it is `Report::to_json_line` output).
@@ -352,18 +333,15 @@ mod tests {
     #[test]
     fn trace_and_metrics_lines_are_valid_json() {
         let t = trace_line("t1", r#"{"request": "r42", "total_ns": 9, "phases": []}"#);
-        let parsed = crate::json::Json::parse(&t).expect("valid JSON");
+        let parsed = Json::parse(&t).expect("valid JSON");
         assert!(parsed.get("trace").is_some());
 
         let body = "# TYPE spmv_serve_requests counter\nspmv_serve_requests 3\n";
         let m = metrics_line("m1", body);
         assert!(!m.contains('\n'), "exposition newlines must be escaped");
-        let parsed = crate::json::Json::parse(&m).expect("valid JSON");
+        let parsed = Json::parse(&m).expect("valid JSON");
         // The exposition round-trips through the JSON string unharmed.
-        assert_eq!(
-            parsed.get("metrics").and_then(crate::json::Json::as_str),
-            Some(body)
-        );
+        assert_eq!(parsed.get("metrics").and_then(Json::as_str), Some(body));
     }
 
     #[test]
@@ -402,7 +380,7 @@ mod tests {
             shutdown_line("r4"),
         ];
         for line in &lines {
-            let parsed = crate::json::Json::parse(line).expect("valid JSON");
+            let parsed = Json::parse(line).expect("valid JSON");
             assert!(!line.contains('\n'));
             assert!(parsed.get("id").is_some());
         }

@@ -1052,7 +1052,7 @@ fn serve_prometheus_scrape(shared: &Shared, mut stream: TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
+    use obs::json::Json;
     use std::io::{BufRead, BufReader};
     use std::net::TcpStream;
 

@@ -8,6 +8,7 @@
 //! the offline build has no serde.
 
 use locality_core::SectorSetting;
+use obs::json::escape;
 use std::fmt::Write as _;
 
 /// Which cross-implementation invariant a record refers to.
@@ -99,19 +100,6 @@ pub struct Divergence {
     pub detail: String,
 }
 
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn setting_json(setting: Option<SectorSetting>) -> String {
     match setting {
         None => "null".to_string(),
@@ -135,9 +123,9 @@ impl Divergence {
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(256);
         let _ = write!(out, "{{\"check\":\"{}\",\"matrix\":\"", self.check.name());
-        json_escape(&mut out, &self.matrix);
+        out.push_str(&escape(&self.matrix));
         out.push_str("\",\"family\":\"");
-        json_escape(&mut out, &self.family);
+        out.push_str(&escape(&self.family));
         let _ = write!(
             out,
             "\",\"class\":\"{}\",\"fingerprint\":\"{:016x}\",\"seed\":{},\"index\":{},\
@@ -153,7 +141,7 @@ impl Divergence {
             num_json(self.tolerance),
         );
         out.push_str(",\"detail\":\"");
-        json_escape(&mut out, &self.detail);
+        out.push_str(&escape(&self.detail));
         out.push_str("\"}");
         out
     }

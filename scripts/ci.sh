@@ -169,6 +169,16 @@ assert body["counters"]["engine.cache.hits"] == 104, body["counters"]
 # shapes came from the source memo.
 assert body["counters"]["engine.sources.built"] == 4, body["counters"]
 
+# A line of 20,000 nested arrays (well under the 1 MiB line cap) is a
+# typed error from the parser's nesting bound, not a stack overflow that
+# takes the daemon down: STATUS still answers afterwards.
+f.write("[" * 20000 + "\n"); f.flush()
+err = json.loads(f.readline())
+assert err["error"]["code"] == "bad_request", err
+f.write('{"id":"s2","status":true}\n'); f.flush()
+msg = json.loads(f.readline())
+assert msg["id"] == "s2" and "status" in msg, msg
+
 # SIGTERM with a request in flight: the daemon drains it — the full
 # response still arrives — then exits cleanly.
 f.write(json.dumps({"id": "c3", "spec": heavy}) + "\n")
@@ -182,7 +192,7 @@ while done is None:
     if "done" in msg:
         done = msg["done"]
 assert done["jobs"] == 7, done
-print("serve smoke ok: oracle match, cache reuse, typed errors, drain")
+print("serve smoke ok: oracle match, cache reuse, typed errors, nesting bound, drain")
 EOF
 if [ "$SERVE_SMOKE" -ne 0 ]; then
     kill "$SERVE_PID" 2>/dev/null || true

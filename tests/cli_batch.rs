@@ -43,6 +43,51 @@ fn batch_missing_matrix_path_reports_engine_error() {
 }
 
 #[test]
+fn matrix_name_with_a_tab_round_trips_through_the_report_json() {
+    // `mtx` trims the path but keeps interior whitespace, so a file name
+    // with a tab is the one way a control character reaches a report.
+    let dir = scratch("tab-name");
+    let matrix = dir.join("tab\tname.mtx");
+    std::fs::write(
+        &matrix,
+        "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 1\n2 2 1\n3 3 1\n1 3 1\n",
+    )
+    .unwrap();
+    let spec = dir.join("jobs.spec");
+    std::fs::write(
+        &spec,
+        format!(
+            "mtx {}\nsettings off\nthreads 1\nscale 64\n",
+            matrix.display()
+        ),
+    )
+    .unwrap();
+
+    let out = Command::new(BIN)
+        .args(["batch", spec.to_str().unwrap()])
+        .output()
+        .expect("spawn spmv-locality");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let line = stdout
+        .lines()
+        .find(|l| l.contains("\"job\":"))
+        .expect("a report");
+    assert!(line.contains("\"matrix\":\"tab\\tname\""), "{line}");
+    let report = a64fx_spmv::obs::json::Json::parse(line).expect("report line is JSON");
+    assert_eq!(
+        report
+            .get("matrix")
+            .and_then(a64fx_spmv::obs::json::Json::as_str),
+        Some("tab\tname")
+    );
+}
+
+#[test]
 fn hostile_matrix_market_dimensions_are_parse_errors_not_aborts() {
     // Each size line overflows a `u32` index or `num_rows + 1`: it must be
     // a typed parse error (exit 1), never a panic (101) or an allocation
@@ -257,7 +302,7 @@ fn batch_metrics_flag_writes_json_without_changing_report() {
     );
 
     let metrics = std::fs::read_to_string(&metrics_path).expect("metrics file written");
-    a64fx_spmv::obs::json::validate(&metrics).expect("metrics output is well-formed JSON");
+    a64fx_spmv::obs::json::Json::parse(&metrics).expect("metrics output is well-formed JSON");
     assert!(metrics.contains("\"schema\": \"spmv-obs/1\""), "{metrics}");
     assert!(metrics.contains("\"command\": \"batch\""), "{metrics}");
     // The span tree must cover the pipeline stages end to end.

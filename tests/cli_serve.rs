@@ -5,7 +5,7 @@
 //! typed errors for malformed/overload/deadline paths, and a SIGTERM
 //! drain that finishes in-flight work.
 
-use serve::json::Json;
+use obs::json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -379,6 +379,28 @@ fn serve_overload_and_oversized_lines_are_typed_errors() {
     client.send(r#"{"id":"s","status":true}"#);
     let status = client.recv();
     assert!(status.get("status").is_some(), "session should survive");
+
+    client.send(r#"{"id":"q","shutdown":true}"#);
+    client.recv();
+    let (code, stderr) = daemon.wait();
+    assert_eq!(code, 0, "stderr: {stderr}");
+}
+
+#[test]
+fn serve_deeply_nested_line_is_a_typed_error_not_a_crash() {
+    // 20,000 nested arrays fit the default 1 MiB line cap but are far
+    // deeper than a recursive parser could follow on a session thread's
+    // stack: the parser's nesting bound must answer bad_request instead.
+    let daemon = Daemon::start("nesting", &[]);
+    let mut client = daemon.connect();
+
+    client.send(&"[".repeat(20_000));
+    let error = client.recv();
+    assert_eq!(error_code(&error), "bad_request");
+    client.send(r#"{"id":"s","status":true}"#);
+    let status = client.recv();
+    assert_eq!(status.get("id").and_then(Json::as_str), Some("s"));
+    assert!(status.get("status").is_some(), "daemon should survive");
 
     client.send(r#"{"id":"q","shutdown":true}"#);
     client.recv();
