@@ -362,6 +362,21 @@ echo "== format smoke: CSR vs SELL-C-sigma (exp_sell) =="
 cargo run --release --offline -p spmv-bench --bin exp_sell -- \
     --count 2 --scale 64
 
+echo "== simulator drivers: exp_swpf and exp_table1, byte for byte =="
+# The two experiment drivers that replay through the partitioned
+# simulator (software x-prefetch, and the nonzero-balanced RCM
+# comparator of Table 1) must reproduce their committed outputs exactly.
+cargo run --release --offline -p spmv-bench --bin exp_swpf -- \
+    --count 2 --scale 64 --threads 8 > "$OBS_TMP/swpf.txt"
+cmp results/ci/swpf.txt "$OBS_TMP/swpf.txt" || {
+    echo "ci: exp_swpf drifted from results/ci/swpf.txt" >&2; exit 1
+}
+cargo run --release --offline -p spmv-bench --bin exp_table1 -- \
+    --scale 64 --threads 8 > "$OBS_TMP/table1.txt"
+cmp results/ci/table1.txt "$OBS_TMP/table1.txt" || {
+    echo "ci: exp_table1 drifted from results/ci/table1.txt" >&2; exit 1
+}
+
 echo "== scenario smoke: SpMM k-sweep and CG batches =="
 # The kernel-scenario axis end to end: --rhs 1 must be byte-identical to
 # the plain run (shared cache keys, shared bytes), --rhs 4 must tag its
