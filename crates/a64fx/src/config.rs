@@ -174,23 +174,15 @@ impl MachineConfig {
 
     /// Capacity (in lines) of the L2 partition holding sector-`s` data.
     pub fn l2_partition_lines(&self, sector: u8) -> usize {
-        partition_lines(&self.l2, self.l2_sector, sector)
-    }
-
-    /// Capacity (in lines) of the L1 partition holding sector-`s` data.
-    pub fn l1_partition_lines(&self, sector: u8) -> usize {
-        partition_lines(&self.l1, self.l1_sector, sector)
-    }
-}
-
-fn partition_lines(geom: &CacheGeometry, policy: SectorPolicy, sector: u8) -> usize {
-    if !policy.enabled() {
-        return geom.total_lines();
-    }
-    match sector {
-        0 => geom.sector_lines(geom.ways - policy.sector1_ways),
-        1 => geom.sector_lines(policy.sector1_ways),
-        _ => panic!("only sectors 0 and 1 are modelled"),
+        let (geom, policy) = (&self.l2, self.l2_sector);
+        if !policy.enabled() {
+            return geom.total_lines();
+        }
+        match sector {
+            0 => geom.sector_lines(geom.ways - policy.sector1_ways),
+            1 => geom.sector_lines(policy.sector1_ways),
+            _ => panic!("only sectors 0 and 1 are modelled"),
+        }
     }
 }
 

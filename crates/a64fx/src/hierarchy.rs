@@ -23,18 +23,16 @@
 //! evaluation needs (miss counts per level, demand vs. prefetch fills,
 //! writeback traffic, premature prefetch eviction) emerges from this flow.
 //!
-//! [`Machine::new`] builds the classic two-level A64FX view from a
-//! [`MachineConfig`]; [`Machine::from_hierarchy`] builds any validated
-//! [`machine::HierarchyConfig`] (e.g. the three-level `generic-x86`
-//! preset). For two-level hierarchies both constructors produce
-//! byte-identical behaviour — the a64fx-preset pin in `crates/valid`
-//! holds the refactor to that.
+//! [`Machine::new`] is the one constructor: it builds any validated
+//! [`HierarchyConfig`], from the two-level A64FX (reached from a
+//! [`MachineConfig`](crate::MachineConfig) through
+//! [`to_hierarchy`](crate::MachineConfig::to_hierarchy)) to the
+//! three-level `generic-x86` preset.
 
 use crate::cache::{Cache, Outcome, Request};
-use crate::config::MachineConfig;
 use crate::counters::PmuSnapshot;
 use crate::prefetch::StreamPrefetcher;
-use machine::{CacheHierarchy, HierarchyConfig, LevelScope};
+use machine::{CacheHierarchy, HierarchyConfig, PrefetchConfig};
 use memtrace::{Access, ArraySet};
 
 struct Core {
@@ -49,7 +47,8 @@ struct Core {
 
 /// The simulated machine.
 pub struct Machine {
-    cfg: MachineConfig,
+    cores_per_domain: usize,
+    prefetch: PrefetchConfig,
     sector1: ArraySet,
     cores: Vec<Core>,
     /// Shared cache levels per domain, outermost last.
@@ -66,89 +65,50 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Builds the two-level machine (private L1, shared last-level cache)
-    /// with the given configuration; arrays in `sector1` are tagged with
-    /// sector ID 1 on every memory request.
-    pub fn new(cfg: MachineConfig, sector1: ArraySet) -> Self {
-        let cores = (0..cfg.num_cores)
-            .map(|_| Core {
-                privates: vec![Cache::new(cfg.l1, cfg.l1_sector, cfg.replacement)],
-                prefetcher: Self::prefetcher_for(&cfg),
-                pf_buf: Vec::new(),
-                l2_demand_misses: 0,
-            })
-            .collect();
-        let domains = (0..cfg.num_domains())
-            .map(|_| vec![Cache::new(cfg.l2, cfg.l2_sector, cfg.replacement)])
-            .collect();
-        let num_domains = cfg.num_domains();
-        Machine {
-            cfg,
-            sector1,
-            cores,
-            domains,
-            num_private: 1,
-            num_levels: 2,
-            direct_memory_writebacks: vec![0; num_domains],
-        }
-    }
-
-    /// Builds an N-level machine from a validated hierarchy. The stored
-    /// [`MachineConfig`] is the hierarchy's two-level projection.
+    /// Builds the machine described by a validated hierarchy; arrays in
+    /// `sector1` are tagged with sector ID 1 on every memory request.
     ///
     /// # Panics
     ///
     /// Panics if the hierarchy fails [`HierarchyConfig::validate`].
-    pub fn from_hierarchy(hier: &HierarchyConfig, sector1: ArraySet) -> Self {
+    pub fn new(hier: &HierarchyConfig, sector1: ArraySet) -> Self {
         if let Err(e) = hier.validate() {
             panic!("invalid hierarchy: {e}");
         }
-        let cfg = MachineConfig::from_hierarchy(hier);
+        let prefetch = hier.prefetch;
         let num_private = hier.first_shared_level();
         let num_levels = hier.num_levels();
+        let caches = |levels: &[machine::LevelConfig]| -> Vec<Cache> {
+            levels
+                .iter()
+                .map(|l| Cache::new(l.geometry, l.sector, hier.replacement))
+                .collect()
+        };
         let cores = (0..hier.num_cores)
             .map(|_| Core {
-                privates: hier.levels[..num_private]
-                    .iter()
-                    .map(|l| Cache::new(l.geometry, l.sector, hier.replacement))
-                    .collect(),
-                prefetcher: Self::prefetcher_for(&cfg),
+                privates: caches(&hier.levels[..num_private]),
+                prefetcher: if prefetch.enabled {
+                    StreamPrefetcher::new(prefetch.streams, prefetch.l2_distance)
+                } else {
+                    StreamPrefetcher::off()
+                },
                 pf_buf: Vec::new(),
                 l2_demand_misses: 0,
             })
             .collect();
-        let domains: Vec<Vec<Cache>> = (0..cfg.num_domains())
-            .map(|_| {
-                hier.levels[num_private..]
-                    .iter()
-                    .map(|l| Cache::new(l.geometry, l.sector, hier.replacement))
-                    .collect()
-            })
-            .collect();
-        let num_domains = cfg.num_domains();
+        let num_domains = hier.num_domains();
         Machine {
-            cfg,
+            cores_per_domain: hier.cores_per_domain,
+            prefetch,
             sector1,
             cores,
-            domains,
+            domains: (0..num_domains)
+                .map(|_| caches(&hier.levels[num_private..]))
+                .collect(),
             num_private,
             num_levels,
             direct_memory_writebacks: vec![0; num_domains],
         }
-    }
-
-    fn prefetcher_for(cfg: &MachineConfig) -> StreamPrefetcher {
-        if cfg.prefetch.enabled {
-            StreamPrefetcher::new(cfg.prefetch.streams, cfg.prefetch.l2_distance)
-        } else {
-            StreamPrefetcher::off()
-        }
-    }
-
-    /// The machine configuration (two-level projection for N-level
-    /// machines).
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
     }
 
     /// Number of cache levels being simulated.
@@ -220,7 +180,7 @@ impl Machine {
     /// Panics if `core` is out of range.
     pub fn demand_access(&mut self, core: usize, access: Access) {
         let sector = self.sector_of(&access);
-        let domain = self.cfg.domain_of(core);
+        let domain = core / self.cores_per_domain;
         // Prefetches (software hints and hardware emissions) fill the
         // second level — the A64FX's shared L2, an x86's private L2.
         let pf_level = 1.min(self.num_levels - 1);
@@ -264,10 +224,10 @@ impl Machine {
         self.cores[core]
             .prefetcher
             .observe(access.line, &mut pf_buf);
-        let l1_window = access.line + self.cfg.prefetch.l1_distance as u64;
+        let l1_window = access.line + self.prefetch.l1_distance as u64;
         for &pf_line in &pf_buf {
             self.prefetch_fill(core, domain, pf_level, pf_line, sector);
-            if self.cfg.prefetch.l1_distance > 0 && pf_line <= l1_window {
+            if self.prefetch.l1_distance > 0 && pf_line <= l1_window {
                 self.level_access(core, domain, 0, pf_line, sector, Request::Prefetch);
             }
         }
@@ -345,19 +305,6 @@ impl Machine {
     pub fn l2(&self, domain: usize) -> &Cache {
         self.domains[domain].last().expect("shared last level")
     }
-
-    /// Direct read access to a core's innermost cache (tests,
-    /// diagnostics).
-    pub fn l1(&self, core: usize) -> &Cache {
-        &self.cores[core].privates[0]
-    }
-}
-
-/// Which cores share each instance of simulator level `level` under
-/// `hier` — a convenience re-export of the hierarchy's scope used by
-/// diagnostics.
-pub fn level_scope(hier: &HierarchyConfig, level: usize) -> LevelScope {
-    hier.level(level).scope
 }
 
 #[cfg(test)]
@@ -366,7 +313,8 @@ mod tests {
     use crate::config::{MachineConfig, PrefetchConfig};
     use memtrace::Array;
 
-    fn tiny_machine(sector1_ways: usize, prefetch: bool) -> Machine {
+    /// A scaled A64FX with two cores sharing one domain.
+    fn tiny_config(sector1_ways: usize, prefetch: bool) -> MachineConfig {
         let mut cfg = MachineConfig::a64fx_scaled(64).with_cores(2);
         cfg.cores_per_domain = 2;
         if sector1_ways > 0 {
@@ -375,7 +323,12 @@ mod tests {
         if !prefetch {
             cfg = cfg.with_prefetch(PrefetchConfig::off());
         }
-        Machine::new(cfg, ArraySet::MATRIX_STREAM)
+        cfg
+    }
+
+    fn tiny_machine(sector1_ways: usize, prefetch: bool) -> Machine {
+        let hier = tiny_config(sector1_ways, prefetch).to_hierarchy("tiny");
+        Machine::new(&hier, ArraySet::MATRIX_STREAM)
     }
 
     #[test]
@@ -413,20 +366,19 @@ mod tests {
     #[test]
     fn dirty_lines_propagate_writebacks() {
         let mut m = tiny_machine(0, false);
-        let l1_lines = m.config().l1.total_lines() as u64;
-        let sets = m.config().l1.num_sets() as u64;
+        let l1 = tiny_config(0, false).l1;
+        let sets = l1.num_sets() as u64;
         // Store to a line, then stream enough conflicting lines through the
         // same L1 set to force the dirty victim out.
         m.demand_access(0, Access::store(0, Array::Y));
-        for i in 1..=m.config().l1.ways as u64 {
+        for i in 1..=l1.ways as u64 {
             m.demand_access(0, Access::load(i * sets, Array::X));
         }
         // The dirty line was written back into the L2 (present there), so
         // no direct memory writeback and no L2 writeback yet.
         let p = m.pmu();
         assert_eq!(p.l2d_cache_wb, 0);
-        assert!(p.l1d_demand_misses >= m.config().l1.ways as u64);
-        let _ = l1_lines;
+        assert!(p.l1d_demand_misses >= l1.ways as u64);
     }
 
     #[test]
@@ -439,9 +391,8 @@ mod tests {
         let p = m.pmu();
         assert!(p.l2d_cache_refill_prf > 0, "prefetch fills expected");
         // Prefetched lines beyond the demand frontier are resident in L2.
-        assert!(m
-            .l2(0)
-            .contains(32 + m.config().prefetch.l2_distance as u64 - 1));
+        let l2_distance = tiny_config(0, true).prefetch.l2_distance as u64;
+        assert!(m.l2(0).contains(32 + l2_distance - 1));
     }
 
     #[test]
@@ -461,7 +412,7 @@ mod tests {
     fn domains_are_independent() {
         let mut cfg = MachineConfig::a64fx_scaled(64).with_cores(4);
         cfg.cores_per_domain = 2;
-        let mut m = Machine::new(cfg, ArraySet::EMPTY);
+        let mut m = Machine::new(&cfg.to_hierarchy("two-domains"), ArraySet::EMPTY);
         // Core 0 (domain 0) and core 2 (domain 1) load the same line: each
         // domain fetches its own copy — the paper's §3.1 replication note.
         m.demand_access(0, Access::load(9, Array::X));
@@ -472,44 +423,12 @@ mod tests {
         assert!(m.l2(0).contains(9) && m.l2(1).contains(9));
     }
 
-    /// For any two-level hierarchy, `from_hierarchy` and `new` must be
-    /// the same machine access for access — this equivalence is what lets
-    /// the a64fx preset stay byte-identical through the refactor.
-    #[test]
-    fn two_level_hierarchy_matches_machine_config_path() {
-        let mut cfg = MachineConfig::a64fx_scaled(64)
-            .with_cores(2)
-            .with_l2_sector(3);
-        cfg.cores_per_domain = 2;
-        let hier = cfg.to_hierarchy("pin");
-        let mut a = Machine::new(cfg, ArraySet::MATRIX_STREAM);
-        let mut b = Machine::from_hierarchy(&hier, ArraySet::MATRIX_STREAM);
-        let mut line = 0u64;
-        for step in 0..4000u64 {
-            // A mix of streams, stores and set conflicts on both cores.
-            let core = (step % 2) as usize;
-            let access = match step % 5 {
-                0 => Access::load(line, Array::A),
-                1 => Access::load(step * 13 % 97, Array::X),
-                2 => Access::store(step % 11, Array::Y),
-                3 => Access::load(line, Array::ColIdx),
-                _ => {
-                    line += 1;
-                    Access::load(step * 7 % 51, Array::RowPtr)
-                }
-            };
-            a.demand_access(core, access);
-            b.demand_access(core, access);
-        }
-        assert_eq!(a.pmu(), b.pmu());
-    }
-
     /// The three-level generic-x86 preset simulates end to end; the
     /// middle level filters traffic between L1 misses and LLC fills.
     #[test]
     fn three_level_machine_filters_through_mid_level() {
         let hier = HierarchyConfig::generic_x86().scaled(64).with_cores(2);
-        let mut m = Machine::from_hierarchy(&hier, ArraySet::EMPTY);
+        let mut m = Machine::new(&hier, ArraySet::EMPTY);
         assert_eq!(m.num_levels(), 3);
         for l in 0..256u64 {
             m.demand_access(0, Access::load(l % 96, Array::X));
@@ -527,7 +446,7 @@ mod tests {
     #[test]
     fn mid_level_victims_write_back_into_llc() {
         let hier = HierarchyConfig::generic_x86().scaled(64).with_cores(1);
-        let mut m = Machine::from_hierarchy(&hier, ArraySet::EMPTY);
+        let mut m = Machine::new(&hier, ArraySet::EMPTY);
         let l2_lines = hier.level(1).geometry.total_lines() as u64;
         // Dirty many lines, then stream far past the L2 capacity.
         for l in 0..l2_lines * 4 {

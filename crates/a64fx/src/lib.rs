@@ -17,7 +17,8 @@
 //!   prefetch training, writeback propagation.
 //! * [`counters::PmuSnapshot`] — A64FX PMU event names and the paper's
 //!   derived formulas (L2 misses, demand misses, memory bytes).
-//! * [`sim_spmv`] — replays SpMV traces (warm-up + measured iteration).
+//! * [`sim_spmv`] — streams any SpMV workload's per-thread trace cursors
+//!   through the machine (warm-up + measured iteration).
 //! * [`timing`] — roofline-style time/Gflop/s estimate from the counters.
 
 #![warn(missing_docs)]
@@ -37,5 +38,5 @@ pub use config::{CacheGeometry, MachineConfig, PrefetchConfig, Replacement, Sect
 pub use counters::PmuSnapshot;
 pub use hierarchy::Machine;
 pub use machine::{CacheHierarchy, HierarchyConfig, A64FX_LINE_BYTES};
-pub use sim_spmv::{simulate_spmv, simulate_spmv_partitioned, simulate_spmv_swpf, SimResult};
+pub use sim_spmv::{simulate_spmv, simulate_spmv_partitioned, SimResult};
 pub use timing::{estimate, Bottleneck, Performance};

@@ -4,16 +4,20 @@
 //! once to warm the caches (the paper models behaviour "after a warm-up
 //! iteration", i.e. no cold misses), counters are reset, and a second
 //! iteration is measured. Threads are mapped one-per-core in order (the
-//! paper pins with `OMP_PROC_BIND=close OMP_PLACES=cores`), and per-thread
-//! traces are interleaved round-robin one reference at a time — the
-//! equal-progress interleaving the model's MCS-ordered collation
-//! approximates.
+//! paper pins with `OMP_PROC_BIND=close OMP_PLACES=cores`), and the
+//! threads' references are interleaved round-robin one reference at a
+//! time — the equal-progress interleaving the model's MCS-ordered
+//! collation approximates.
+//!
+//! Every pass streams fresh per-thread [`SpmvWorkload::trace_cursor`]s
+//! straight into [`Machine::demand_access`]; no trace is materialized, so
+//! any storage format the model analyses can be simulated the same way.
 
 use crate::config::MachineConfig;
 use crate::counters::PmuSnapshot;
 use crate::hierarchy::Machine;
-use memtrace::spmv_trace::trace_spmv_partitioned;
-use memtrace::{Access, ArraySet, SpmvWorkload};
+use memtrace::cursor::SwPrefetchCursor;
+use memtrace::{ArraySet, SpmvWorkload, TraceCursor};
 use sparsemat::{CsrMatrix, RowPartition};
 
 /// Result of a simulated SpMV measurement.
@@ -21,7 +25,8 @@ use sparsemat::{CsrMatrix, RowPartition};
 pub struct SimResult {
     /// Counters of the measured (post-warm-up) iteration.
     pub pmu: PmuSnapshot,
-    /// Maximum nonzeros assigned to any thread (timing critical path).
+    /// Maximum `x` gathers (nonzeros for CSR, padded entries for
+    /// SELL-C-σ) assigned to any thread — the timing critical path.
     pub max_thread_nnz: usize,
     /// Threads used.
     pub num_threads: usize,
@@ -44,22 +49,30 @@ pub fn simulate_spmv(
     warmup: usize,
 ) -> SimResult {
     let partition = RowPartition::static_rows(matrix.num_rows(), num_threads.max(1));
-    simulate_spmv_partitioned(matrix, cfg, sector1, &partition, warmup)
+    simulate_spmv_partitioned(matrix, cfg, sector1, &partition, warmup, None)
 }
 
-/// Like [`simulate_spmv`], but with an explicit row partition (one block
-/// per thread) — e.g. the nonzero-balanced partition of the Table 1
-/// comparator.
+/// Like [`simulate_spmv`], but for any [`SpmvWorkload`] with an explicit
+/// partition of its work items (one block per thread) — e.g. the
+/// nonzero-balanced partition of the Table 1 comparator, or chunk blocks
+/// of a SELL-C-σ matrix.
+///
+/// With `sw_prefetch = Some(distance)` the kernel also issues a
+/// software-prefetch hint for the `x` line gathered `distance` positions
+/// ahead ([`SwPrefetchCursor`]) — the paper's future-work combination of
+/// software prefetching with the sector cache.
 ///
 /// # Panics
 ///
-/// Panics if the partition has zero blocks or more blocks than cores.
-pub fn simulate_spmv_partitioned(
-    matrix: &CsrMatrix,
+/// Panics if the partition has zero blocks or more blocks than cores, or
+/// if the prefetch distance is zero.
+pub fn simulate_spmv_partitioned<W: SpmvWorkload>(
+    workload: &W,
     cfg: &MachineConfig,
     sector1: ArraySet,
     partition: &RowPartition,
     warmup: usize,
+    sw_prefetch: Option<usize>,
 ) -> SimResult {
     let num_threads = partition.num_parts();
     assert!(num_threads > 0, "need at least one thread");
@@ -68,68 +81,54 @@ pub fn simulate_spmv_partitioned(
         "more threads ({num_threads}) than cores ({})",
         cfg.num_cores
     );
-    let layout = matrix.layout(cfg.l2.line_bytes);
-    let traces = trace_spmv_partitioned(matrix, &layout, partition);
-    let max_thread_nnz = partition.max_block_nnz(matrix);
-
-    let mut machine = Machine::new(cfg.clone().with_cores(num_threads.max(1)), sector1);
-    for _ in 0..warmup {
-        replay_round_robin(&mut machine, &traces);
+    let layout = workload.layout(cfg.l2.line_bytes);
+    let hier = cfg
+        .clone()
+        .with_cores(num_threads)
+        .to_hierarchy("simulated");
+    let mut machine = Machine::new(&hier, sector1);
+    for pass in 0..=warmup {
+        if pass == warmup {
+            machine.reset_stats();
+        }
+        let cursors = partition
+            .iter()
+            .map(|items| workload.trace_cursor(&layout, items));
+        match sw_prefetch {
+            None => replay(&mut machine, cursors.collect()),
+            Some(distance) => replay(
+                &mut machine,
+                cursors
+                    .zip(partition.iter())
+                    .map(|(c, items)| {
+                        SwPrefetchCursor::new(c, workload.x_trace_cursor(&layout, items), distance)
+                    })
+                    .collect(),
+            ),
+        }
     }
-    machine.reset_stats();
-    replay_round_robin(&mut machine, &traces);
 
     SimResult {
         pmu: machine.pmu(),
-        max_thread_nnz,
+        max_thread_nnz: partition
+            .iter()
+            .map(|items| workload.share(items).x_refs)
+            .max()
+            .unwrap_or(0),
         num_threads,
     }
 }
 
-/// Like [`simulate_spmv`], but with the kernel emitting software-prefetch
-/// hints for the gathered `x` accesses `distance` nonzeros ahead — the
-/// paper's future-work combination of software prefetching with the
-/// sector cache.
-pub fn simulate_spmv_swpf(
-    matrix: &CsrMatrix,
-    cfg: &MachineConfig,
-    sector1: ArraySet,
-    num_threads: usize,
-    warmup: usize,
-    distance: usize,
-) -> SimResult {
-    assert!(num_threads > 0, "need at least one thread");
-    let layout = matrix.layout(cfg.l2.line_bytes);
-    let partition = RowPartition::static_rows(matrix.num_rows(), num_threads);
-    let traces =
-        memtrace::spmv_trace::trace_spmv_swpf_partitioned(matrix, &layout, &partition, distance);
-    let max_thread_nnz = partition.max_block_nnz(matrix);
-
-    let mut machine = Machine::new(cfg.clone().with_cores(num_threads), sector1);
-    for _ in 0..warmup {
-        replay_round_robin(&mut machine, &traces);
-    }
-    machine.reset_stats();
-    replay_round_robin(&mut machine, &traces);
-    SimResult {
-        pmu: machine.pmu(),
-        max_thread_nnz,
-        num_threads,
-    }
-}
-
-/// Replays per-core traces one reference per core per round, skipping
-/// exhausted cores — the equal-progress interleaving.
-pub fn replay_round_robin(machine: &mut Machine, traces: &[Vec<Access>]) {
-    let mut cursors = vec![0usize; traces.len()];
-    let mut remaining: usize = traces.iter().map(|t| t.len()).sum();
-    while remaining > 0 {
-        for (core, trace) in traces.iter().enumerate() {
-            let c = cursors[core];
-            if c < trace.len() {
-                machine.demand_access(core, trace[c]);
-                cursors[core] = c + 1;
-                remaining -= 1;
+/// Feeds the per-core cursors to the machine one reference per core per
+/// round, skipping exhausted cores — the equal-progress interleaving.
+fn replay<C: TraceCursor>(machine: &mut Machine, mut cursors: Vec<C>) {
+    let mut live = true;
+    while live {
+        live = false;
+        for (core, cursor) in cursors.iter_mut().enumerate() {
+            if let Some(access) = cursor.next_access() {
+                machine.demand_access(core, access);
+                live = true;
             }
         }
     }
@@ -266,7 +265,8 @@ mod tests {
         let m = streaming_matrix(131_072, 6, 13);
         let cfg = MachineConfig::a64fx_scaled(64).with_cores(1);
         let plain = simulate_spmv(&m, &cfg, ArraySet::EMPTY, 1, 1);
-        let swpf = super::simulate_spmv_swpf(&m, &cfg, ArraySet::EMPTY, 1, 1, 16);
+        let partition = RowPartition::static_rows(m.num_rows(), 1);
+        let swpf = simulate_spmv_partitioned(&m, &cfg, ArraySet::EMPTY, &partition, 1, Some(16));
         assert!(
             swpf.pmu.l2_demand_misses() < plain.pmu.l2_demand_misses() / 2,
             "software prefetch should hide most x demand misses: {} vs {}",

@@ -9,8 +9,9 @@
 //!
 //! Run: `cargo run --release -p spmv-bench --bin exp_swpf [--count N --scale N --threads N]`
 
-use a64fx::{estimate, simulate_spmv_swpf};
+use a64fx::{estimate, simulate_spmv_partitioned};
 use memtrace::ArraySet;
+use sparsemat::RowPartition;
 use spmv_bench::boxplot::BoxStats;
 use spmv_bench::runner::{machine_for, measure, parallel_map, ExpArgs, SweepPoint};
 
@@ -42,14 +43,15 @@ fn main() {
             },
         );
 
+        let partition = RowPartition::static_rows(nm.matrix.num_rows(), args.threads);
         let base_cfg = machine_for(args.scale, args.threads, SweepPoint::BASELINE);
-        let psim = simulate_spmv_swpf(
+        let psim = simulate_spmv_partitioned(
             &nm.matrix,
             &base_cfg,
             ArraySet::EMPTY,
-            args.threads,
+            &partition,
             1,
-            distance,
+            Some(distance),
         );
         let pperf = estimate(&base_cfg, nm.matrix.nnz(), &psim);
 
@@ -61,13 +63,13 @@ fn main() {
                 l1_ways: 0,
             },
         );
-        let bothsim = simulate_spmv_swpf(
+        let bothsim = simulate_spmv_partitioned(
             &nm.matrix,
             &both_cfg,
             ArraySet::MATRIX_STREAM,
-            args.threads,
+            &partition,
             1,
-            distance,
+            Some(distance),
         );
         let bothperf = estimate(&both_cfg, nm.matrix.nnz(), &bothsim);
 

@@ -60,7 +60,7 @@ fn main() {
         let reordered = rcm_reorder(&nm.matrix);
         let partition = RowPartition::balanced_nnz(&reordered, args.threads);
         let cfg = machine_for(args.scale, args.threads, SweepPoint::BASELINE);
-        let sim = simulate_spmv_partitioned(&reordered, &cfg, ArraySet::EMPTY, &partition, 1);
+        let sim = simulate_spmv_partitioned(&reordered, &cfg, ArraySet::EMPTY, &partition, 1, None);
         let perf_opt = estimate(&cfg, reordered.nnz(), &sim);
 
         (

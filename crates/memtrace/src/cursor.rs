@@ -973,6 +973,67 @@ impl<C: TraceCursor> TraceCursor for CgCursor<'_, C> {
     }
 }
 
+/// Software x-prefetch: the kernel of the paper's future-work section,
+/// which issues a `prfm`-style hint for the `x` line gathered `distance`
+/// positions ahead.
+///
+/// Wraps a method (A) cursor (`inner`) and the method (B) cursor over the
+/// same work items (`lead`), advanced `distance` gathers at construction.
+/// After each `x` load of `inner` it emits one [`Access::prefetch`] for
+/// the lead's next line; the last `distance` gathers of the block get no
+/// hint, so hints never cross into another thread's share.
+#[derive(Clone, Debug)]
+pub struct SwPrefetchCursor<C, X> {
+    inner: C,
+    lead: X,
+    /// Hint owed after the `x` load just emitted.
+    pending: Option<Access>,
+}
+
+impl<C: TraceCursor, X: TraceCursor> SwPrefetchCursor<C, X> {
+    /// Pairs `inner` with `lead`, the `x`-gather stream of the same items.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `distance` is zero.
+    pub fn new(inner: C, mut lead: X, distance: usize) -> Self {
+        assert!(distance > 0, "prefetch distance must be positive");
+        for _ in 0..distance {
+            if lead.next_access().is_none() {
+                break;
+            }
+        }
+        SwPrefetchCursor {
+            inner,
+            lead,
+            pending: None,
+        }
+    }
+}
+
+impl<C: TraceCursor, X: TraceCursor> TraceCursor for SwPrefetchCursor<C, X> {
+    fn next_access(&mut self) -> Option<Access> {
+        if let Some(hint) = self.pending.take() {
+            return Some(hint);
+        }
+        let access = self.inner.next_access()?;
+        if access.array == Array::X && !access.write {
+            self.pending = self
+                .lead
+                .next_access()
+                .map(|a| Access::prefetch(a.line, Array::X));
+        }
+        Some(access)
+    }
+
+    /// Exact as long as the lead yields no more gathers than `inner`
+    /// loads `x` — true whenever `lead` is the method (B) stream of
+    /// `inner`'s items, the only pairing built.
+    fn remaining(&self) -> usize {
+        self.inner.remaining() + self.lead.remaining() + usize::from(self.pending.is_some())
+    }
+}
+
 /// Per-thread method (A) cursors for a row partition — the streaming
 /// counterpart of
 /// [`trace_spmv_partitioned`](crate::spmv_trace::trace_spmv_partitioned).
@@ -1096,6 +1157,89 @@ mod tests {
         let cursors = spmv_cursors(&m, &l, &p);
         for (cursor, trace) in cursors.into_iter().zip(traces) {
             assert_eq!(collect(cursor), trace);
+        }
+    }
+
+    fn swpf_cursor<'a>(
+        m: &'a CsrMatrix,
+        l: &'a DataLayout,
+        rows: Range<usize>,
+        distance: usize,
+    ) -> SwPrefetchCursor<SpmvCursor<'a>, XCursor<'a>> {
+        SwPrefetchCursor::new(
+            SpmvCursor::new(m, l, rows.clone()),
+            XCursor::new(m, l, rows),
+            distance,
+        )
+    }
+
+    #[test]
+    fn swpf_trace_adds_x_prefetch_hints() {
+        let (m, l) = fig1();
+        let plain = collect(SpmvCursor::new(&m, &l, 0..4));
+        let swpf = collect(swpf_cursor(&m, &l, 0..4, 2));
+        // One hint per nonzero except the last `distance` of the block.
+        let hints: Vec<_> = swpf.iter().filter(|a| a.sw_prefetch).collect();
+        assert_eq!(hints.len(), m.nnz() - 2);
+        assert!(hints.iter().all(|a| a.array == Array::X && !a.write));
+        // Stripping the hints recovers the plain trace.
+        let stripped: Vec<Access> = swpf.iter().copied().filter(|a| !a.sw_prefetch).collect();
+        assert_eq!(stripped, plain);
+        // The first hint follows the first x load and targets the x line
+        // of the nonzero 2 ahead: colidx[2] = 0 -> x line 0.
+        // Trace: rowptr, rowptr, a, colidx, x, hint.
+        assert!(swpf[5].sw_prefetch && swpf[4].array == Array::X);
+        assert_eq!(hints[0].line, 0);
+    }
+
+    #[test]
+    fn swpf_partitioned_hints_stay_in_block() {
+        let (m, l) = fig1();
+        let p = RowPartition::static_rows(4, 2);
+        // Each block loses exactly its last hint (distance 1).
+        for rows in p.iter() {
+            let nnz = (m.rowptr()[rows.end] - m.rowptr()[rows.start]) as usize;
+            let hints = collect(swpf_cursor(&m, &l, rows, 1))
+                .iter()
+                .filter(|a| a.sw_prefetch)
+                .count();
+            assert_eq!(hints, nnz - 1);
+        }
+    }
+
+    /// The hint after the `j`-th gather of a block targets gather
+    /// `j + distance` of the same block, for distances below, at and past
+    /// the block length; `remaining` stays exact throughout.
+    #[test]
+    fn swpf_hints_lead_by_distance_within_each_block() {
+        let m = random_csr(90, 5, 17);
+        let l = DataLayout::new(&m, 64);
+        for distance in [1, 4, 16, 1000] {
+            for rows in RowPartition::static_rows(90, 7).iter() {
+                let start = m.rowptr()[rows.start] as usize;
+                let end = m.rowptr()[rows.end] as usize;
+                let mut expected = Vec::new();
+                let mut gathers = 0;
+                for a in collect(SpmvCursor::new(&m, &l, rows.clone())) {
+                    expected.push(a);
+                    if a.array == Array::X {
+                        let ahead = start + gathers + distance;
+                        gathers += 1;
+                        if ahead < end {
+                            let col = m.colidx()[ahead] as usize;
+                            expected.push(Access::prefetch(l.line_of(Array::X, col), Array::X));
+                        }
+                    }
+                }
+                let mut c = swpf_cursor(&m, &l, rows.clone(), distance);
+                assert_eq!(c.remaining(), expected.len());
+                let mut got = Vec::new();
+                while let Some(a) = c.next_access() {
+                    got.push(a);
+                    assert_eq!(c.remaining(), expected.len() - got.len());
+                }
+                assert_eq!(got, expected, "distance {distance} rows {rows:?}");
+            }
         }
     }
 

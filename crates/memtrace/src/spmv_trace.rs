@@ -70,78 +70,6 @@ pub fn trace_spmv<S: TraceSink>(matrix: &CsrMatrix, layout: &DataLayout, sink: &
     trace_spmv_rows(matrix, layout, 0..matrix.num_rows(), sink);
 }
 
-/// Generates the method (A) trace for rows `rows` with software-prefetch
-/// hints for the gathered `x` accesses running `distance` nonzeros ahead —
-/// the paper's future-work combination of software prefetching with the
-/// sector cache.
-///
-/// After each nonzero's references, a prefetch hint for the `x` line of
-/// the nonzero `distance` positions ahead (within the row block) is
-/// emitted, mirroring a `prfm`-instrumented kernel.
-///
-/// # Panics
-///
-/// Panics if the row range is out of bounds or `distance` is zero.
-pub fn trace_spmv_rows_swpf<S: TraceSink>(
-    matrix: &CsrMatrix,
-    layout: &DataLayout,
-    rows: std::ops::Range<usize>,
-    distance: usize,
-    sink: &mut S,
-) {
-    assert!(rows.end <= matrix.num_rows(), "row range out of bounds");
-    assert!(distance > 0, "prefetch distance must be positive");
-    if rows.is_empty() {
-        return;
-    }
-    let colidx = matrix.colidx();
-    let block_end = matrix.rowptr()[rows.end] as usize;
-    sink.access(Access::load(
-        layout.line_of(Array::RowPtr, rows.start),
-        Array::RowPtr,
-    ));
-    for r in rows {
-        sink.access(Access::load(
-            layout.line_of(Array::RowPtr, r + 1),
-            Array::RowPtr,
-        ));
-        for i in matrix.row_range(r) {
-            sink.access(Access::load(layout.line_of(Array::A, i), Array::A));
-            sink.access(Access::load(
-                layout.line_of(Array::ColIdx, i),
-                Array::ColIdx,
-            ));
-            let c = colidx[i] as usize;
-            sink.access(Access::load(layout.line_of(Array::X, c), Array::X));
-            let ahead = i + distance;
-            if ahead < block_end {
-                let pc = colidx[ahead] as usize;
-                sink.access(Access::prefetch(layout.line_of(Array::X, pc), Array::X));
-            }
-        }
-        sink.access(Access::store(layout.line_of(Array::Y, r), Array::Y));
-    }
-}
-
-/// Per-thread software-prefetch traces for a row partition (see
-/// [`trace_spmv_rows_swpf`]).
-pub fn trace_spmv_swpf_partitioned(
-    matrix: &CsrMatrix,
-    layout: &DataLayout,
-    partition: &sparsemat::RowPartition,
-    distance: usize,
-) -> Vec<Vec<Access>> {
-    partition
-        .iter()
-        .map(|rows| {
-            let nnz = (matrix.rowptr()[rows.end] - matrix.rowptr()[rows.start]) as usize;
-            let mut sink = Vec::with_capacity(trace_len(rows.len(), nnz) + nnz);
-            trace_spmv_rows_swpf(matrix, layout, rows, distance, &mut sink);
-            sink
-        })
-        .collect()
-}
-
 /// Generates per-thread method (A) traces for the given row partition.
 ///
 /// Returns one trace per partition block, in block order. This is the
@@ -248,43 +176,6 @@ mod tests {
             .map(|a| a.line)
             .collect();
         assert_eq!(x0, vec![0, 1, 0]); // rows 0..2: cols 1,2,0
-    }
-
-    #[test]
-    fn swpf_trace_adds_x_prefetch_hints() {
-        let (m, l) = fig1();
-        let mut plain = VecSink::new();
-        trace_spmv(&m, &l, &mut plain);
-        let mut swpf = VecSink::new();
-        trace_spmv_rows_swpf(&m, &l, 0..4, 2, &mut swpf);
-        // One hint per nonzero except the last `distance` of the block.
-        let hints: Vec<_> = swpf.trace.iter().filter(|a| a.sw_prefetch).collect();
-        assert_eq!(hints.len(), m.nnz() - 2);
-        assert!(hints.iter().all(|a| a.array == Array::X && !a.write));
-        // Stripping the hints recovers the plain trace.
-        let stripped: Vec<Access> = swpf
-            .trace
-            .iter()
-            .copied()
-            .filter(|a| !a.sw_prefetch)
-            .collect();
-        assert_eq!(stripped, plain.trace);
-        // The first hint targets the x line of the nonzero 2 ahead:
-        // colidx[2] = 0 -> x line 0.
-        assert_eq!(hints[0].line, 0);
-    }
-
-    #[test]
-    fn swpf_partitioned_hints_stay_in_block() {
-        let (m, l) = fig1();
-        let p = RowPartition::static_rows(4, 2);
-        let blocks = trace_spmv_swpf_partitioned(&m, &l, &p, 1);
-        // Each block loses exactly its last hint (distance 1).
-        for (b, rows) in blocks.iter().zip(p.iter()) {
-            let nnz = (m.rowptr()[rows.end] - m.rowptr()[rows.start]) as usize;
-            let hints = b.iter().filter(|a| a.sw_prefetch).count();
-            assert_eq!(hints, nnz - 1);
-        }
     }
 
     #[test]

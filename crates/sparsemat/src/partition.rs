@@ -96,21 +96,21 @@ impl RowPartition {
     pub fn bounds(&self) -> &[usize] {
         &self.bounds
     }
-
-    /// Maximum number of nonzeros assigned to any block — the makespan that
-    /// governs parallel SpMV load balance.
-    pub fn max_block_nnz(&self, matrix: &CsrMatrix) -> usize {
-        self.iter()
-            .map(|r| (matrix.rowptr()[r.end] - matrix.rowptr()[r.start]) as usize)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
+
+    /// Maximum number of nonzeros assigned to any block — the makespan
+    /// that governs parallel SpMV load balance.
+    fn max_block_nnz(p: &RowPartition, matrix: &CsrMatrix) -> usize {
+        p.iter()
+            .map(|r| (matrix.rowptr()[r.end] - matrix.rowptr()[r.start]) as usize)
+            .max()
+            .unwrap_or(0)
+    }
 
     fn skewed_matrix() -> CsrMatrix {
         // 8 rows; row 0 has 16 nonzeros, the rest have 1 each.
@@ -166,8 +166,8 @@ mod tests {
         let bal = RowPartition::balanced_nnz(&m, 4);
         // Static: block 0 holds the fat row plus another -> 17 nnz.
         // Balanced: fat row isolated -> 16 nnz.
-        assert!(bal.max_block_nnz(&m) <= stat.max_block_nnz(&m));
-        assert_eq!(bal.max_block_nnz(&m), 16);
+        assert!(max_block_nnz(&bal, &m) <= max_block_nnz(&stat, &m));
+        assert_eq!(max_block_nnz(&bal, &m), 16);
     }
 
     #[test]
@@ -176,7 +176,7 @@ mod tests {
         let bal = RowPartition::balanced_nnz(&m, 4);
         let total: usize = bal.iter().map(|r| r.len()).sum();
         assert_eq!(total, 12);
-        assert_eq!(bal.max_block_nnz(&m), 3);
+        assert_eq!(max_block_nnz(&bal, &m), 3);
     }
 
     #[test]

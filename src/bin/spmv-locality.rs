@@ -48,6 +48,12 @@
 //! cross-format pass always runs). The simulator is CSR-only, so
 //! `simulate` accepts `--reorder` but not a SELL `--format`.
 //!
+//! `--l2-ways W` (analyze, simulate; default 5) is the number of
+//! last-level ways given to the matrix stream's sector. It must leave the
+//! other sector at least one way, so it ranges over 1 to ways − 1 of the
+//! selected machine; `simulate` also takes 0 for "sector cache off". A
+//! value outside that range is a bad flag value (exit 2).
+//!
 //! `--rhs K` traces a `K`-right-hand-side SpMM instead of the single
 //! vector SpMV (`--rhs-layout` picks row-major interleaved RHS, the
 //! default, or `col` for separate vectors); `--workload cg` traces a full
@@ -495,13 +501,30 @@ fn parse_cli() -> Cli {
             _ => usage(),
         }
     }
-    if let Err(e) = cli.machine.try_hierarchy(cli.scale) {
+    let hier = cli.machine.try_hierarchy(cli.scale).unwrap_or_else(|e| {
         eprintln!(
             "spmv-locality: --scale {} does not fit machine '{}': {e}",
             cli.scale,
             cli.machine.label()
         );
         std::process::exit(2);
+    });
+    // The matrix stream's sector must leave sector 0 at least one way;
+    // `simulate` also takes 0 for "sector cache off".
+    if matches!(cli.command.as_str(), "analyze" | "simulate") {
+        let ways = hier.last_level().geometry.ways;
+        let lowest = usize::from(cli.command == "analyze");
+        if !(lowest..ways).contains(&cli.l2_ways) {
+            eprintln!(
+                "spmv-locality: --l2-ways {} is out of range for machine '{}' \
+                 ({ways} last-level ways): {} takes {lowest} to {}",
+                cli.l2_ways,
+                cli.machine.label(),
+                cli.command,
+                ways - 1
+            );
+            std::process::exit(2);
+        }
     }
     if cli.command == "simulate" && cli.format != FormatSpec::Csr {
         eprintln!("spmv-locality: the simulator is CSR-only (drop --format or use csr)");
@@ -612,7 +635,7 @@ fn main() {
                 workload.working_set_bytes() as f64 / (1 << 20) as f64
             );
             println!("bandwidth   : {}", stats.bandwidth);
-            let class_cfg = cfg.clone().with_l2_sector(cli.l2_ways.min(cfg.l2.ways - 1));
+            let class_cfg = cfg.clone().with_l2_sector(cli.l2_ways);
             println!(
                 "class ({} L2 ways for the matrix stream): {}",
                 cli.l2_ways,

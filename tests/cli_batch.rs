@@ -324,3 +324,42 @@ fn batch_metrics_flag_writes_json_without_changing_report() {
     }
     assert!(metrics.contains("\"rss_checkpoints\""), "{metrics}");
 }
+
+#[test]
+fn l2_ways_outside_the_machine_is_a_bad_flag_value() {
+    // The scaled a64fx L2 has 16 ways: the matrix stream may take 1..=15
+    // of them (and `simulate` also 0, sector cache off). Out of range is
+    // rejected while parsing, before the matrix file is even opened.
+    for (command, ways, range) in [
+        ("simulate", "16", "0 to 15"),
+        ("simulate", "99", "0 to 15"),
+        ("analyze", "16", "1 to 15"),
+        ("analyze", "99", "1 to 15"),
+        ("analyze", "0", "1 to 15"),
+    ] {
+        let out = Command::new(BIN)
+            .args([command, "whatever.mtx", "--scale", "64", "--l2-ways", ways])
+            .output()
+            .expect("spawn spmv-locality");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command} {ways}: {stderr}");
+        assert!(
+            stderr.contains(&format!("--l2-ways {ways}")) && stderr.contains(range),
+            "{command} {ways}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{command} {ways}: {stderr}");
+    }
+    // In-range values pass the flag check and fail on the missing file.
+    for (command, ways) in [("simulate", "0"), ("simulate", "15"), ("analyze", "15")] {
+        let out = Command::new(BIN)
+            .args([command, "whatever.mtx", "--l2-ways", ways])
+            .output()
+            .expect("spawn spmv-locality");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command} {ways}: {stderr}");
+        assert!(
+            stderr.contains("failed to read"),
+            "{command} {ways}: {stderr}"
+        );
+    }
+}

@@ -2,9 +2,8 @@
 //! simulation through the A64FX machine, and the sector-cache story for
 //! the chunked format.
 
-use a64fx::{Machine, MachineConfig, PrefetchConfig};
+use a64fx::{simulate_spmv_partitioned, MachineConfig, PrefetchConfig};
 use a64fx_spmv::prelude::*;
-use memtrace::sell_trace::{sell_layout, trace_sell_spmv};
 use memtrace::{CountSink, TraceCursor};
 use proptest::prelude::*;
 
@@ -30,20 +29,13 @@ fn sell_rows_match_csr_on_corpus_matrices() {
     }
 }
 
-/// Replays a SELL trace through the machine (warm-up + measured).
+/// Simulates one thread of SELL SpMV (warm-up + measured) and returns the
+/// measured L2 misses.
 fn simulate_sell(sell: &sparsemat::SellMatrix, cfg: &MachineConfig, sector1: ArraySet) -> u64 {
-    let layout = sell_layout(sell, cfg.l2.line_bytes);
-    let mut trace = memtrace::VecSink::new();
-    trace_sell_spmv(sell, &layout, &mut trace);
-    let mut machine = Machine::new(cfg.clone().with_cores(1), sector1);
-    for a in &trace.trace {
-        machine.demand_access(0, *a);
-    }
-    machine.reset_stats();
-    for a in &trace.trace {
-        machine.demand_access(0, *a);
-    }
-    machine.pmu().l2_misses()
+    let one_thread = RowPartition::static_rows(sell.num_chunks(), 1);
+    simulate_spmv_partitioned(sell, cfg, sector1, &one_thread, 1, None)
+        .pmu
+        .l2_misses()
 }
 
 #[test]
