@@ -355,12 +355,16 @@ grep -q '# flight-recorder dump' "$OBS_TMP/obs_serve_stderr.txt" || {
     echo "ci: SIGQUIT dump did not reach stderr" >&2; exit 1
 }
 
-echo "== format smoke: CSR vs SELL-C-sigma (exp_sell) =="
-# Tiny corpus through both storage formats: exercises the SELL trace
+echo "== format smoke: CSR vs SELL-C-sigma (exp_sell), byte for byte =="
+# Small corpus through both storage formats: exercises the SELL trace
 # derivation, the partitioned accounting on padded streams, and the
-# CSR-vs-SELL comparison table end to end.
+# CSR-vs-SELL comparison table end to end, and must reproduce the
+# committed output exactly.
 cargo run --release --offline -p spmv-bench --bin exp_sell -- \
-    --count 2 --scale 64
+    --count 4 --scale 64 > "$OBS_TMP/sell.txt"
+cmp results/ci/sell.txt "$OBS_TMP/sell.txt" || {
+    echo "ci: exp_sell drifted from results/ci/sell.txt" >&2; exit 1
+}
 
 echo "== simulator drivers: exp_swpf and exp_table1, byte for byte =="
 # The two experiment drivers that replay through the partitioned
