@@ -44,8 +44,10 @@ impl std::error::Error for ParseError {}
 /// Parses one directive line.
 ///
 /// Accepts the bare directive (`scache_isolate_way L2=5`) or the full
-/// pragma (`#pragma procedure scache_isolate_way L2=5 L1=1`). Array names
-/// for `scache_isolate_assign` are the paper's: `a`, `colidx`, `x`, `y`,
+/// pragma (`#pragma procedure scache_isolate_way L2=5 L1=1`). Each
+/// `scache_isolate_way` key may appear once (`L2` and `l2` are one key);
+/// a repeat is an error, not "last one wins". Array names for
+/// `scache_isolate_assign` are the paper's: `a`, `colidx`, `x`, `y`,
 /// `rowptr`.
 pub fn parse(line: &str) -> Result<Directive, ParseError> {
     let mut tokens: Vec<&str> = line.split_whitespace().collect();
@@ -61,7 +63,7 @@ pub fn parse(line: &str) -> Result<Directive, ParseError> {
     };
     match head {
         "scache_isolate_way" => {
-            let (mut l2, mut l1) = (None, 0usize);
+            let (mut l2, mut l1) = (None, None);
             for tok in rest {
                 let (key, value) = tok
                     .split_once('=')
@@ -69,14 +71,22 @@ pub fn parse(line: &str) -> Result<Directive, ParseError> {
                 let n: usize = value
                     .parse()
                     .map_err(|_| ParseError(format!("bad way count '{value}'")))?;
-                match key {
-                    "L2" | "l2" => l2 = Some(n),
-                    "L1" | "l1" => l1 = n,
+                let (slot, level) = match key {
+                    "L2" | "l2" => (&mut l2, "L2"),
+                    "L1" | "l1" => (&mut l1, "L1"),
                     other => return Err(ParseError(format!("unknown cache level '{other}'"))),
+                };
+                if slot.replace(n).is_some() {
+                    return Err(ParseError(format!(
+                        "repeated key '{key}': {level} is already set"
+                    )));
                 }
             }
             let l2 = l2.ok_or_else(|| ParseError("scache_isolate_way requires L2=N".into()))?;
-            Ok(Directive::IsolateWay { l2, l1 })
+            Ok(Directive::IsolateWay {
+                l2,
+                l1: l1.unwrap_or(0),
+            })
         }
         "scache_isolate_assign" => {
             if rest.is_empty() {

@@ -48,7 +48,8 @@ pub fn simulate_spmv(
     num_threads: usize,
     warmup: usize,
 ) -> SimResult {
-    let partition = RowPartition::static_rows(matrix.num_rows(), num_threads.max(1));
+    assert!(num_threads > 0, "need at least one thread");
+    let partition = RowPartition::static_rows(matrix.num_rows(), num_threads);
     simulate_spmv_partitioned(matrix, cfg, sector1, &partition, warmup, None)
 }
 
@@ -187,6 +188,12 @@ mod tests {
             0,
             "class (1) must not miss after warm-up"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one thread")]
+    fn zero_threads_panic_as_documented() {
+        simulate_spmv(&small_matrix(), &cfg_seq(), ArraySet::EMPTY, 0, 1);
     }
 
     #[test]

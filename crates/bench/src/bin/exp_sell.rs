@@ -2,44 +2,34 @@
 //! of **SELL-C-σ** SpMV, side by side with CSR.
 //!
 //! The reuse-distance machinery is format-agnostic: the SELL trace reuses
-//! the five array roles, so Eq. (2) applies unchanged. For each corpus
-//! matrix this prints the predicted steady-state L2 misses of CSR and
-//! SELL-8-σ (σ = 8·C) without and with the Listing-1 partitioning, plus
-//! the SELL padding overhead.
+//! the five array roles, so Eq. (2) applies unchanged, and both formats
+//! run through the model's own method (A) pipeline (`SellMatrix` is an
+//! `SpmvWorkload`). For each corpus matrix this prints the predicted
+//! steady-state L2 misses of CSR and SELL-8-σ (σ = 8·C) without and with
+//! the Listing-1 partitioning, plus the SELL padding overhead.
 //!
 //! Run: `cargo run --release -p spmv-bench --bin exp_sell [--count N --scale N]`
 
-use memtrace::sell_trace::{sell_layout, trace_sell_spmv};
-use memtrace::spmv_trace::trace_spmv;
-use memtrace::{ArraySet, DataLayout};
-use reuse::PartitionedStack;
+use locality_core::method_a;
+use locality_core::{SectorSetting, SpmvWorkload};
 use sparsemat::SellMatrix;
 use spmv_bench::runner::{machine_for, parallel_map, ExpArgs, SweepPoint};
 
-/// Predicted steady-state misses (off, 5 ways) for an arbitrary trace
-/// generator, via two warm-up + measure passes over a partitioned stack.
-fn predict_from_trace(
-    feed: impl Fn(&mut PartitionedStack),
-    cap_total: usize,
-    cap0: usize,
-    cap1: usize,
-) -> (u64, u64) {
-    let mut off = PartitionedStack::new(ArraySet::EMPTY, &[cap_total], &[1]);
-    feed(&mut off);
-    off.reset_counters();
-    feed(&mut off);
-    let mut part = PartitionedStack::new(ArraySet::MATRIX_STREAM, &[cap0], &[cap1]);
-    feed(&mut part);
-    part.reset_counters();
-    feed(&mut part);
-    (off.partition0().misses(0), part.total_misses(0, 0))
+/// Method (A) predictions of steady-state L2 misses, sequential: sector
+/// cache off, and the Listing-1 split with 5 ways for the matrix stream.
+fn predict_off_5w<W: SpmvWorkload>(workload: &W, cfg: &a64fx::MachineConfig) -> (u64, u64) {
+    let preds = method_a::predict(
+        workload,
+        cfg,
+        &[SectorSetting::Off, SectorSetting::L2Ways(5)],
+        1,
+    );
+    (preds[0].l2_misses, preds[1].l2_misses)
 }
 
 fn main() {
     let args = ExpArgs::parse(40);
     let cfg = machine_for(args.scale, 1, SweepPoint::BASELINE);
-    let sets = cfg.l2.num_sets();
-    let (cap_total, cap0, cap1) = (cfg.l2.total_lines(), sets * 11, sets * 5);
     println!(
         "# SELL-C-sigma extension: predicted L2 misses, sequential, 5 L2 ways (scale 1/{})",
         args.scale
@@ -51,22 +41,9 @@ fn main() {
 
     let suite = corpus::corpus(args.count, args.scale, args.seed);
     let rows = parallel_map(&suite, |nm| {
-        let line = cfg.l2.line_bytes;
-        let csr_layout = DataLayout::new(&nm.matrix, line);
-        let (csr_off, csr_5w) = predict_from_trace(
-            |s| trace_spmv(&nm.matrix, &csr_layout, s),
-            cap_total,
-            cap0,
-            cap1,
-        );
+        let (csr_off, csr_5w) = predict_off_5w(&nm.matrix, &cfg);
         let sell = SellMatrix::from_csr(&nm.matrix, 8, 64);
-        let layout = sell_layout(&sell, line);
-        let (sell_off, sell_5w) = predict_from_trace(
-            |s| trace_sell_spmv(&sell, &layout, s),
-            cap_total,
-            cap0,
-            cap1,
-        );
+        let (sell_off, sell_5w) = predict_off_5w(&sell, &cfg);
         (
             nm.name.clone(),
             sell.padding_ratio(),

@@ -12,9 +12,7 @@
 
 use a64fx::MachineConfig;
 use memtrace::cursor::TraceCursor;
-use memtrace::interleave::{
-    domain_groups, round_robin_cursors, round_robin_cursors_blocks, round_robin_into,
-};
+use memtrace::interleave::{domain_groups, round_robin_cursors_blocks, round_robin_into};
 use memtrace::{Access, BlockSink, DataLayout, SpmvWorkload, TraceSink};
 use sparsemat::RowPartition;
 use std::ops::Range;
@@ -51,14 +49,18 @@ impl DomainTraces {
 }
 
 /// Streaming per-domain trace access — the zero-materialization
-/// counterpart of [`DomainTraces`].
+/// counterpart of [`DomainTraces`], and the feed of every production
+/// reader of a domain's reference stream.
 ///
 /// Instead of grouping buffered per-thread traces, this factory hands out
 /// fresh per-thread *cursors* for any domain on demand and merges them in
-/// the same round-robin order [`DomainTraces::feed_domain`] uses. A replay
-/// (e.g. the warm-up and measured iterations of the locality model) is
-/// just another `feed_*` call: total state is O(threads in the domain) and
-/// no reference is ever buffered.
+/// blocks, in the same round-robin order [`DomainTraces::feed_domain`]
+/// uses. A replay (e.g. the warm-up and measured iterations of the
+/// locality model) is just another `feed_*_blocks` call: total state is
+/// O(threads in the domain) and no reference is ever buffered. A
+/// per-reference consumer takes the blocks through
+/// [`memtrace::RefSink`]; with `cores_per_domain = 1` every "domain" is
+/// one thread's private stream.
 ///
 /// Generic over the storage format: the cursors come from the
 /// [`SpmvWorkload`] trait, so the same plumbing serves CSR row blocks and
@@ -93,7 +95,7 @@ impl<'a, W: SpmvWorkload> DomainCursors<'a, W> {
     }
 
     /// Fresh method (A) cursors for domain `d`'s threads.
-    pub fn spmv_cursors(&self, d: usize) -> Vec<W::Cursor<'a>> {
+    fn spmv_cursors(&self, d: usize) -> Vec<W::Cursor<'a>> {
         self.spans[d]
             .clone()
             .map(|t| {
@@ -104,7 +106,7 @@ impl<'a, W: SpmvWorkload> DomainCursors<'a, W> {
     }
 
     /// Fresh method (B) cursors for domain `d`'s threads.
-    pub fn x_cursors(&self, d: usize) -> Vec<W::XCursor<'a>> {
+    fn x_cursors(&self, d: usize) -> Vec<W::XCursor<'a>> {
         self.spans[d]
             .clone()
             .map(|t| {
@@ -119,37 +121,17 @@ impl<'a, W: SpmvWorkload> DomainCursors<'a, W> {
         self.spmv_cursors(d).iter().map(|c| c.remaining()).sum()
     }
 
-    /// Length of domain `d`'s interleaved method (B) stream.
-    pub fn x_len(&self, d: usize) -> usize {
-        self.x_cursors(d).iter().map(|c| c.remaining()).sum()
-    }
-
     /// Streams domain `d`'s round-robin interleaved method (A) references
-    /// into a sink — same order as [`DomainTraces::feed_domain`] over the
-    /// materialised traces.
-    pub fn feed_spmv<S: TraceSink>(&self, d: usize, sink: &mut S) {
-        let mut cursors = self.spmv_cursors(d);
-        round_robin_cursors(&mut cursors, 1, sink);
-    }
-
-    /// Streams domain `d`'s method (A) references into a block sink —
-    /// the same reference order as [`Self::feed_spmv`], delivered in
-    /// [`memtrace::AccessBlock`]s instead of one virtual call per
-    /// reference. This is the fast path of the marker-stack pipeline.
+    /// (one reference per thread per turn) into a block sink, in
+    /// [`memtrace::AccessBlock`]s — the same order as
+    /// [`DomainTraces::feed_domain`] over the materialised traces.
     pub fn feed_spmv_blocks<S: BlockSink>(&self, d: usize, sink: &mut S) {
         let mut cursors = self.spmv_cursors(d);
         round_robin_cursors_blocks(&mut cursors, sink);
     }
 
     /// Streams domain `d`'s round-robin interleaved method (B) references
-    /// into a sink.
-    pub fn feed_x<S: TraceSink>(&self, d: usize, sink: &mut S) {
-        let mut cursors = self.x_cursors(d);
-        round_robin_cursors(&mut cursors, 1, sink);
-    }
-
-    /// Streams domain `d`'s method (B) references into a block sink, in
-    /// the same order as [`Self::feed_x`].
+    /// into a block sink.
     pub fn feed_x_blocks<S: BlockSink>(&self, d: usize, sink: &mut S) {
         let mut cursors = self.x_cursors(d);
         round_robin_cursors_blocks(&mut cursors, sink);
@@ -227,7 +209,7 @@ mod tests {
             let mut want = VecSink::new();
             materialized.feed_domain(d, &mut want);
             let mut got = VecSink::new();
-            cursors.feed_spmv(d, &mut got);
+            cursors.feed_spmv_blocks(d, &mut got);
             assert_eq!(got.trace, want.trace, "spmv domain {d}");
             assert_eq!(cursors.spmv_len(d), want.trace.len(), "spmv len {d}");
         }
@@ -238,41 +220,8 @@ mod tests {
             let mut want = VecSink::new();
             materialized.feed_domain(d, &mut want);
             let mut got = VecSink::new();
-            cursors.feed_x(d, &mut got);
-            assert_eq!(got.trace, want.trace, "x domain {d}");
-            assert_eq!(cursors.x_len(d), want.trace.len(), "x len {d}");
-        }
-    }
-
-    #[test]
-    fn feed_spmv_blocks_matches_per_ref_feed() {
-        use sparsemat::CooMatrix;
-        let mut state = 77u64;
-        let mut coo = CooMatrix::new(80, 80);
-        for r in 0..80 {
-            for _ in 0..5 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(13);
-                coo.push(r, (state >> 33) as usize % 80);
-            }
-        }
-        let m = coo.to_csr();
-        let layout = DataLayout::new(&m, 64);
-        let partition = thread_partition(&m, 5);
-        let cursors = DomainCursors::new(&m, &layout, &partition, 2);
-        for d in 0..cursors.num_domains() {
-            let mut want = VecSink::new();
-            cursors.feed_spmv(d, &mut want);
-            let mut got = memtrace::PackedVecSink::new();
-            cursors.feed_spmv_blocks(d, &mut got);
-            let unpacked: Vec<Access> = got.trace.iter().map(|p| p.unpack()).collect();
-            assert_eq!(unpacked, want.trace, "domain {d}");
-
-            let mut want = VecSink::new();
-            cursors.feed_x(d, &mut want);
-            let mut got = memtrace::PackedVecSink::new();
             cursors.feed_x_blocks(d, &mut got);
-            let unpacked: Vec<Access> = got.trace.iter().map(|p| p.unpack()).collect();
-            assert_eq!(unpacked, want.trace, "x domain {d}");
+            assert_eq!(got.trace, want.trace, "x domain {d}");
         }
     }
 

@@ -8,11 +8,9 @@
 //! assumes; the same gap appears against this repository's simulator.
 
 use crate::analytic::{scale_s2, StreamTerms};
-use crate::concurrent::thread_partition;
+use crate::concurrent::{thread_partition, DomainCursors};
 use crate::predict::Method;
 use a64fx::MachineConfig;
-use memtrace::spmv_trace::trace_spmv_partitioned;
-use memtrace::xtrace::trace_x_partitioned;
 use memtrace::SpmvWorkload;
 use reuse::MarkerStack;
 use sparsemat::CsrMatrix;
@@ -31,51 +29,46 @@ pub fn predict_l1_misses(
     }
     let layout = matrix.layout(cfg.l1.line_bytes);
     let partition = thread_partition(matrix, threads);
+    // One thread per "domain": each private L1 sees its own stream only.
+    let per_thread = DomainCursors::new(matrix, &layout, &partition, 1);
     let l1_lines = cfg.l1.total_lines();
 
     match method {
-        Method::A => {
-            let traces = trace_spmv_partitioned(matrix, &layout, &partition);
-            let mut total = 0u64;
-            for trace in &traces {
-                let mut stack = MarkerStack::new(&[l1_lines]);
-                for &a in trace {
-                    stack.access(a.line, a.array);
-                }
-                stack.reset_counters();
-                for &a in trace {
-                    stack.access(a.line, a.array);
-                }
-                total += stack.misses(0);
-            }
-            total
-        }
+        Method::A => private_misses(&per_thread, method, l1_lines),
         Method::B => {
             // x misses from the scaled x-trace distances; streamed arrays
             // never stay in a (tiny) L1 across their reuse, so they
             // contribute their full per-line terms.
             let s2 = scale_s2(matrix.num_rows(), matrix.nnz());
             let threshold = ((l1_lines as f64 / s2).floor() as usize).max(1);
-            let traces = trace_x_partitioned(matrix, &layout, &partition);
-            let mut x_misses = 0u64;
-            for trace in &traces {
-                if trace.is_empty() {
-                    continue;
-                }
-                let mut stack = MarkerStack::new(&[threshold]);
-                for &a in trace {
-                    stack.access(a.line, a.array);
-                }
-                stack.reset_counters();
-                for &a in trace {
-                    stack.access(a.line, a.array);
-                }
-                x_misses += stack.misses(0);
-            }
             let terms = StreamTerms::of(matrix, cfg.l1.line_bytes);
-            x_misses + terms.total()
+            private_misses(&per_thread, method, threshold) + terms.total()
         }
     }
+}
+
+/// Measured-iteration misses of a fully associative LRU of `capacity`
+/// lines per thread, summed over threads: each thread's method (A) or
+/// (B) stream is replayed twice through its own stack — warm-up, counter
+/// reset, measured.
+fn private_misses(
+    per_thread: &DomainCursors<'_, CsrMatrix>,
+    method: Method,
+    capacity: usize,
+) -> u64 {
+    (0..per_thread.num_domains())
+        .map(|t| {
+            let mut stack = MarkerStack::new(&[capacity]);
+            let feed = |stack: &mut MarkerStack| match method {
+                Method::A => per_thread.feed_spmv_blocks(t, stack),
+                Method::B => per_thread.feed_x_blocks(t, stack),
+            };
+            feed(&mut stack);
+            stack.reset_counters();
+            feed(&mut stack);
+            stack.misses(0)
+        })
+        .sum()
 }
 
 #[cfg(test)]

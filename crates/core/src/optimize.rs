@@ -16,10 +16,9 @@
 //! routing group covers *every* candidate allocation — the same property
 //! Eq. (2) exploits.
 
-use crate::concurrent::{thread_partition, DomainTraces};
+use crate::concurrent::{thread_partition, DomainCursors};
 use a64fx::MachineConfig;
-use memtrace::spmv_trace::trace_spmv_partitioned;
-use memtrace::{Array, ArraySet, SpmvWorkload};
+use memtrace::{Array, ArraySet, PackedVecSink, SpmvWorkload};
 use reuse::{ExactStack, ReuseHistogram};
 use sparsemat::CsrMatrix;
 
@@ -67,23 +66,24 @@ impl PartitionOptimizer {
 
         let layout = matrix.layout(cfg.l2.line_bytes);
         let partition = thread_partition(matrix, threads);
-        let per_thread = trace_spmv_partitioned(matrix, &layout, &partition);
-        let domains = DomainTraces::group(per_thread, cfg.cores_per_domain);
+        let domains = DomainCursors::new(matrix, &layout, &partition, cfg.cores_per_domain);
 
         let mut histograms = vec![Vec::new(); groups.len()];
         for d in 0..domains.num_domains() {
-            let mut interleaved = memtrace::VecSink::new();
-            domains.feed_domain(d, &mut interleaved);
+            // Every group replays the same merged stream twice, so it is
+            // buffered once, packed.
+            let mut merged = PackedVecSink::with_capacity(domains.spmv_len(d));
+            domains.feed_spmv_blocks(d, &mut merged);
             for (gi, group) in groups.iter().enumerate() {
                 let mut stack = ExactStack::new();
                 // Warm-up iteration.
-                for a in interleaved.trace.iter().filter(|a| group.contains(a.array)) {
-                    stack.access(a.line);
+                for p in merged.trace.iter().filter(|p| group.contains(p.array())) {
+                    stack.access(p.line());
                 }
                 // Measured iteration.
                 let mut hist = ReuseHistogram::new();
-                for a in interleaved.trace.iter().filter(|a| group.contains(a.array)) {
-                    hist.record(stack.access(a.line));
+                for p in merged.trace.iter().filter(|p| group.contains(p.array())) {
+                    hist.record(stack.access(p.line()));
                 }
                 histograms[gi].push(hist);
             }

@@ -24,11 +24,11 @@ use crate::analytic::{scale_part0, scale_unpart, StreamTerms};
 use crate::concurrent::{thread_partition, DomainCursors, DomainTraces};
 use crate::predict::{Method, Prediction, SectorSetting};
 use a64fx::MachineConfig;
-use memtrace::sink::{PackedVecSink, TeeSink};
+use memtrace::sink::PackedVecSink;
 use memtrace::spmv_trace::trace_spmv_partitioned;
 use memtrace::xtrace::trace_x_partitioned;
 use memtrace::{
-    Access, AccessBlock, Array, ArraySet, BlockSink, BlockTee, DataLayout, PackedAccess,
+    Access, AccessBlock, Array, ArraySet, BlockSink, BlockTee, DataLayout, PackedAccess, RefSink,
     SpmvWorkload, TraceCursor, TraceSink, BLOCK_REFS,
 };
 use reuse::{ExactStack, LineTable, MarkerStack, QuantizedCounts, ReuseHistogram};
@@ -268,20 +268,6 @@ impl MarkerSink {
         }
         if let Some(s) = &self.stack1 {
             s.flush_obs();
-        }
-    }
-}
-
-impl TraceSink for MarkerSink {
-    #[inline]
-    fn access(&mut self, access: Access) {
-        let stack = if self.sector1.contains(access.array) {
-            &mut self.stack1
-        } else {
-            &mut self.stack0
-        };
-        if let Some(s) = stack {
-            s.access(access.line, access.array);
         }
     }
 }
@@ -1052,11 +1038,14 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
                         (b0, b1),
                     );
                     drop((order, lastpos));
-                    cursors.feed_spmv(
+                    // Measured iteration. The two sinks are independent,
+                    // so handing each a whole block in turn keeps every
+                    // stack's reference order.
+                    cursors.feed_spmv_blocks(
                         d,
-                        &mut TeeSink {
-                            first: &mut shared,
-                            second: &mut routed,
+                        &mut BlockTee {
+                            first: &mut RefSink(&mut shared),
+                            second: &mut RefSink(&mut routed),
                         },
                     );
                     let _extract = obs::span("reuse_stack.extract");
@@ -1077,7 +1066,7 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
                 let len = lastpos.pos as usize;
                 let mut sink = XPairSink::seeded(&lastpos.lru_order(), len, self.domain_x_lines(d));
                 drop(lastpos);
-                cursors.feed_x(d, &mut sink); // measured
+                cursors.feed_x_blocks(d, &mut RefSink(&mut sink)); // measured
                 let _extract = obs::span("reuse_stack.extract");
                 sink.flush_obs();
                 let cold = sink.cold;

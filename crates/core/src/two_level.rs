@@ -13,8 +13,7 @@
 use crate::concurrent::{thread_partition, DomainTraces};
 use crate::predict::{Prediction, SectorSetting};
 use a64fx::MachineConfig;
-use memtrace::spmv_trace::trace_spmv_partitioned;
-use memtrace::{Access, Array, ArraySet, SpmvWorkload};
+use memtrace::{Access, Array, ArraySet, SpmvWorkload, TraceCursor, VecSink};
 use reuse::{ExactStack, PartitionedStack};
 use sparsemat::CsrMatrix;
 
@@ -53,9 +52,16 @@ pub fn predict_filtered(
     assert!(threads >= 1, "need at least one thread");
     let layout = matrix.layout(cfg.l2.line_bytes);
     let partition = thread_partition(matrix, threads);
-    let per_thread: Vec<Vec<Access>> = trace_spmv_partitioned(matrix, &layout, &partition)
+    // The L1-filtered stream is inherently buffered: each thread's trace
+    // is drained from its cursor, filtered, and grouped for replay.
+    let per_thread: Vec<Vec<Access>> = partition
         .iter()
-        .map(|t| l1_filter(t, cfg.l1.total_lines()))
+        .map(|rows| {
+            let mut cursor = matrix.trace_cursor(&layout, rows);
+            let mut trace = VecSink::with_capacity(cursor.remaining());
+            cursor.drain_into(&mut trace);
+            l1_filter(&trace.trace, cfg.l1.total_lines())
+        })
         .collect();
     let domains = DomainTraces::group(per_thread, cfg.cores_per_domain);
 

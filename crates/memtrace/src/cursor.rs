@@ -1,22 +1,29 @@
-//! Resumable trace *cursors*: row-block generators that yield [`Access`]es
-//! on demand.
+//! Resumable trace *cursors*: work-item-block generators that yield
+//! [`Access`]es on demand — the one trace feed of the model, the side
+//! analyses and the simulator.
 //!
-//! The sink-based generators ([`spmv_trace`](crate::spmv_trace),
-//! [`xtrace`](crate::xtrace)) push a whole row block's references in one
-//! call, which forces callers that need to *interleave* several threads'
-//! references (the shared-L2 collation of §3.2.1) to materialise every
-//! per-thread trace first — `~3·nnz` 16-byte events per routing replay.
-//! A cursor inverts the control flow: it carries the generator's loop
-//! state (row, nonzero, emission stage) in O(1) space and produces the
-//! next reference each time it is asked, so
-//! [`round_robin_cursors`](crate::interleave::round_robin_cursors) can
-//! merge an arbitrary number of threads with O(threads) total state and
-//! zero trace allocation.
+//! A cursor carries its generator's loop state (row or chunk, entry,
+//! emission stage) in O(1) space and produces the next reference each
+//! time it is asked — one at a time through
+//! [`next_access`](TraceCursor::next_access), or a block at a time
+//! through [`next_block`](TraceCursor::next_block), which hoists the
+//! layout arithmetic out of the per-reference path. Every production
+//! reader of a reference stream goes through the block merge
+//! [`round_robin_cursors_blocks`](crate::interleave::round_robin_cursors_blocks),
+//! which interleaves the threads sharing a cache with O(threads) total
+//! state and zero trace allocation; a single cursor is the one-thread
+//! case.
 //!
 //! Cursors are cheap to construct (they borrow the matrix and layout), so
 //! replaying a stream — e.g. the warm-up and measured iterations of the
 //! locality model — is done by building fresh cursors rather than storing
 //! the trace.
+//!
+//! The sink-pushing generators ([`spmv_trace`](crate::spmv_trace),
+//! [`xtrace`](crate::xtrace)) are kept only as the independent reference:
+//! the cursor tests pin every cursor to them reference for reference, and
+//! `LocalityProfile::compute_materialized` replays them as the validation
+//! oracle.
 
 use crate::layout::{Array, DataLayout};
 use crate::sink::{AccessBlock, TraceSink};
@@ -217,9 +224,9 @@ enum Stage {
     Done,
 }
 
-/// Streaming equivalent of
-/// [`trace_spmv_rows`](crate::spmv_trace::trace_spmv_rows): yields the
-/// method (A) trace of one row block reference-by-reference.
+/// Streaming equivalent of the reference generator `trace_spmv_rows` in
+/// [`spmv_trace`](crate::spmv_trace): yields the method (A) trace of one
+/// row block reference-by-reference.
 ///
 /// The emission order is identical to the sink generator's (verified by
 /// tests): `rowptr[r0]`, then per row the bound load, the per-nonzero
@@ -276,7 +283,7 @@ impl<'a> SpmvCursor<'a> {
         } else {
             // trace_len generalised to k: the entry load, per row the
             // bound load plus k `y` stores, per nonzero a/colidx plus k
-            // `x` loads. k = 1 reduces to spmv_trace::trace_len.
+            // `x` loads. k = 1 reduces to the reference `trace_len`.
             1 + rows.len() * (1 + rhs.k) + nnz * (2 + rhs.k)
         };
         SpmvCursor {
@@ -430,9 +437,9 @@ impl TraceCursor for SpmvCursor<'_> {
     }
 }
 
-/// Streaming equivalent of
-/// [`trace_x_rows`](crate::xtrace::trace_x_rows): yields the method (B)
-/// trace (one `x` load per nonzero) of one row block.
+/// Streaming equivalent of the reference generator `trace_x_rows` in
+/// [`xtrace`](crate::xtrace): yields the method (B) trace (one `x` load
+/// per nonzero) of one row block.
 #[derive(Clone, Debug)]
 pub struct XCursor<'a> {
     colidx: &'a [u32],
@@ -610,15 +617,14 @@ enum SellStage {
     Done,
 }
 
-/// Streaming equivalent of
-/// [`trace_sell_chunks`](crate::sell_trace::trace_sell_chunks): yields the
-/// method (A) trace of one chunk block of a SELL-C-σ matrix
+/// Yields the method (A) trace of one chunk block of a SELL-C-σ matrix
 /// reference-by-reference.
 ///
-/// The emission order is identical to the sink generator's (verified by
-/// tests): per chunk the metadata load, then the `a`/`colidx`/`x` triple
-/// of every padded entry in storage (column-major) order, then one `y`
-/// store per row of the chunk in packed order.
+/// The emission order is identical to the test-only straight-line
+/// reference generator's (`trace_sell_chunks`, verified by tests): per
+/// chunk the metadata load, then the `a`/`colidx`/`x` triple of every
+/// padded entry in storage (column-major) order, then one `y` store per
+/// row of the chunk in packed order.
 #[derive(Clone, Debug)]
 pub struct SellCursor<'a> {
     matrix: &'a SellMatrix,
@@ -1034,34 +1040,6 @@ impl<C: TraceCursor, X: TraceCursor> TraceCursor for SwPrefetchCursor<C, X> {
     }
 }
 
-/// Per-thread method (A) cursors for a row partition — the streaming
-/// counterpart of
-/// [`trace_spmv_partitioned`](crate::spmv_trace::trace_spmv_partitioned).
-pub fn spmv_cursors<'a>(
-    matrix: &'a CsrMatrix,
-    layout: &'a DataLayout,
-    partition: &sparsemat::RowPartition,
-) -> Vec<SpmvCursor<'a>> {
-    partition
-        .iter()
-        .map(|rows| SpmvCursor::new(matrix, layout, rows))
-        .collect()
-}
-
-/// Per-thread method (B) cursors for a row partition — the streaming
-/// counterpart of
-/// [`trace_x_partitioned`](crate::xtrace::trace_x_partitioned).
-pub fn x_cursors<'a>(
-    matrix: &'a CsrMatrix,
-    layout: &'a DataLayout,
-    partition: &sparsemat::RowPartition,
-) -> Vec<XCursor<'a>> {
-    partition
-        .iter()
-        .map(|rows| XCursor::new(matrix, layout, rows))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1154,9 +1132,9 @@ mod tests {
         let l = DataLayout::new(&m, 64);
         let p = RowPartition::static_rows(100, 7);
         let traces = trace_spmv_partitioned(&m, &l, &p);
-        let cursors = spmv_cursors(&m, &l, &p);
-        for (cursor, trace) in cursors.into_iter().zip(traces) {
-            assert_eq!(collect(cursor), trace);
+        assert_eq!(traces.len(), p.num_parts());
+        for (rows, trace) in p.iter().zip(traces) {
+            assert_eq!(collect(SpmvCursor::new(&m, &l, rows)), trace);
         }
     }
 
@@ -1297,11 +1275,11 @@ mod tests {
 
     #[test]
     fn sell_cursor_matches_sink_generator() {
-        use crate::sell_trace::{sell_layout, trace_sell_chunks};
+        use crate::sell_trace::trace_sell_chunks;
         let a = sell_fixture(5);
         for (c, sigma) in [(1, 1), (4, 8), (8, 16), (5, 5)] {
             let sell = sparsemat::SellMatrix::from_csr(&a, c, sigma);
-            let l = sell_layout(&sell, 16);
+            let l = crate::SpmvWorkload::layout(&sell, 16);
             let n = sell.num_chunks();
             for chunks in [0..n, 0..1, 1..n, n..n, 0..0] {
                 let mut sink = VecSink::new();
@@ -1315,10 +1293,9 @@ mod tests {
 
     #[test]
     fn sell_cursor_remaining_counts_down_exactly() {
-        use crate::sell_trace::sell_layout;
         let a = sell_fixture(11);
         let sell = sparsemat::SellMatrix::from_csr(&a, 4, 8);
-        let l = sell_layout(&sell, 64);
+        let l = crate::SpmvWorkload::layout(&sell, 64);
         let mut cursor = SellCursor::new(&sell, &l, 0..sell.num_chunks());
         let total = cursor.remaining();
         let mut seen = 0;
@@ -1332,10 +1309,10 @@ mod tests {
 
     #[test]
     fn sell_x_cursor_matches_x_loads_of_full_trace() {
-        use crate::sell_trace::{sell_layout, trace_sell_chunks};
+        use crate::sell_trace::trace_sell_chunks;
         let a = sell_fixture(23);
         let sell = sparsemat::SellMatrix::from_csr(&a, 4, 8);
-        let l = sell_layout(&sell, 16);
+        let l = crate::SpmvWorkload::layout(&sell, 16);
         let mut sink = VecSink::new();
         trace_sell_chunks(&sell, &l, 0..sell.num_chunks(), &mut sink);
         let expect: Vec<Access> = sink
@@ -1417,12 +1394,11 @@ mod tests {
 
     #[test]
     fn sell_next_block_matches_per_ref_path() {
-        use crate::sell_trace::sell_layout;
         let a = sell_fixture(7);
         for (c, sigma) in [(1, 1), (4, 8), (8, 16), (5, 5)] {
             let sell = sparsemat::SellMatrix::from_csr(&a, c, sigma);
             for line_bytes in [16, 64] {
-                let l = sell_layout(&sell, line_bytes);
+                let l = crate::SpmvWorkload::layout(&sell, line_bytes);
                 let expect = collect(SellCursor::new(&sell, &l, 0..sell.num_chunks()));
                 let got = collect_blocks(SellCursor::new(&sell, &l, 0..sell.num_chunks()));
                 assert_eq!(got, expect, "C={c} line_bytes={line_bytes}");
@@ -1442,10 +1418,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk range out of bounds")]
     fn sell_out_of_bounds_rejected() {
-        use crate::sell_trace::sell_layout;
         let a = sell_fixture(3);
         let sell = sparsemat::SellMatrix::from_csr(&a, 4, 8);
-        let l = sell_layout(&sell, 16);
+        let l = crate::SpmvWorkload::layout(&sell, 16);
         SellCursor::new(&sell, &l, 0..sell.num_chunks() + 1);
     }
 

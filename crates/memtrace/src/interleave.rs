@@ -4,9 +4,12 @@
 //! sharing threads' references reach it (concurrent reuse distance, Schuff
 //! et al.). Two collation strategies are provided:
 //!
-//! * [`round_robin`] — deterministic: threads submit fixed-size chunks in
+//! * round-robin — deterministic: threads submit fixed-size chunks in
 //!   cyclic order. This models threads progressing at identical rates and
-//!   is the reproducible default used by tests and experiments.
+//!   is the order every prediction uses. [`round_robin_cursors_blocks`]
+//!   merges per-thread *cursors* one reference per thread per turn and is
+//!   the production feed; [`round_robin`] and [`round_robin_into`] merge
+//!   materialised traces for the reference oracle and the tests.
 //! * [`mcs_interleave`] — concurrent: real threads submit chunks guarded by
 //!   the FIFO-fair [`McsLock`], as in the paper's
 //!   §3.2.1. The resulting order depends on actual scheduling; over equal-
@@ -81,59 +84,20 @@ pub fn round_robin_into<S: TraceSink>(traces: &[Vec<Access>], chunk: usize, sink
     }
 }
 
-/// Streams the round-robin interleaving of per-thread trace *cursors*
-/// directly into a sink.
-///
-/// The order is identical to [`round_robin_into`] over the traces the
-/// cursors would produce, but the merged stream is generated on demand:
-/// total state is O(threads) regardless of trace length, and no
-/// per-thread trace is ever materialised. This is the collation the
-/// streaming profile pipeline uses per L2 domain.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero.
-pub fn round_robin_cursors<C: TraceCursor, S: TraceSink>(
-    cursors: &mut [C],
-    chunk: usize,
-    sink: &mut S,
-) {
-    assert!(chunk > 0, "chunk size must be positive");
-    let mut remaining: usize = cursors.iter().map(|c| c.remaining()).sum();
-    // One span + three counter updates per *feed* (a whole domain pass),
-    // not per reference: the inner loop stays uninstrumented.
-    let _span = obs::span("trace.stream");
-    if obs::enabled() {
-        obs::add("memtrace.cursor.feeds", 1);
-        obs::add("memtrace.cursor.refs", remaining as u64);
-        obs::observe("memtrace.stream.refs", remaining as u64);
-    }
-    while remaining > 0 {
-        for cursor in cursors.iter_mut() {
-            for _ in 0..chunk {
-                match cursor.next_access() {
-                    Some(a) => {
-                        sink.access(a);
-                        remaining -= 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-    }
-}
-
 /// Streams the round-robin interleaving of per-thread trace cursors into
 /// a [`BlockSink`], in blocks of up to [`crate::BLOCK_REFS`] references.
 ///
-/// The reference order is *identical* to
-/// [`round_robin_cursors`]`(cursors, 1, sink)` — one reference per
-/// cursor per cycle — but the stream moves in blocks at both ends: each
-/// cursor refills a staging block via
-/// [`TraceCursor::next_block`] (amortising its per-reference layout
-/// arithmetic) and the merged output reaches the sink as full blocks
-/// (amortising the virtual dispatch). A single-cursor "interleaving"
-/// skips the staging entirely and forwards the cursor's blocks as-is.
+/// This is the collation every production reader of a shared cache's
+/// reference stream goes through. The reference order is *identical* to
+/// [`round_robin_into`]`(traces, 1, sink)` over the traces the cursors
+/// would produce — one reference per cursor per cycle — but the merged
+/// stream is generated on demand (total state is O(threads), no
+/// per-thread trace is materialised) and moves in blocks at both ends:
+/// each cursor refills a staging block via [`TraceCursor::next_block`]
+/// (amortising its per-reference layout arithmetic) and the merged
+/// output reaches the sink as full blocks (amortising the virtual
+/// dispatch). A single-cursor "interleaving" skips the staging entirely
+/// and forwards the cursor's blocks as-is.
 pub fn round_robin_cursors_blocks<C: TraceCursor, S: BlockSink>(cursors: &mut [C], sink: &mut S) {
     let total: usize = cursors.iter().map(|c| c.remaining()).sum();
     let _span = obs::span("trace.stream");
@@ -160,8 +124,7 @@ pub fn round_robin_cursors_blocks<C: TraceCursor, S: BlockSink>(cursors: &mut [C
     // shortest staged length, and a cursor's block is short only at
     // exhaustion, so refill checks run once per *block*, not per
     // reference; a cursor drops out when its refill comes back empty —
-    // exactly when `round_robin_cursors` would see `next_access() ==
-    // None`.
+    // exactly when its `next_access()` would return `None`.
     let mut staging: Vec<AccessBlock> = cursors.iter().map(|_| AccessBlock::new()).collect();
     let mut active: Vec<usize> = Vec::with_capacity(cursors.len());
     for (i, c) in cursors.iter_mut().enumerate() {
@@ -316,22 +279,6 @@ mod tests {
         let mut sink = crate::sink::VecSink::new();
         round_robin_into(&traces, 2, &mut sink);
         assert_eq!(sink.trace, direct);
-    }
-
-    #[test]
-    fn round_robin_cursors_matches_materialized() {
-        use crate::cursor::SliceCursor;
-        for lens in [vec![5, 3, 7], vec![1, 4], vec![0, 0, 2], vec![]] {
-            for chunk in [1, 2, 5] {
-                let traces = traces_of(&lens);
-                let direct = round_robin(&traces, chunk);
-                let mut cursors: Vec<SliceCursor> =
-                    traces.iter().map(|t| SliceCursor::new(t)).collect();
-                let mut sink = crate::sink::VecSink::new();
-                round_robin_cursors(&mut cursors, chunk, &mut sink);
-                assert_eq!(sink.trace, direct, "lens {lens:?} chunk {chunk}");
-            }
-        }
     }
 
     #[test]

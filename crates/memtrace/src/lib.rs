@@ -1,4 +1,4 @@
-//! Cache-line-granular memory-trace generation for CSR SpMV.
+//! Cache-line-granular memory-trace generation for sparse kernels.
 //!
 //! The paper's method (§3.2.1) does not instrument a running SpMV kernel;
 //! instead it *derives* the memory trace the kernel would produce from the
@@ -7,21 +7,27 @@
 //! * [`layout::DataLayout`] assigns cache-line numbers to the elements of
 //!   the five SpMV data structures (`x`, `y`, `a`, `colidx`, `rowptr`),
 //!   each aligned to a cache-line boundary (the paper's Fig. 1c).
-//! * [`spmv_trace`] generates the full method (A) trace (Fig. 1b): for each
-//!   row the loop-bound `rowptr` access, then per nonzero the `a`,
-//!   `colidx` and `x` accesses, then the `y` access.
-//! * [`xtrace`] generates the reduced method (B) trace containing only the
-//!   `x`-vector accesses implied by `colidx`.
+//! * [`cursor`] holds the resumable trace cursors — the full method (A)
+//!   trace (Fig. 1b) and the reduced method (B) `x`-only trace, for CSR,
+//!   SELL-C-σ, SpMM and CG — and [`workload::SpmvWorkload`] hands them out
+//!   per range of work items.
+//! * [`interleave::round_robin_cursors_blocks`] merges the cursors of the
+//!   threads sharing a cache into the order that cache sees, in
+//!   [`AccessBlock`]s. Cursors plus this block merge are the one trace
+//!   feed: the locality profile, the side analyses and the simulator all
+//!   read their streams through it.
 //! * [`mcs::McsLock`] is a queue-based MCS lock (Mellor-Crummey & Scott)
 //!   used to collate per-thread trace chunks with FIFO fairness, exactly as
-//!   the paper orders concurrent accesses for shared-cache analysis.
-//! * [`interleave`] merges per-thread traces into the order seen by a
-//!   shared cache: deterministic round-robin collation or genuinely
-//!   concurrent MCS-ordered collation.
+//!   the paper orders concurrent accesses for shared-cache analysis
+//!   ([`interleave::mcs_interleave`]).
+//! * [`spmv_trace`] and [`xtrace`] are straight-line sink-pushing
+//!   generators of the CSR method (A) and (B) traces. They are the
+//!   independent reference: the cursor tests pin every cursor to them, and
+//!   the materialised validation oracle replays them.
 //!
-//! Traces are streams of [`Access`] events pushed into a [`sink::TraceSink`],
-//! so consumers (stack processors, the cache simulator) can process
-//! references on the fly without materialising multi-gigabyte traces.
+//! Consumers implement [`sink::BlockSink`] (or a per-reference
+//! [`sink::TraceSink`] behind [`RefSink`]), so references are processed
+//! on the fly without materialising multi-gigabyte traces.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,7 +36,8 @@ pub mod cursor;
 pub mod interleave;
 pub mod layout;
 pub mod mcs;
-pub mod sell_trace;
+#[cfg(test)]
+mod sell_trace;
 pub mod sink;
 pub mod spmv_trace;
 pub mod workload;

@@ -1,6 +1,4 @@
-//! Trace derivation for SELL-C-σ SpMV — the paper's future-work extension
-//! ("it is worth investigating how the sector cache can be applied in the
-//! case of other sparse matrix storage formats").
+//! Reference trace derivation for SELL-C-σ SpMV — test-only.
 //!
 //! The five array *roles* of the CSR analysis map directly: the padded
 //! `values`/`colidx` arrays are the non-temporal stream (sector 1 under
@@ -12,22 +10,15 @@
 //! `sparsemat::sell::SellMatrix::spmv`): the chunk metadata, then for each
 //! padded column `j` and lane the `values`, `colidx` and gathered `x`
 //! elements, then one `y` update per row of the chunk.
+//!
+//! Production traces SELL-C-σ through [`crate::cursor::SellCursor`] (the
+//! matrix is a [`crate::SpmvWorkload`]); this straight-line generator is
+//! the independent reference the cursor is pinned against.
 
 use crate::layout::{Array, DataLayout};
 use crate::sink::TraceSink;
 use crate::Access;
 use sparsemat::SellMatrix;
-
-/// Builds the [`DataLayout`] for a SELL-C-σ matrix: padded entry counts
-/// for `a`/`colidx`, chunk metadata in the `rowptr` role.
-pub fn sell_layout(matrix: &SellMatrix, line_bytes: usize) -> DataLayout {
-    crate::workload::SpmvWorkload::layout(matrix, line_bytes)
-}
-
-/// Generates the memory trace of one SELL-C-σ SpMV iteration.
-pub fn trace_sell_spmv<S: TraceSink>(matrix: &SellMatrix, layout: &DataLayout, sink: &mut S) {
-    trace_sell_chunks(matrix, layout, 0..matrix.num_chunks(), sink);
-}
 
 /// Generates the trace for a contiguous range of chunks (one thread's
 /// share under a static chunk partition).
@@ -85,6 +76,7 @@ pub fn trace_sell_chunks<S: TraceSink>(
 mod tests {
     use super::*;
     use crate::sink::{CountSink, VecSink};
+    use crate::SpmvWorkload;
     use sparsemat::{CooMatrix, CsrMatrix};
 
     fn sample_csr() -> CsrMatrix {
@@ -99,13 +91,17 @@ mod tests {
         coo.to_csr()
     }
 
+    fn trace_all<S: TraceSink>(sell: &SellMatrix, layout: &DataLayout, sink: &mut S) {
+        trace_sell_chunks(sell, layout, 0..sell.num_chunks(), sink);
+    }
+
     #[test]
     fn reference_counts_match_padded_sizes() {
         let a = sample_csr();
         let sell = SellMatrix::from_csr(&a, 4, 8);
-        let layout = sell_layout(&sell, 64);
+        let layout = sell.layout(64);
         let mut sink = CountSink::new();
-        trace_sell_spmv(&sell, &layout, &mut sink);
+        trace_all(&sell, &layout, &mut sink);
         let padded = sell.stored_entries() as u64;
         assert_eq!(sink.counts[Array::A as usize], padded);
         assert_eq!(sink.counts[Array::ColIdx as usize], padded);
@@ -122,9 +118,9 @@ mod tests {
     fn all_lines_stay_in_their_arrays() {
         let a = sample_csr();
         let sell = SellMatrix::from_csr(&a, 4, 8);
-        let layout = sell_layout(&sell, 64);
+        let layout = sell.layout(64);
         let mut sink = VecSink::new();
-        trace_sell_spmv(&sell, &layout, &mut sink);
+        trace_all(&sell, &layout, &mut sink);
         for acc in &sink.trace {
             assert_eq!(layout.array_of_line(acc.line), Some(acc.array));
         }
@@ -134,9 +130,9 @@ mod tests {
     fn y_stores_cover_every_row_once() {
         let a = sample_csr();
         let sell = SellMatrix::from_csr(&a, 4, 8);
-        let layout = sell_layout(&sell, 64);
+        let layout = sell.layout(64);
         let mut sink = VecSink::new();
-        trace_sell_spmv(&sell, &layout, &mut sink);
+        trace_all(&sell, &layout, &mut sink);
         let mut seen = vec![0u32; layout.array_lines(Array::Y) as usize];
         let y_base = layout.line_of(Array::Y, 0);
         for acc in sink.trace.iter().filter(|a| a.array == Array::Y) {
@@ -150,9 +146,9 @@ mod tests {
     fn chunk_subrange_traces_less() {
         let a = sample_csr();
         let sell = SellMatrix::from_csr(&a, 4, 8);
-        let layout = sell_layout(&sell, 64);
+        let layout = sell.layout(64);
         let mut all = CountSink::new();
-        trace_sell_spmv(&sell, &layout, &mut all);
+        trace_all(&sell, &layout, &mut all);
         let mut first = CountSink::new();
         trace_sell_chunks(&sell, &layout, 0..1, &mut first);
         assert!(first.total() < all.total());

@@ -1,10 +1,16 @@
 //! Trace sinks: consumers of [`Access`] streams.
 //!
-//! Trace generators are generic over a [`TraceSink`] so that consumers —
-//! reuse-distance stack processors, the cache simulator, or plain vectors —
-//! can process references on the fly. A full method-(A) trace has
-//! `M + 1 + 3K + M` references; for the larger corpus matrices that is far
-//! too many to want to materialise per configuration.
+//! Consumers — reuse-distance stack processors, the cache simulator, or
+//! plain vectors — process references on the fly rather than from a
+//! materialised trace. A full method-(A) trace has `M + 1 + 3K + M`
+//! references; for the larger corpus matrices that is far too many to
+//! want to materialise per configuration.
+//!
+//! The production feed is block-batched: cursors and the round-robin
+//! merge hand [`AccessBlock`]s to a [`BlockSink`]. The per-reference
+//! [`TraceSink`] is what the reference generators (`spmv_trace`,
+//! `xtrace`) push into, and [`RefSink`] adapts a per-reference consumer
+//! to the block feed.
 
 use crate::{Access, PackedAccess};
 
@@ -112,8 +118,9 @@ pub trait BlockSink {
 }
 
 /// Drives a per-reference [`TraceSink`] from block input — the shim that
-/// lets the exact/materialised oracles participate in block pipelines
-/// without a bulk path of their own.
+/// lets per-reference consumers (the exact-stack histogram and `(RD, gap)`
+/// sinks, the oracles) read the block feed without a bulk path of their
+/// own.
 pub struct RefSink<'a, S: TraceSink>(
     /// The wrapped per-reference sink.
     pub &'a mut S,
@@ -225,20 +232,6 @@ impl PackedVecSink {
             trace: Vec::with_capacity(n),
         }
     }
-
-    /// Replays the buffered trace into another sink.
-    pub fn replay<S: TraceSink>(&self, sink: &mut S) {
-        for &p in &self.trace {
-            sink.access(p.unpack());
-        }
-    }
-}
-
-impl TraceSink for PackedVecSink {
-    #[inline]
-    fn access(&mut self, access: Access) {
-        self.trace.push(PackedAccess::pack(access));
-    }
 }
 
 /// Counts references per array without storing them.
@@ -269,22 +262,6 @@ impl TraceSink for CountSink {
         if access.write {
             self.writes += 1;
         }
-    }
-}
-
-/// Adapts two sinks to receive the same stream.
-pub struct TeeSink<'a, A: TraceSink, B: TraceSink> {
-    /// First sink.
-    pub first: &'a mut A,
-    /// Second sink.
-    pub second: &'a mut B,
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<'_, A, B> {
-    #[inline]
-    fn access(&mut self, access: Access) {
-        self.first.access(access);
-        self.second.access(access);
     }
 }
 
@@ -357,22 +334,5 @@ mod tests {
         }
         assert_eq!(v.trace, trace);
         assert_eq!(c.total(), trace.len() as u64);
-    }
-
-    #[test]
-    fn tee_sink_duplicates() {
-        let mut a = VecSink::new();
-        let mut b = CountSink::new();
-        {
-            let mut tee = TeeSink {
-                first: &mut a,
-                second: &mut b,
-            };
-            tee.access(Access::load(9, Array::A));
-            tee.access_all(&[Access::load(10, Array::A), Access::load(11, Array::ColIdx)]);
-        }
-        assert_eq!(a.trace.len(), 3);
-        assert_eq!(b.total(), 3);
-        assert_eq!(b.counts[Array::A as usize], 2);
     }
 }

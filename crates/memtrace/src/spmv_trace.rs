@@ -11,8 +11,10 @@
 //!   compiled kernel keeps it).
 //!
 //! A trace for rows `r0..r1` is exactly what the thread owning that row
-//! block produces, so per-thread traces for the parallel analysis reuse the
-//! same generator.
+//! block produces. This sink-pushing generator is the independent
+//! reference the cursors are pinned against ([`crate::cursor::SpmvCursor`])
+//! and the trace source of the materialised oracle; production reads the
+//! stream through the cursors' block merge.
 
 use crate::layout::{Array, DataLayout};
 use crate::sink::TraceSink;

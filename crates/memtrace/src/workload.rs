@@ -1205,11 +1205,15 @@ mod tests {
         let m = sample(5);
         let direct = DataLayout::new(&m, 64);
         assert_eq!(SpmvWorkload::layout(&m, 64), direct);
+        // SELL-C-σ: padded entry counts in the `a`/`colidx` roles, chunk
+        // metadata in the `rowptr` role.
+        use crate::Array;
         let sell = SellMatrix::from_csr(&m, 4, 8);
-        assert_eq!(
-            SpmvWorkload::layout(&sell, 64),
-            crate::sell_trace::sell_layout(&sell, 64)
-        );
+        let l = SpmvWorkload::layout(&sell, 64);
+        assert_eq!(l.array_elements(Array::A), sell.stored_entries());
+        assert_eq!(l.array_elements(Array::ColIdx), sell.stored_entries());
+        assert_eq!(l.array_elements(Array::RowPtr), sell.num_chunks() + 1);
+        assert_eq!(l.array_elements(Array::Y), m.num_rows());
     }
 
     #[test]

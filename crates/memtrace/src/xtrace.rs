@@ -1,5 +1,10 @@
 //! Method (B) trace generation: `x`-vector accesses only.
 //!
+//! The sink-pushing generator here is the independent reference the
+//! cursors are pinned against ([`crate::cursor::XCursor`]) and the trace
+//! source of the materialised oracle; production reads the `x` stream
+//! through the cursors' block merge.
+//!
 //! The paper's §3.2.2 approximates SpMV reuse distances from a single pass
 //! over a much smaller trace containing only the `x`-vector references
 //! implied by `colidx` (one per nonzero, in row-major order). The influence
@@ -36,54 +41,6 @@ pub fn trace_x_rows<S: TraceSink>(
     }
 }
 
-/// Generates the full sequential method (B) trace of one SpMV iteration.
-pub fn trace_x<S: TraceSink>(matrix: &CsrMatrix, layout: &DataLayout, sink: &mut S) {
-    trace_x_rows(matrix, layout, 0..matrix.num_rows(), sink);
-}
-
-/// Generates the method (B) trace at *element* granularity for rows
-/// `rows`: the raw `colidx` values, one per nonzero.
-///
-/// This is the trace the paper's §3.2.2 actually processes — "the x-vector
-/// access pattern given by `colidx`". Element-granular reuse distances
-/// combine with the byte-ratio scaling factors `s1`/`s2` (which normalise
-/// by the 8-byte x element size) to approximate full-trace distances; see
-/// `locality_core::method_b`. The `Access::line` field carries the element
-/// index in this trace.
-pub fn trace_x_elements_rows<S: TraceSink>(
-    matrix: &CsrMatrix,
-    rows: std::ops::Range<usize>,
-    sink: &mut S,
-) {
-    assert!(rows.end <= matrix.num_rows(), "row range out of bounds");
-    if rows.is_empty() {
-        return;
-    }
-    let colidx = matrix.colidx();
-    let start = matrix.rowptr()[rows.start] as usize;
-    let end = matrix.rowptr()[rows.end] as usize;
-    for &c in &colidx[start..end] {
-        sink.access(Access::load(c as u64, Array::X));
-    }
-}
-
-/// Generates per-thread element-granular method (B) traces for the given
-/// row partition (see [`trace_x_elements_rows`]).
-pub fn trace_x_elements_partitioned(
-    matrix: &CsrMatrix,
-    partition: &sparsemat::RowPartition,
-) -> Vec<Vec<Access>> {
-    partition
-        .iter()
-        .map(|rows| {
-            let nnz = (matrix.rowptr()[rows.end] - matrix.rowptr()[rows.start]) as usize;
-            let mut sink = Vec::with_capacity(nnz);
-            trace_x_elements_rows(matrix, rows, &mut sink);
-            sink
-        })
-        .collect()
-}
-
 /// Generates per-thread method (B) traces for the given row partition.
 pub fn trace_x_partitioned(
     matrix: &CsrMatrix,
@@ -118,7 +75,7 @@ mod tests {
     fn xtrace_has_one_access_per_nonzero() {
         let (m, l) = fig1();
         let mut sink = VecSink::new();
-        trace_x(&m, &l, &mut sink);
+        trace_x_rows(&m, &l, 0..4, &mut sink);
         assert_eq!(sink.trace.len(), m.nnz());
         assert!(sink.trace.iter().all(|a| a.array == Array::X && !a.write));
     }
@@ -135,7 +92,7 @@ mod tests {
             .map(|a| a.line)
             .collect();
         let mut xs = VecSink::new();
-        trace_x(&m, &l, &mut xs);
+        trace_x_rows(&m, &l, 0..4, &mut xs);
         let got: Vec<u64> = xs.trace.iter().map(|a| a.line).collect();
         assert_eq!(got, x_only);
     }
@@ -147,28 +104,5 @@ mod tests {
         let blocks = trace_x_partitioned(&m, &l, &p);
         let total: usize = blocks.iter().map(|b| b.len()).sum();
         assert_eq!(total, m.nnz());
-    }
-
-    #[test]
-    fn element_trace_is_raw_colidx() {
-        let (m, _) = fig1();
-        let mut sink = VecSink::new();
-        trace_x_elements_rows(&m, 0..4, &mut sink);
-        let got: Vec<u64> = sink.trace.iter().map(|a| a.line).collect();
-        let want: Vec<u64> = m.colidx().iter().map(|&c| c as u64).collect();
-        assert_eq!(got, want);
-        assert!(sink.trace.iter().all(|a| a.array == Array::X));
-    }
-
-    #[test]
-    fn element_trace_partitioned_covers_all_nonzeros() {
-        let (m, _) = fig1();
-        let p = RowPartition::static_rows(4, 2);
-        let blocks = trace_x_elements_partitioned(&m, &p);
-        let total: usize = blocks.iter().map(|b| b.len()).sum();
-        assert_eq!(total, m.nnz());
-        // Block 0 covers rows 0..2 -> colidx[0..3].
-        assert_eq!(blocks[0].len(), 3);
-        assert_eq!(blocks[0][0].line, 1);
     }
 }

@@ -5,7 +5,7 @@
 //! Run: `cargo run --example trace_explorer`
 
 use a64fx_spmv::prelude::*;
-use memtrace::spmv_trace;
+use memtrace::TraceCursor;
 
 fn main() {
     // The paper's Fig. 1 matrix: 4x4 with 7 nonzeros, 16-byte lines.
@@ -37,7 +37,9 @@ fn main() {
 
     println!("\n# derived memory trace (Fig. 1b) with reuse distances");
     let mut sink = memtrace::VecSink::new();
-    spmv_trace::trace_spmv(&matrix, &layout, &mut sink);
+    matrix
+        .trace_cursor(&layout, 0..matrix.num_rows())
+        .drain_into(&mut sink);
     let mut stack = ExactStack::new();
     println!("  {:<4} {:<7} {:>4}  reuse distance", "#", "array", "line");
     for (i, a) in sink.trace.iter().enumerate() {

@@ -52,7 +52,9 @@
 //! last-level ways given to the matrix stream's sector. It must leave the
 //! other sector at least one way, so it ranges over 1 to ways − 1 of the
 //! selected machine; `simulate` also takes 0 for "sector cache off". A
-//! value outside that range is a bad flag value (exit 2).
+//! value outside that range is a bad flag value (exit 2), and so is the
+//! flag on `tune`, which sweeps every split. `--threads` and `--rhs`
+//! take positive counts; 0 is a bad flag value too.
 //!
 //! `--rhs K` traces a `K`-right-hand-side SpMM instead of the single
 //! vector SpMV (`--rhs-layout` picks row-major interleaved RHS, the
@@ -479,6 +481,7 @@ fn parse_cli() -> Cli {
         ecm: false,
         metrics: None,
     };
+    let mut l2_ways_given = false;
     while let Some(flag) = args.next() {
         let mut value = |what: &str| -> usize {
             args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -486,13 +489,23 @@ fn parse_cli() -> Cli {
                 std::process::exit(2);
             })
         };
+        let positive = |what: &str, n: usize| -> usize {
+            if n == 0 {
+                eprintln!("spmv-locality: expected a positive count after {what}");
+                std::process::exit(2);
+            }
+            n
+        };
         match flag.as_str() {
-            "--threads" => cli.threads = value("--threads"),
+            "--threads" => cli.threads = positive("--threads", value("--threads")),
             "--scale" => cli.scale = value("--scale"),
-            "--l2-ways" => cli.l2_ways = value("--l2-ways"),
+            "--l2-ways" => {
+                cli.l2_ways = value("--l2-ways");
+                l2_ways_given = true;
+            }
             "--format" => cli.format = parse_format(args.next()),
             "--reorder" => cli.reorder = parse_reorder(args.next()),
-            "--rhs" => cli.scenario.rhs = Some(value("--rhs").max(1)),
+            "--rhs" => cli.scenario.rhs = Some(positive("--rhs", value("--rhs"))),
             "--rhs-layout" => cli.scenario.rhs_layout = Some(parse_rhs_layout(args.next())),
             "--workload" => cli.scenario.workload = Some(parse_workload(args.next())),
             "--machine" => cli.machine = parse_machine(args.next()),
@@ -509,6 +522,13 @@ fn parse_cli() -> Cli {
         );
         std::process::exit(2);
     });
+    if cli.command == "tune" && l2_ways_given {
+        eprintln!(
+            "spmv-locality: --l2-ways {} does not apply: tune sweeps every way split",
+            cli.l2_ways
+        );
+        std::process::exit(2);
+    }
     // The matrix stream's sector must leave sector 0 at least one way;
     // `simulate` also takes 0 for "sector cache off".
     if matches!(cli.command.as_str(), "analyze" | "simulate") {
@@ -555,7 +575,7 @@ fn machine_of(
     scale: usize,
     threads: usize,
 ) -> (HierarchyConfig, MachineConfig) {
-    let hier = spec.hierarchy(scale).with_cores(threads.max(1));
+    let hier = spec.hierarchy(scale).with_cores(threads);
     let cfg = MachineConfig::from_hierarchy(&hier);
     (hier, cfg)
 }

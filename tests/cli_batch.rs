@@ -329,13 +329,16 @@ fn batch_metrics_flag_writes_json_without_changing_report() {
 fn l2_ways_outside_the_machine_is_a_bad_flag_value() {
     // The scaled a64fx L2 has 16 ways: the matrix stream may take 1..=15
     // of them (and `simulate` also 0, sector cache off). Out of range is
-    // rejected while parsing, before the matrix file is even opened.
+    // rejected while parsing, before the matrix file is even opened;
+    // `tune` sweeps every split, so it takes no value at all.
     for (command, ways, range) in [
         ("simulate", "16", "0 to 15"),
         ("simulate", "99", "0 to 15"),
         ("analyze", "16", "1 to 15"),
         ("analyze", "99", "1 to 15"),
         ("analyze", "0", "1 to 15"),
+        ("tune", "5", "sweeps every way split"),
+        ("tune", "99", "sweeps every way split"),
     ] {
         let out = Command::new(BIN)
             .args([command, "whatever.mtx", "--scale", "64", "--l2-ways", ways])
@@ -362,4 +365,33 @@ fn l2_ways_outside_the_machine_is_a_bad_flag_value() {
             "{command} {ways}: {stderr}"
         );
     }
+}
+
+#[test]
+fn zero_threads_and_zero_rhs_are_bad_flag_values() {
+    // A zero count is rejected while parsing (exit 2, no panic), before
+    // the matrix file is even opened — for every one-shot command.
+    for command in ["analyze", "tune", "simulate"] {
+        for flag in ["--threads", "--rhs"] {
+            let out = Command::new(BIN)
+                .args([command, "whatever.mtx", "--scale", "64", flag, "0"])
+                .output()
+                .expect("spawn spmv-locality");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command} {flag} 0: {stderr}");
+            assert!(
+                stderr.contains(&format!("expected a positive count after {flag}")),
+                "{command} {flag} 0: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{command} {flag} 0: {stderr}");
+        }
+    }
+    // A positive count passes the flag check and fails on the missing file.
+    let out = Command::new(BIN)
+        .args(["analyze", "whatever.mtx", "--threads", "1", "--rhs", "1"])
+        .output()
+        .expect("spawn spmv-locality");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("failed to read"), "{stderr}");
 }

@@ -147,6 +147,19 @@ fn way_counts_at_every_boundary_are_typed_errors() {
         }
     }
     assert!(directives::parse("scache_isolate_way L2=18446744073709551616").is_err());
+    // A repeated key is an error naming it — aliases (`l2`/`L2`) count as
+    // the same key — not "last one wins".
+    for (line, key) in [
+        ("scache_isolate_way L2=5 L2=3", "'L2'"),
+        ("scache_isolate_way L2=5 l2=5", "'l2'"),
+        ("scache_isolate_way l1=1 L2=5 L1=2", "'L1'"),
+    ] {
+        let err = directives::parse(line).expect_err(line).to_string();
+        assert!(err.contains(key), "{line}: {err}");
+        for base in machines() {
+            assert!(directives::apply(base, &[line]).is_err(), "{line}");
+        }
+    }
 }
 
 proptest! {
