@@ -17,9 +17,9 @@
 //!   multi-threaded shared-cache analysis.
 //! * [`predict`] — the unified API ([`predict::predict`]) and the
 //!   [`predict::SectorSetting`] sweep type.
-//! * [`profile`] — capacity-independent [`LocalityProfile`]s: the
-//!   expensive trace analysis distilled into reuse histograms that any
-//!   number of sector settings (and capacity scales) evaluate cheaply —
+//! * [`profile`] — [`LocalityProfile`]s: the expensive trace analysis
+//!   distilled into per-capacity miss counts (method A) or `(RD, gap)`
+//!   pairs (method B) that every setting of a sweep evaluates cheaply —
 //!   the memoization unit of the batch engine.
 //! * [`error`] — MAPE and APE-std metrics (Eq. 3) used by the evaluation.
 //!

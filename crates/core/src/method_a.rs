@@ -10,10 +10,11 @@
 //! misses.
 //!
 //! All way splits of a sweep share one pass: partition contents under LRU
-//! depend only on the reference routing, not on the capacities, so the
-//! trace analysis is distilled into capacity-independent reuse histograms
-//! ([`LocalityProfile`]) evaluated per split — one histogram serves every
-//! [`SectorSetting`] capacity, and batch drivers can memoize the profile.
+//! depend only on the reference routing, not on the capacities, so one
+//! marker stack per routing (Kim et al.'s algorithm, §3.2.1) classifies
+//! every reference against all the partition capacities the sweep's
+//! [`SectorSetting`]s query at once. The per-capacity miss counts form a
+//! [`LocalityProfile`] evaluated per split, which batch drivers memoize.
 
 use crate::predict::{Method, Prediction, SectorSetting};
 use crate::profile::LocalityProfile;
@@ -27,7 +28,7 @@ pub fn predict<W: SpmvWorkload>(
     settings: &[SectorSetting],
     threads: usize,
 ) -> Vec<Prediction> {
-    LocalityProfile::compute(workload, cfg, Method::A, threads).evaluate(cfg, settings)
+    LocalityProfile::compute(workload, cfg, Method::A, threads, settings).evaluate(cfg, settings)
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ pub fn predict<W: SpmvWorkload>(
     settings: &[SectorSetting],
     threads: usize,
 ) -> Vec<Prediction> {
-    LocalityProfile::compute(workload, cfg, Method::B, threads).evaluate(cfg, settings)
+    LocalityProfile::compute(workload, cfg, Method::B, threads, settings).evaluate(cfg, settings)
 }
 
 #[cfg(test)]

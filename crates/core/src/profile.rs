@@ -1,17 +1,17 @@
-//! Capacity-independent reuse profiles: compute once, evaluate per setting.
+//! Reuse profiles: compute once per sweep, evaluate per setting.
 //!
-//! Both prediction methods factor into an expensive *trace analysis* that
-//! depends only on the sparsity pattern, the thread count, and the machine
-//! *shape* (line size, cores per domain) — and a cheap *capacity
-//! evaluation* that additionally depends on the cache geometry and the
+//! Both prediction methods factor into an expensive *trace analysis* of
+//! the sparsity pattern, the thread count, and the machine *shape* (line
+//! size, cores per domain) — and a cheap *capacity evaluation* per
 //! [`SectorSetting`]. This module makes the split explicit:
 //!
 //! * [`LocalityProfile::compute`] runs the trace machinery and distills it
-//!   into reuse-distance histograms (method A) or `(RD, gap)` pair counts
-//!   (method B) — Eq. (1)'s insight that a reuse histogram determines LRU
-//!   misses for *every* capacity at once;
+//!   into quantized per-array reuse histograms (method A: Kim et al.'s
+//!   marker stacks, exact at the partition capacities the sweep's
+//!   settings query) or `(RD, gap)` pair counts (method B: an exact
+//!   stack, valid at every capacity);
 //! * [`LocalityProfile::evaluate`] turns a profile into [`Prediction`]s
-//!   for any sector-setting sweep in time independent of the trace length.
+//!   for the sweep's settings in time independent of the trace length.
 //!
 //! [`method_a::predict`](crate::method_a::predict) and
 //! [`method_b::predict`](crate::method_b::predict) are thin wrappers over
@@ -68,7 +68,8 @@ impl ArrayHistograms {
 }
 
 /// Trace sink recording steady-state reuse distances of a two-partition
-/// routed stream into per-array histograms.
+/// routed stream into per-array histograms — the exact method-(A) replay
+/// of the materialized oracle.
 struct HistogramSink {
     sector1: ArraySet,
     stack0: ExactStack,
@@ -93,42 +94,6 @@ impl HistogramSink {
             hist1: ArrayHistograms::default(),
             recording: false,
         }
-    }
-
-    /// Creates a recording sink in the state a replay of the warm-up
-    /// iteration with last-access order `order` leaves behind: both
-    /// stacks are seeded ([`ExactStack::seed_lru`]) with the lines routed
-    /// as [`MarkerSink::seed_lru`] routes them. Each stack is sized for
-    /// its seeded lines plus the `measured0`/`measured1` references the
-    /// measured iteration routes to it, and its line table for the
-    /// distinct-line bound `lines0`/`lines1`, so nothing regrows or
-    /// rehashes mid-trace.
-    fn seeded(
-        sector1: ArraySet,
-        order: &[LastAccess],
-        (measured0, measured1): (usize, usize),
-        (lines0, lines1): (usize, usize),
-    ) -> Self {
-        let stack = |want1: bool, measured: usize, lines: usize| {
-            let seed = route(order, sector1, want1);
-            let mut s = ExactStack::with_line_capacity(seed.len() + measured, lines);
-            s.seed_lru(&seed);
-            s
-        };
-        HistogramSink {
-            sector1,
-            stack0: stack(false, measured0, lines0),
-            stack1: stack(true, measured1, lines1),
-            hist0: ArrayHistograms::default(),
-            hist1: ArrayHistograms::default(),
-            recording: true,
-        }
-    }
-
-    /// Reports both stacks' statistics to the telemetry counters.
-    fn flush_obs(&self) {
-        self.stack0.flush_obs();
-        self.stack1.flush_obs();
     }
 }
 
@@ -502,13 +467,13 @@ fn merge_sorted_pairs(
     merged
 }
 
-/// The capacity grids a sweep (marker-quantized) profile is exact at.
+/// The capacity grids a method-(A) (marker-quantized) profile is exact at.
 ///
 /// Derived from a machine plus a sector-setting sweep: one grid per
 /// routing (shared stream, Listing-1 partition 0, partition 1). A profile
 /// carrying tracked capacities answers [`LocalityProfile::evaluate`]
 /// *only* at these capacities (asserted); in exchange its trace analysis
-/// runs on marker stacks instead of exact stacks.
+/// runs on marker stacks, O(#capacities) per reference.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TrackedCaps {
     /// Capacities queried against the unpartitioned routing.
@@ -543,7 +508,7 @@ impl TrackedCaps {
     }
 
     /// A cache-key discriminator for the grids. Never 0 — that value is
-    /// reserved for capacity-independent (exact) profiles.
+    /// reserved for method-(B) profiles, which track no capacities.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::Hasher;
         let mut h = reuse::fxhash::FxHasher::default();
@@ -601,11 +566,13 @@ pub enum ProfileKind {
     XTrace(XProfile),
 }
 
-/// A capacity-independent distillation of one matrix's trace analysis.
+/// A distillation of one matrix's trace analysis.
 ///
-/// Valid for any [`SectorSetting`] sweep against a machine with the same
-/// line size and cores-per-domain topology ([`Self::evaluate`] asserts
-/// this); the cache *size* and way split may vary freely.
+/// Valid against a machine with the same line size and cores-per-domain
+/// topology ([`Self::evaluate`] asserts this). A method-(B) profile
+/// answers any cache size and way split; a streaming method-(A) profile
+/// answers the partition capacities of the sweep it was computed for
+/// ([`Self::tracked_caps`]), on any machine whose settings map to them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LocalityProfile {
     method: Method,
@@ -738,26 +705,18 @@ pub struct ProfileBuilder<'m, W: SpmvWorkload = CsrMatrix> {
     layout: DataLayout,
     partition: RowPartition,
     domains: Vec<DomainShare>,
+    /// The marker stacks' capacity grids: `Some` exactly for method (A).
     tracked: Option<TrackedCaps>,
 }
 
 impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
-    /// Sets up the capacity-independent (exact-stack) pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn new(workload: &'m W, cfg: &MachineConfig, method: Method, threads: usize) -> Self {
-        Self::build(workload, cfg, method, threads, None)
-    }
-
-    /// Sets up the sweep pipeline: for method (A) the trace analysis runs
-    /// on marker stacks over the capacity grids `settings` will query
-    /// under `cfg` — O(#capacities) per reference instead of the exact
-    /// stack's O(log N) — and the resulting profile answers `evaluate`
-    /// exactly at those capacities (and only there, asserted). Method (B)
-    /// profiles are capacity-independent by construction, so `settings`
-    /// is ignored and the exact pipeline is used.
+    /// Sets up the pipeline for a sweep: for method (A) the trace analysis
+    /// runs on marker stacks over the capacity grids `settings` will query
+    /// under `cfg` ([`TrackedCaps::for_sweep`]) — O(#capacities) per
+    /// reference — and the resulting profile answers `evaluate` exactly at
+    /// those capacities (and only there, asserted). Method (B) needs exact
+    /// distances for its `(RD, gap)` pairs, so it ignores `settings` and
+    /// runs an exact stack; its profile answers every capacity.
     ///
     /// # Panics
     ///
@@ -769,18 +728,8 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
         threads: usize,
         settings: &[SectorSetting],
     ) -> Self {
-        let tracked = (method == Method::A).then(|| TrackedCaps::for_sweep(cfg, settings));
-        Self::build(workload, cfg, method, threads, tracked)
-    }
-
-    fn build(
-        workload: &'m W,
-        cfg: &MachineConfig,
-        method: Method,
-        threads: usize,
-        tracked: Option<TrackedCaps>,
-    ) -> Self {
         assert!(threads >= 1, "need at least one thread");
+        let tracked = (method == Method::A).then(|| TrackedCaps::for_sweep(cfg, settings));
         let line_bytes = cfg.l2.line_bytes;
         let cores_per_domain = cfg.cores_per_domain;
         let layout = workload.layout(line_bytes);
@@ -825,8 +774,8 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
 
     /// The most capacity shards a domain's trace analysis can usefully be
     /// split into: the total number of tracked capacity slots across the
-    /// three routings. 1 for exact (untracked) builders — their pipeline
-    /// has no capacity grid to shard.
+    /// three routings. 1 for method-(B) builders — their exact stack has
+    /// no capacity grid to shard.
     pub fn max_shards(&self) -> usize {
         self.tracked.as_ref().map_or(1, |t| {
             (t.shared.len() + t.part0.len() + t.part1.len()).max(1)
@@ -971,13 +920,13 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
     /// # Panics
     ///
     /// Panics if `shard >= shards`, `d >= num_domains()`, or the builder
-    /// is not a tracked (sweep, method A) builder.
+    /// is a method-(B) builder.
     pub fn domain_shard_partial(&self, d: usize, shard: usize, shards: usize) -> DomainPartial {
         assert!(shard < shards, "shard index {shard} out of range {shards}");
         let t = self
             .tracked
             .as_ref()
-            .expect("capacity sharding requires a sweep (tracked) method (A) builder");
+            .expect("capacity sharding requires a method (A) builder");
         let _span = obs::span("profile.domain");
         let (shared, routed) = self.run_tracked_domain(d, Self::shard_grids(t, shard, shards));
         let _extract = obs::span("reuse_stack.extract");
@@ -990,75 +939,35 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
         }
     }
 
-    /// Computes domain `d`'s contribution. Pure in `&self`: safe to call
-    /// from any thread, in any order.
+    /// Computes domain `d`'s contribution: method (A) on marker stacks
+    /// over the tracked grids, method (B) on an exact stack over the
+    /// `x` trace. Pure in `&self`: safe to call from any thread, in any
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if `d >= num_domains()`.
     pub fn domain_partial(&self, d: usize) -> DomainPartial {
         let _span = obs::span("profile.domain");
-        let cursors = DomainCursors::new(
-            self.workload,
-            &self.layout,
-            &self.partition,
-            self.cores_per_domain,
-        );
-        match self.method {
-            Method::A => {
-                if let Some(t) = &self.tracked {
-                    let (shared, routed) =
-                        self.run_tracked_domain(d, (&t.shared, &t.part0, &t.part1));
-                    let _extract = obs::span("reuse_stack.extract");
-                    shared.flush_obs();
-                    routed.flush_obs();
-                    DomainPartial::Trace {
-                        shared: shared.histograms0(),
-                        part0: routed.histograms0(),
-                        part1: routed.histograms1(),
-                    }
-                } else {
-                    // Warm-up: one last-position scan seeds the exact
-                    // stacks (see `ExactStack::seed_lru`) instead of a
-                    // replay through them.
-                    let mut lastpos = LastPosSink::new(self.layout.total_lines());
-                    cursors.feed_spmv_blocks(d, &mut lastpos);
-                    let order = lastpos.lru_order();
-                    let len = lastpos.pos as usize;
-                    let x_refs_d = self.domains[d].x_refs;
-                    let (b_shared, b0, b1) = self.domain_line_bounds(d);
-                    // Partition 1 sees only `a` + `colidx`: two references
-                    // per `x` gather.
-                    let mut shared =
-                        HistogramSink::seeded(ArraySet::EMPTY, &order, (len, 0), (b_shared, 16));
-                    let mut routed = HistogramSink::seeded(
-                        ArraySet::MATRIX_STREAM,
-                        &order,
-                        (len - 2 * x_refs_d, 2 * x_refs_d),
-                        (b0, b1),
-                    );
-                    drop((order, lastpos));
-                    // Measured iteration. The two sinks are independent,
-                    // so handing each a whole block in turn keeps every
-                    // stack's reference order.
-                    cursors.feed_spmv_blocks(
-                        d,
-                        &mut BlockTee {
-                            first: &mut RefSink(&mut shared),
-                            second: &mut RefSink(&mut routed),
-                        },
-                    );
-                    let _extract = obs::span("reuse_stack.extract");
-                    shared.flush_obs();
-                    routed.flush_obs();
-                    DomainPartial::Trace {
-                        shared: shared.hist0,
-                        part0: routed.hist0,
-                        part1: routed.hist1,
-                    }
+        match &self.tracked {
+            Some(t) => {
+                let (shared, routed) = self.run_tracked_domain(d, (&t.shared, &t.part0, &t.part1));
+                let _extract = obs::span("reuse_stack.extract");
+                shared.flush_obs();
+                routed.flush_obs();
+                DomainPartial::Trace {
+                    shared: shared.histograms0(),
+                    part0: routed.histograms0(),
+                    part1: routed.histograms1(),
                 }
             }
-            Method::B => {
+            None => {
+                let cursors = DomainCursors::new(
+                    self.workload,
+                    &self.layout,
+                    &self.partition,
+                    self.cores_per_domain,
+                );
                 // Warm-up: a last-position scan seeds the reuse stack and
                 // the gap table instead of a replay through them.
                 let mut lastpos = LastPosSink::new(self.layout.total_lines());
@@ -1157,47 +1066,25 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
 
 impl LocalityProfile {
     /// Runs the trace analysis for `method` on `workload` with `threads`
-    /// threads.
+    /// threads, for the sector sweep `settings` under `cfg`.
     ///
-    /// Only the machine *shape* is read from `cfg` (`l2.line_bytes`,
-    /// `cores_per_domain`) — capacities and way splits are supplied at
-    /// [`evaluate`](Self::evaluate) time.
+    /// Method (A) runs marker stacks over exactly the partition
+    /// capacities `settings` query under `cfg` (see
+    /// [`ProfileBuilder::for_sweep`]): the profile's answers there equal
+    /// an exact replay's, and querying any other capacity panics. Method
+    /// (B) reads only the machine *shape* (`l2.line_bytes`,
+    /// `cores_per_domain`) and ignores `settings`.
     ///
-    /// The default pipeline is fully streaming: per-thread cursors are
+    /// The pipeline is fully streaming: per-thread cursors are
     /// interleaved on demand and both routings of each replay share one
-    /// generation pass, so no trace is ever materialised. Any
-    /// [`SpmvWorkload`] is accepted; a plain `&CsrMatrix` reproduces the
-    /// historical CSR-only results byte for byte.
+    /// generation pass. Any [`SpmvWorkload`] is accepted; a plain
+    /// `&CsrMatrix` reproduces the historical CSR-only results byte for
+    /// byte.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn compute<W: SpmvWorkload>(
-        workload: &W,
-        cfg: &MachineConfig,
-        method: Method,
-        threads: usize,
-    ) -> Self {
-        let _span = obs::span("profile.build");
-        obs::add("core.profile.builds", 1);
-        let builder = ProfileBuilder::new(workload, cfg, method, threads);
-        obs::observe("core.profile.domains", builder.num_domains() as u64);
-        let partials = (0..builder.num_domains())
-            .map(|d| builder.domain_partial(d))
-            .collect();
-        builder.finish(partials)
-    }
-
-    /// Like [`compute`](Self::compute), but specialised to a known sector
-    /// sweep: method (A) runs on marker stacks over exactly the capacities
-    /// `settings` query under `cfg` (see [`ProfileBuilder::for_sweep`]).
-    /// The profile's answers at those capacities are identical to the
-    /// exact pipeline's; querying any other capacity panics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn compute_for_sweep<W: SpmvWorkload>(
         workload: &W,
         cfg: &MachineConfig,
         method: Method,
@@ -1430,9 +1317,10 @@ impl LocalityProfile {
         &self.kind
     }
 
-    /// The capacity grids this profile is restricted to, if it was built
-    /// by the sweep (marker-quantized) pipeline. `None` means the profile
-    /// is exact at every capacity.
+    /// The capacity grids this profile is restricted to: `Some` for a
+    /// streaming method-(A) profile, whose marker stacks track only its
+    /// sweep's capacities. `None` means the profile is exact at every
+    /// capacity (method (B), and the materialized oracles).
     pub fn tracked_caps(&self) -> Option<&TrackedCaps> {
         self.tracked.as_ref()
     }
@@ -1661,7 +1549,7 @@ mod tests {
         let cfg = MachineConfig::a64fx_scaled(64);
         let settings = SectorSetting::paper_sweep();
         for method in [Method::A, Method::B] {
-            let profile = LocalityProfile::compute(&m, &cfg, method, 1);
+            let profile = LocalityProfile::compute(&m, &cfg, method, 1, &settings);
             let batch = profile.evaluate(&cfg, &settings);
             // Per-setting evaluation of the same profile agrees with the
             // batch evaluation and with the one-shot API.
@@ -1677,22 +1565,21 @@ mod tests {
     }
 
     #[test]
-    fn profile_is_reusable_across_capacity_scales() {
-        // The same profile answers for machines differing only in cache
-        // size (same line size and topology).
+    fn method_b_profile_is_reusable_across_capacity_scales() {
+        // A method-(B) profile answers machines differing only in cache
+        // size (same line size and topology). Method (A) tracks only its
+        // sweep's capacities, so it has no such property.
         let m = random_matrix(1024, 8, 11);
         let small = MachineConfig::a64fx_scaled(64);
         let large = MachineConfig::a64fx_scaled(16);
         assert_eq!(small.l2.line_bytes, large.l2.line_bytes);
         let settings = [SectorSetting::Off, SectorSetting::L2Ways(4)];
-        for method in [Method::A, Method::B] {
-            let profile = LocalityProfile::compute(&m, &small, method, 1);
-            assert_eq!(
-                profile.evaluate(&large, &settings),
-                predict(&m, &large, method, &settings, 1),
-                "{method:?}"
-            );
-        }
+        let profile = LocalityProfile::compute(&m, &small, Method::B, 1, &settings);
+        assert!(profile.tracked_caps().is_none());
+        assert_eq!(
+            profile.evaluate(&large, &settings),
+            predict(&m, &large, Method::B, &settings, 1)
+        );
     }
 
     #[test]
@@ -1702,7 +1589,7 @@ mod tests {
         cfg.cores_per_domain = 2;
         let settings = [SectorSetting::Off, SectorSetting::L2Ways(4)];
         for method in [Method::A, Method::B] {
-            let profile = LocalityProfile::compute(&m, &cfg, method, 8);
+            let profile = LocalityProfile::compute(&m, &cfg, method, 8, &settings);
             assert_eq!(
                 profile.evaluate(&cfg, &settings),
                 predict(&m, &cfg, method, &settings, 8),
@@ -1715,62 +1602,37 @@ mod tests {
     fn empty_matrix_profiles() {
         let m = CooMatrix::new(8, 8).to_csr();
         let cfg = MachineConfig::a64fx_scaled(64);
+        let settings = [SectorSetting::Off, SectorSetting::L2Ways(3)];
         for method in [Method::A, Method::B] {
-            let profile = LocalityProfile::compute(&m, &cfg, method, 1);
-            let preds = profile.evaluate(&cfg, &[SectorSetting::Off, SectorSetting::L2Ways(3)]);
+            let profile = LocalityProfile::compute(&m, &cfg, method, 1, &settings);
             assert_eq!(
-                preds,
-                predict(
-                    &m,
-                    &cfg,
-                    method,
-                    &[SectorSetting::Off, SectorSetting::L2Ways(3)],
-                    1
-                )
+                profile.evaluate(&cfg, &settings),
+                predict(&m, &cfg, method, &settings, 1)
             );
         }
     }
 
     #[test]
     fn streaming_matches_materialized_oracle() {
-        // The zero-materialization pipeline must reproduce the buffered
-        // reference pipeline bit-for-bit, for both methods, across thread
-        // counts and domain widths.
+        // The streaming pipeline — marker stacks for method (A), an exact
+        // stack for method (B) — must reproduce the buffered exact
+        // reference pipeline bit-for-bit at the sweep's capacities, across
+        // thread counts and domain widths.
         let m = random_matrix(1024, 10, 77);
-        for (threads, cores_per_domain) in [(1, 12), (5, 2), (8, 3)] {
+        let settings = SectorSetting::paper_sweep();
+        for (threads, cores_per_domain) in [(1, 12), (5, 2), (8, 3), (8, 4)] {
             let mut cfg = MachineConfig::a64fx_scaled(64);
             cfg.cores_per_domain = cores_per_domain;
             for method in [Method::A, Method::B] {
-                let streaming = LocalityProfile::compute(&m, &cfg, method, threads);
+                let streaming = LocalityProfile::compute(&m, &cfg, method, threads, &settings);
                 let oracle = LocalityProfile::compute_materialized(&m, &cfg, method, threads);
-                let settings = SectorSetting::paper_sweep();
                 assert_eq!(
                     streaming.evaluate(&cfg, &settings),
                     oracle.evaluate(&cfg, &settings),
                     "{method:?} threads={threads} cpd={cores_per_domain}"
                 );
                 assert_eq!(streaming.domains(), oracle.domains());
-            }
-        }
-    }
-
-    #[test]
-    fn sweep_profile_matches_exact_at_tracked_capacities() {
-        let m = random_matrix(2048, 12, 19);
-        let mut cfg = MachineConfig::a64fx_scaled(64);
-        cfg.cores_per_domain = 4;
-        let settings = SectorSetting::paper_sweep();
-        for method in [Method::A, Method::B] {
-            for threads in [1, 8] {
-                let sweep =
-                    LocalityProfile::compute_for_sweep(&m, &cfg, method, threads, &settings);
-                let exact = LocalityProfile::compute(&m, &cfg, method, threads);
-                assert_eq!(
-                    sweep.evaluate(&cfg, &settings),
-                    exact.evaluate(&cfg, &settings),
-                    "{method:?} threads={threads}"
-                );
-                assert_eq!(sweep.tracked_caps().is_some(), method == Method::A);
+                assert_eq!(streaming.tracked_caps().is_some(), method == Method::A);
             }
         }
     }
@@ -1780,8 +1642,7 @@ mod tests {
     fn sweep_profile_rejects_untracked_capacity() {
         let m = random_matrix(256, 6, 23);
         let cfg = MachineConfig::a64fx_scaled(64);
-        let profile =
-            LocalityProfile::compute_for_sweep(&m, &cfg, Method::A, 1, &[SectorSetting::L2Ways(4)]);
+        let profile = LocalityProfile::compute(&m, &cfg, Method::A, 1, &[SectorSetting::L2Ways(4)]);
         profile.evaluate(&cfg, &[SectorSetting::L2Ways(5)]);
     }
 
@@ -1790,8 +1651,9 @@ mod tests {
         let m = random_matrix(900, 9, 41);
         let mut cfg = MachineConfig::a64fx_scaled(64);
         cfg.cores_per_domain = 2;
+        let settings = SectorSetting::paper_sweep();
         for method in [Method::A, Method::B] {
-            let builder = ProfileBuilder::new(&m, &cfg, method, 8);
+            let builder = ProfileBuilder::for_sweep(&m, &cfg, method, 8, &settings);
             assert!(builder.num_domains() > 1, "test needs several domains");
             // Compute partials back-to-front, hand them over in order.
             let mut partials: Vec<DomainPartial> = (0..builder.num_domains())
@@ -1800,13 +1662,8 @@ mod tests {
                 .collect();
             partials.reverse();
             let profile = builder.finish(partials);
-            let reference = LocalityProfile::compute(&m, &cfg, method, 8);
-            let settings = SectorSetting::paper_sweep();
-            assert_eq!(
-                profile.evaluate(&cfg, &settings),
-                reference.evaluate(&cfg, &settings),
-                "{method:?}"
-            );
+            let reference = LocalityProfile::compute(&m, &cfg, method, 8, &settings);
+            assert_eq!(profile, reference, "{method:?}");
         }
     }
 
@@ -1847,8 +1704,7 @@ mod tests {
             })
             .collect();
         let sharded = builder.finish(merged);
-        let direct =
-            LocalityProfile::compute_for_sweep(workload, &cfg, Method::A, threads, &settings);
+        let direct = LocalityProfile::compute(workload, &cfg, Method::A, threads, &settings);
         assert_eq!(sharded, direct);
     }
 
@@ -1905,7 +1761,11 @@ mod tests {
         let sweep = TrackedCaps::for_sweep(&cfg, &SectorSetting::paper_sweep());
         let off_only = TrackedCaps::for_sweep(&cfg, &[SectorSetting::Off]);
         assert_ne!(sweep.fingerprint(), off_only.fingerprint());
-        assert_ne!(sweep.fingerprint(), 0, "0 is reserved for exact profiles");
+        assert_ne!(
+            sweep.fingerprint(),
+            0,
+            "0 is reserved for method (B) profiles"
+        );
         assert_eq!(
             sweep.fingerprint(),
             TrackedCaps::for_sweep(&cfg, &SectorSetting::paper_sweep()).fingerprint(),
@@ -1949,7 +1809,7 @@ mod tests {
             let mut cfg = MachineConfig::a64fx_scaled(64);
             cfg.cores_per_domain = cores_per_domain;
             for method in [Method::A, Method::B] {
-                let streaming = LocalityProfile::compute(&sell, &cfg, method, threads);
+                let streaming = LocalityProfile::compute(&sell, &cfg, method, threads, &settings);
                 let oracle =
                     LocalityProfile::compute_materialized_workload(&sell, &cfg, method, threads);
                 assert_eq!(
@@ -1975,8 +1835,10 @@ mod tests {
         let cfg = MachineConfig::a64fx_scaled(64);
         let settings = [SectorSetting::Off, SectorSetting::L2Ways(4)];
         for method in [Method::A, Method::B] {
-            let pc = LocalityProfile::compute(&m, &cfg, method, 1).evaluate(&cfg, &settings);
-            let ps = LocalityProfile::compute(&sell, &cfg, method, 1).evaluate(&cfg, &settings);
+            let pc =
+                LocalityProfile::compute(&m, &cfg, method, 1, &settings).evaluate(&cfg, &settings);
+            let ps = LocalityProfile::compute(&sell, &cfg, method, 1, &settings)
+                .evaluate(&cfg, &settings);
             for (c, s) in pc.iter().zip(&ps) {
                 // x-gather misses see the same reference stream modulo the
                 // interleaved metadata loads; allow a small relative gap.
@@ -1992,7 +1854,7 @@ mod tests {
     fn mismatched_line_size_rejected() {
         let m = random_matrix(64, 3, 1);
         let cfg = MachineConfig::a64fx_scaled(64);
-        let profile = LocalityProfile::compute(&m, &cfg, Method::A, 1);
+        let profile = LocalityProfile::compute(&m, &cfg, Method::A, 1, &[SectorSetting::Off]);
         let mut other = cfg.clone();
         other.l2.line_bytes /= 2;
         profile.evaluate(&other, &[SectorSetting::Off]);

@@ -7,10 +7,10 @@
 //! and the two machine parameters baked into a profile (line size and
 //! domain width) — and deliberately **not** on the individual sector
 //! setting, so a 7-setting sweep of one matrix costs one computation and
-//! 6 hits. Sweep-restricted (marker-quantized) profiles additionally key
-//! on the *fingerprint of their capacity grids* (`caps_fingerprint`; 0 =
-//! capacity-independent exact profile), because such a profile only
-//! answers at the capacities it tracked.
+//! 6 hits. Method-(A) (marker-quantized) profiles additionally key on the
+//! *fingerprint of their capacity grids* (`caps_fingerprint`), because
+//! such a profile only answers at the capacities it tracked; method-(B)
+//! profiles answer every capacity and key with 0.
 //!
 //! Concurrent requests for the same key block on a shared [`OnceLock`]:
 //! exactly one worker computes, the rest wait for the slot rather than
@@ -65,9 +65,9 @@ pub struct ProfileKey {
     pub line_bytes: usize,
     /// Cores per NUMA domain (thread-to-domain grouping).
     pub cores_per_domain: usize,
-    /// [`locality_core::TrackedCaps::fingerprint`] of a sweep-restricted
-    /// profile's capacity grids; 0 for capacity-independent (exact)
-    /// profiles.
+    /// [`locality_core::TrackedCaps::fingerprint`] of a method-(A)
+    /// profile's capacity grids; 0 for method-(B) profiles, which track
+    /// none.
     pub caps_fingerprint: u64,
     /// [`machine::CacheHierarchy::fingerprint`] of the machine the
     /// profile was computed for. Distinct hierarchies must never share a
@@ -546,6 +546,7 @@ mod tests {
             &MachineConfig::a64fx_scaled(64),
             Method::B,
             1,
+            &[],
         )
     }
 

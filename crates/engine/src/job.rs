@@ -84,6 +84,15 @@ impl Default for BatchSpec {
     }
 }
 
+/// Where [`BatchSpec::parse`] saw the directives the machine check
+/// reports against.
+#[derive(Default)]
+struct DirectiveLines {
+    scale: Option<usize>,
+    threads: Option<usize>,
+    machines: Vec<usize>,
+}
+
 /// A malformed batch spec, with the offending line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpecError {
@@ -159,10 +168,9 @@ impl BatchSpec {
     /// scalar directives overwrite. At least one source is required.
     pub fn parse(text: &str) -> Result<BatchSpec, SpecError> {
         let mut spec = BatchSpec::default();
-        // Lines of the last `scale` directive and of each `machine`, for
-        // the whole-spec machine check after the loop.
-        let mut scale_line = None;
-        let mut machine_lines = Vec::new();
+        // Lines of the last `scale` and `threads` directives and of each
+        // `machine`, for the whole-spec machine check after the loop.
+        let mut lines = DirectiveLines::default();
         for (i, raw) in text.lines().enumerate() {
             let line_no = i + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -272,7 +280,7 @@ impl BatchSpec {
                         return Err(err(line_no, format!("machine '{arg}' given twice")));
                     }
                     spec.machines.push(parsed);
-                    machine_lines.push(line_no);
+                    lines.machines.push(line_no);
                 }
                 "ecm" => {
                     let arg = words
@@ -296,14 +304,15 @@ impl BatchSpec {
                             if arg == 0 {
                                 return Err(err(line_no, "threads must be at least 1"));
                             }
-                            spec.threads = arg as usize;
+                            spec.threads = usize::try_from(arg).unwrap_or(usize::MAX);
+                            lines.threads = Some(line_no);
                         }
                         "scale" => {
                             if arg == 0 {
                                 return Err(err(line_no, "scale must be at least 1"));
                             }
                             spec.scale = arg as usize;
-                            scale_line = Some(line_no);
+                            lines.scale = Some(line_no);
                         }
                         "deadline_ms" => {
                             if arg == 0 {
@@ -333,28 +342,63 @@ impl BatchSpec {
                 "spec names no matrices (add corpus/table1/mtx lines)",
             ));
         }
-        // The scale must divide every swept machine's caches into whole
-        // sets; checked once the spec is complete, since `scale` and
+        // Checked once the spec is complete, since `scale`, `threads` and
         // `machine` lines may come in any order.
-        let default_machine = [MachineSpec::A64fx];
-        let machines = if spec.machines.is_empty() {
-            &default_machine[..]
+        spec.check_machines_at(&lines)?;
+        Ok(spec)
+    }
+
+    /// The machines the batch sweeps: its `machine` directives, or the
+    /// implicit `a64fx` default.
+    pub fn machine_specs(&self) -> &[MachineSpec] {
+        const DEFAULT: [MachineSpec; 1] = [MachineSpec::A64fx];
+        if self.machines.is_empty() {
+            &DEFAULT
         } else {
-            &spec.machines[..]
-        };
-        for (k, machine) in machines.iter().enumerate() {
-            if let Err(e) = machine.try_hierarchy(spec.scale) {
-                return Err(err(
-                    scale_line.or(machine_lines.get(k).copied()).unwrap_or(0),
+            &self.machines
+        }
+    }
+
+    /// Checks the spec against every machine it sweeps: `scale` must
+    /// divide each machine's caches into whole sets, and `threads` must
+    /// not exceed any machine's core count (a thread count past the cores
+    /// would model a larger machine than the one named, and sizes the
+    /// row partition before anything else could bound it). [`parse`]
+    /// runs this on the finished spec; a caller that changes
+    /// [`machines`](Self::machines) afterwards runs it again. Errors
+    /// carry line 0.
+    ///
+    /// [`parse`]: Self::parse
+    pub fn check_machines(&self) -> Result<(), SpecError> {
+        self.check_machines_at(&DirectiveLines::default())
+    }
+
+    fn check_machines_at(&self, lines: &DirectiveLines) -> Result<(), SpecError> {
+        for (k, machine) in self.machine_specs().iter().enumerate() {
+            let machine_line = lines.machines.get(k).copied();
+            let hier = machine.try_hierarchy(self.scale).map_err(|e| {
+                err(
+                    lines.scale.or(machine_line).unwrap_or(0),
                     format!(
                         "scale {} does not fit machine '{}': {e}",
-                        spec.scale,
+                        self.scale,
+                        machine.label()
+                    ),
+                )
+            })?;
+            if self.threads > hier.num_cores {
+                return Err(err(
+                    lines.threads.or(machine_line).unwrap_or(0),
+                    format!(
+                        "threads {} exceeds the {} cores of machine '{}'",
+                        self.threads,
+                        hier.num_cores,
                         machine.label()
                     ),
                 ));
             }
         }
-        Ok(spec)
+        Ok(())
     }
 
     /// Total jobs this spec expands to per resolved matrix.
@@ -536,6 +580,32 @@ mod tests {
         assert!(BatchSpec::parse("corpus count=1\nrhs 4 col extra\n").is_err());
         assert!(BatchSpec::parse("corpus count=1\nworkload spmm\n").is_err());
         assert!(BatchSpec::parse("corpus count=1\nworkload lu\n").is_err());
+    }
+
+    #[test]
+    fn threads_beyond_any_machine_cores_are_spec_errors() {
+        // The a64fx default has 48 cores: 48 passes, 49 is refused on its
+        // own line, naming both numbers.
+        assert!(BatchSpec::parse("corpus count=1\nthreads 48\nscale 64\n").is_ok());
+        let e = BatchSpec::parse("corpus count=1\nthreads 49\nscale 64\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("threads 49 exceeds the 48 cores"), "{e}");
+        // Every swept machine must fit, in any directive order.
+        let e =
+            BatchSpec::parse("corpus count=1\nthreads 12\nmachine a64fx\nmachine generic-x86\n")
+                .unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(
+            e.message.contains("8 cores of machine 'generic-x86'"),
+            "{e}"
+        );
+        // Refused before anything is sized by the thread count.
+        let e = BatchSpec::parse("corpus count=1\nthreads 18446744073709551615\n").unwrap_err();
+        assert!(e.message.contains("exceeds"), "{e}");
+        // A spec whose machines change after parsing is checked again.
+        let mut spec = BatchSpec::parse("corpus count=1\nthreads 48\n").unwrap();
+        spec.machines = vec![MachineSpec::GenericX86];
+        assert_eq!(spec.check_machines().unwrap_err().line, 0);
     }
 
     #[test]

@@ -80,7 +80,7 @@ use locality_core::{
     DomainPartial, LocalityProfile, Method, Prediction, ProfileBuilder, SectorSetting,
     SpmvWorkload, TrackedCaps, Workload,
 };
-use machine::{CacheHierarchy, HierarchyConfig, MachineSpec};
+use machine::{CacheHierarchy, HierarchyConfig};
 use source::{Entry, MatrixSlot};
 use std::collections::{hash_map, HashMap};
 use std::fmt;
@@ -180,13 +180,8 @@ struct ResolvedMachine {
 /// exactly — `MachineConfig::a64fx_scaled` *is* the projection of the
 /// scaled preset hierarchy.
 fn resolve_machines(spec: &BatchSpec) -> Vec<ResolvedMachine> {
-    const DEFAULT: [MachineSpec; 1] = [MachineSpec::A64fx];
-    let list: &[MachineSpec] = if spec.machines.is_empty() {
-        &DEFAULT
-    } else {
-        &spec.machines
-    };
-    list.iter()
+    spec.machine_specs()
+        .iter()
         .map(|ms| {
             let hier = ms.hierarchy(spec.scale).with_cores(spec.threads.max(1));
             ResolvedMachine {
@@ -268,19 +263,19 @@ pub fn ecm_for<W: SpmvWorkload>(
 /// work-stealing pool: each domain's trace analysis is a pure function of
 /// the builder, so the partials run on `workers` threads and are merged in
 /// domain order — the result is byte-identical to the sequential pipeline
-/// for any worker count. With `settings`, method (A) runs the
-/// sweep-restricted marker pipeline (see [`ProfileBuilder::for_sweep`]);
-/// without, the capacity-independent exact pipeline.
+/// for any worker count. Method (A) runs marker stacks over the
+/// capacities `settings` query (see [`ProfileBuilder::for_sweep`]);
+/// method (B) ignores `settings`.
 ///
 /// When one matrix has fewer L2 domains than the pool has workers, the
-/// per-domain fan-out alone cannot saturate the pool; sweep (tracked)
-/// method (A) builders then split each domain's tracked capacity grid into
-/// shards — every shard replays the identical stream against a slice of
-/// the capacities, and the deterministic per-domain merge reproduces the
-/// unsharded counters bit for bit. `shards = None` applies that heuristic;
+/// per-domain fan-out alone cannot saturate the pool; method (A) builders
+/// then split each domain's tracked capacity grid into shards — every
+/// shard replays the identical stream against a slice of the capacities,
+/// and the deterministic per-domain merge reproduces the unsharded
+/// counters bit for bit. `shards = None` applies that heuristic;
 /// `Some(n)` forces `n` shards per domain, clamped to the tracked grid's
-/// slot count. Untracked (exact) and method (B) builders have nothing to
-/// shard and always run the plain per-domain fan-out.
+/// slot count. Method (B) builders have nothing to shard and always run
+/// the plain per-domain fan-out.
 ///
 /// `token` is polled before each per-domain (or per-shard) partial — the
 /// engine's cooperative cancellation checkpoints, so one huge matrix is
@@ -298,7 +293,7 @@ fn try_compute_profile<W: SpmvWorkload>(
     cfg: &MachineConfig,
     method: Method,
     threads: usize,
-    settings: Option<&[SectorSetting]>,
+    settings: &[SectorSetting],
     workers: usize,
     shards: Option<usize>,
     token: &CancelToken,
@@ -306,10 +301,7 @@ fn try_compute_profile<W: SpmvWorkload>(
 ) -> Option<LocalityProfile> {
     let _span = obs::span("profile.build");
     obs::add("core.profile.builds", 1);
-    let builder = match settings {
-        Some(s) => ProfileBuilder::for_sweep(workload, cfg, method, threads, s),
-        None => ProfileBuilder::new(workload, cfg, method, threads),
-    };
+    let builder = ProfileBuilder::for_sweep(workload, cfg, method, threads, settings);
     obs::observe("core.profile.domains", builder.num_domains() as u64);
     let num_domains = builder.num_domains();
     let shard_count = match shards {
@@ -367,6 +359,14 @@ fn try_compute_profile<W: SpmvWorkload>(
 /// One profile with its L2 domains (or capacity shards) fanned out over
 /// `workers` pool threads; byte-identical for any worker or shard count.
 /// The engine's own jobs run the same computation cancellable and traced.
+///
+/// `settings` is the sweep the profile will be evaluated for. Method (B)
+/// ignores it and accepts `None`.
+///
+/// # Panics
+///
+/// Panics if `settings` is `None` with method (A): its marker stacks
+/// need the capacities to track.
 pub fn compute_profile_sharded<W: SpmvWorkload>(
     workload: &W,
     cfg: &MachineConfig,
@@ -376,6 +376,13 @@ pub fn compute_profile_sharded<W: SpmvWorkload>(
     workers: usize,
     shards: Option<usize>,
 ) -> LocalityProfile {
+    let settings = settings.unwrap_or_else(|| {
+        assert!(
+            method == Method::B,
+            "a method (A) profile needs the settings it will be evaluated for"
+        );
+        &[]
+    });
     try_compute_profile(
         workload,
         cfg,
@@ -436,8 +443,8 @@ where
     let meta = slot.meta(cache, ctx)?;
     let rm = &plan.machines[job.machine];
     // Method (A) keys on the sweep-restricted capacity grid (marker stacks
-    // only answer at the capacities they tracked); method (B) profiles are
-    // capacity-independent. The hierarchy fingerprint keeps machines whose
+    // only answer at the capacities they tracked); method (B) profiles
+    // answer every capacity. The hierarchy fingerprint keeps machines whose
     // two-level projections happen to agree from sharing slots.
     let key = ProfileKey {
         fingerprint: meta.fingerprint,
@@ -468,7 +475,7 @@ where
                 &rm.cfg,
                 job.method,
                 spec.threads,
-                Some(&spec.settings),
+                &spec.settings,
                 spec.workers,
                 None,
                 token,
@@ -934,7 +941,7 @@ mod tests {
         let nm = &corpus::corpus(1, 64, 2023)[0];
         let cfg = machine_for(&small_spec());
         let settings = locality_core::SectorSetting::paper_sweep();
-        let direct = LocalityProfile::compute_for_sweep(&nm.matrix, &cfg, Method::A, 8, &settings);
+        let direct = LocalityProfile::compute(&nm.matrix, &cfg, Method::A, 8, &settings);
         // Heuristic sharding (threads 8 → one domain, 4 workers) and every
         // explicit shard count must reproduce the direct profile exactly.
         let heuristic =
@@ -952,16 +959,22 @@ mod tests {
             );
             assert_eq!(sharded, direct, "shards={shards}");
         }
-        // Exact (untracked) and method (B) builders have nothing to shard
-        // but must still accept the override.
-        let exact = compute_profile_sharded(&nm.matrix, &cfg, Method::A, 8, None, 4, Some(8));
-        assert_eq!(
-            exact,
-            LocalityProfile::compute(&nm.matrix, &cfg, Method::A, 8)
-        );
-        let b =
-            compute_profile_sharded(&nm.matrix, &cfg, Method::B, 8, Some(&settings), 4, Some(8));
-        assert_eq!(b, LocalityProfile::compute(&nm.matrix, &cfg, Method::B, 8));
+        // Method (B) builders have nothing to shard but must still accept
+        // the override, with or without settings.
+        let b = LocalityProfile::compute(&nm.matrix, &cfg, Method::B, 8, &settings);
+        for settings in [Some(&settings[..]), None] {
+            let sharded =
+                compute_profile_sharded(&nm.matrix, &cfg, Method::B, 8, settings, 4, Some(8));
+            assert_eq!(sharded, b);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs the settings")]
+    fn method_a_profile_without_settings_panics() {
+        let nm = &corpus::corpus(1, 64, 2023)[0];
+        let cfg = machine_for(&small_spec());
+        compute_profile_sharded(&nm.matrix, &cfg, Method::A, 8, None, 1, None);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   cyclic order. This models threads progressing at identical rates and
 //!   is the order every prediction uses. [`round_robin_cursors_blocks`]
 //!   merges per-thread *cursors* one reference per thread per turn and is
-//!   the production feed; [`round_robin`] and [`round_robin_into`] merge
-//!   materialised traces for the reference oracle and the tests.
+//!   the production feed; [`round_robin_into`] merges materialised traces
+//!   for the reference oracle.
 //! * [`mcs_interleave`] — concurrent: real threads submit chunks guarded by
 //!   the FIFO-fair [`McsLock`], as in the paper's
 //!   §3.2.1. The resulting order depends on actual scheduling; over equal-
@@ -25,39 +25,11 @@ use crate::sink::{AccessBlock, BlockSink, TraceSink};
 use crate::Access;
 use std::ops::Range;
 
-/// Deterministically interleaves per-thread traces in cyclic order with the
-/// given chunk size.
-///
-/// Threads whose traces are exhausted drop out of the cycle; the result
-/// contains every input reference exactly once, in a round-robin order.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero.
-pub fn round_robin(traces: &[Vec<Access>], chunk: usize) -> Vec<Access> {
-    assert!(chunk > 0, "chunk size must be positive");
-    let total: usize = traces.iter().map(|t| t.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut cursors = vec![0usize; traces.len()];
-    let mut remaining = total;
-    while remaining > 0 {
-        for (t, cursor) in traces.iter().zip(cursors.iter_mut()) {
-            if *cursor >= t.len() {
-                continue;
-            }
-            let end = (*cursor + chunk).min(t.len());
-            out.extend_from_slice(&t[*cursor..end]);
-            remaining -= end - *cursor;
-            *cursor = end;
-        }
-    }
-    out
-}
-
 /// Streams the round-robin interleaving of per-thread traces directly into
-/// a sink, without materialising the merged trace.
-///
-/// Equivalent to `sink.access_all(&round_robin(traces, chunk))`.
+/// a sink, without materialising the merged trace: threads submit
+/// `chunk`-reference chunks in cyclic order, and threads whose traces are
+/// exhausted drop out of the cycle, so the sink sees every input
+/// reference exactly once.
 ///
 /// # Panics
 ///
@@ -248,6 +220,13 @@ mod tests {
             .collect()
     }
 
+    /// The round-robin interleaving, materialised.
+    fn round_robin(traces: &[Vec<Access>], chunk: usize) -> Vec<Access> {
+        let mut sink = crate::sink::VecSink::new();
+        round_robin_into(traces, chunk, &mut sink);
+        sink.trace
+    }
+
     #[test]
     fn round_robin_chunk1_cycles() {
         let traces = traces_of(&[3, 3]);
@@ -270,15 +249,6 @@ mod tests {
         let out = round_robin(&traces, 1);
         let lines: Vec<u64> = out.iter().map(|a| a.line).collect();
         assert_eq!(lines, vec![0, 1000, 1001, 1002, 1003]);
-    }
-
-    #[test]
-    fn round_robin_into_matches_round_robin() {
-        let traces = traces_of(&[5, 3, 7]);
-        let direct = round_robin(&traces, 2);
-        let mut sink = crate::sink::VecSink::new();
-        round_robin_into(&traces, 2, &mut sink);
-        assert_eq!(sink.trace, direct);
     }
 
     #[test]

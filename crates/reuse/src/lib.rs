@@ -5,7 +5,6 @@
 //! of `n` lines, a reference hits iff its reuse distance is `< n`
 //! (Eq. 1). Computing it once yields miss counts for *every* capacity.
 //!
-//! * [`naive::NaiveStack`] — O(N·n) LRU-stack oracle for tests.
 //! * [`exact::ExactStack`] — exact distances in O(log N) per reference via
 //!   a hash map of last-access times and a [`fenwick::Fenwick`] tree.
 //! * [`fxhash`] — FxHash hasher and the open-addressing [`fxhash::LineTable`]
@@ -27,7 +26,6 @@ pub mod fenwick;
 pub mod fxhash;
 pub mod histogram;
 pub mod markers;
-pub mod naive;
 pub mod partitioned;
 
 pub use exact::ExactStack;

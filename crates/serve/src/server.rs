@@ -582,10 +582,16 @@ fn submit_predict(
         }
     };
     // A spec with its own `machine` directives wins; otherwise the
-    // daemon's default machine (if any) applies.
+    // daemon's default machine (if any) applies, and the spec's scale
+    // and threads must fit it too.
     if spec.machines.is_empty() {
         if let Some(m) = &shared.config.default_machine {
             spec.machines.push(m.clone());
+            if let Err(e) = spec.check_machines() {
+                let message = format!("invalid spec: {e}");
+                write_error(shared, out, Some(&id), ErrorCode::BadRequest, &message);
+                return;
+            }
         }
     }
     // Deadline precedence: request field, spec directive, server default.

@@ -4,9 +4,10 @@
 //! the cache simulator at a sweep of sector settings and thread counts,
 //! with six invariants checked along the way:
 //!
-//! 1. **Pipeline agreement** — the streaming profile, the materialized
-//!    oracle, and the marker-stack sweep must produce byte-identical
-//!    predictions (they implement the same mathematics three ways).
+//! 1. **Pipeline agreement** — the streaming profile (marker stacks for
+//!    method (A), an exact stack for method (B)) and the materialized
+//!    exact oracle must produce byte-identical predictions at the sweep's
+//!    settings (they implement the same mathematics two ways).
 //! 2. **Monotonicity** — giving the matrix-stream partition more ways
 //!    must never increase its misses, and the complementary partition's
 //!    misses must never decrease (LRU miss curves are monotone in
@@ -385,9 +386,9 @@ pub fn machine_identity(plan: &CheckPlan, harness_seed: u64) -> (Vec<Divergence>
     let spec0 = &crate::corpus::stratified(4, harness_seed)[0];
     let matrix = build(spec0);
     for method in [Method::A, Method::B] {
-        let expected = LocalityProfile::compute(&matrix, &legacy, method, 1)
+        let expected = LocalityProfile::compute(&matrix, &legacy, method, 1, &plan.sweep_settings)
             .evaluate(&legacy, &plan.sweep_settings);
-        let actual = LocalityProfile::compute(&matrix, &projected, method, 1)
+        let actual = LocalityProfile::compute(&matrix, &projected, method, 1, &plan.sweep_settings)
             .evaluate(&projected, &plan.sweep_settings);
         checks += 1;
         if expected != actual {
@@ -520,40 +521,34 @@ fn model_invariants<W: SpmvWorkload>(
     let mut preds_b: Option<Vec<Prediction>> = None;
     for method in [Method::A, Method::B] {
         let t = Instant::now();
-        let streaming = LocalityProfile::compute(workload, cfg, method, threads);
+        let streaming = LocalityProfile::compute(workload, cfg, method, threads, all_settings);
         tally.nanos.profile += t.elapsed().as_nanos() as u64;
         let t = Instant::now();
         let reference = oracle(method);
         tally.nanos.oracle += t.elapsed().as_nanos() as u64;
-        let t = Instant::now();
-        let sweep =
-            LocalityProfile::compute_for_sweep(workload, cfg, method, threads, all_settings);
-        tally.nanos.sweep += t.elapsed().as_nanos() as u64;
 
         let t = Instant::now();
         let expected = reference.evaluate(cfg, all_settings);
-        for (pipeline, profile) in [("streaming", &streaming), ("marker-sweep", &sweep)] {
-            let actual = profile.evaluate(cfg, all_settings);
-            tally.checks_run += 1;
-            for (e, a) in expected.iter().zip(&actual) {
-                if e != a {
-                    ctx.diverge(
-                        &mut tally.divergences,
-                        Check::PipelineAgreement,
-                        name,
-                        fingerprint,
-                        Some(e.setting),
-                        threads,
-                        e.l2_misses as f64,
-                        a.l2_misses as f64,
-                        0.0,
-                        format!(
-                            "method {method:?}: {pipeline} pipeline disagrees with the \
-                             materialized oracle (by_array {:?} vs {:?})",
-                            a.by_array, e.by_array
-                        ),
-                    );
-                }
+        let actual = streaming.evaluate(cfg, all_settings);
+        tally.checks_run += 1;
+        for (e, a) in expected.iter().zip(&actual) {
+            if e != a {
+                ctx.diverge(
+                    &mut tally.divergences,
+                    Check::PipelineAgreement,
+                    name,
+                    fingerprint,
+                    Some(e.setting),
+                    threads,
+                    e.l2_misses as f64,
+                    a.l2_misses as f64,
+                    0.0,
+                    format!(
+                        "method {method:?}: streaming pipeline disagrees with the \
+                         materialized oracle (by_array {:?} vs {:?})",
+                        a.by_array, e.by_array
+                    ),
+                );
             }
         }
 
@@ -699,7 +694,8 @@ fn spmm_identity(
         for (threads, ref_a, ref_b) in reference {
             for (method, expected) in [(Method::A, ref_a), (Method::B, ref_b)] {
                 let t = Instant::now();
-                let profile = LocalityProfile::compute(&spmm, cfg, method, *threads);
+                let profile =
+                    LocalityProfile::compute(&spmm, cfg, method, *threads, &ctx.all_settings);
                 tally.nanos.profile += t.elapsed().as_nanos() as u64;
                 let t = Instant::now();
                 let actual = profile.evaluate(cfg, &ctx.all_settings);
@@ -814,7 +810,7 @@ fn rhs_amplification(
     let stream = |p: &Prediction| p.misses_of(Array::A) + p.misses_of(Array::ColIdx);
     for (method, reference) in [(Method::A, ref_a), (Method::B, ref_b)] {
         let t = Instant::now();
-        let profile = LocalityProfile::compute(&spmm, cfg, method, threads);
+        let profile = LocalityProfile::compute(&spmm, cfg, method, threads, &ctx.all_settings);
         tally.nanos.profile += t.elapsed().as_nanos() as u64;
         let t = Instant::now();
         let actual = profile.evaluate(cfg, &ctx.all_settings);
@@ -1203,8 +1199,10 @@ mod tests {
         let cfg = plan.machine();
         let matrix = plan.reorder.apply(build(spec));
         let settings = plan.sweep_settings.clone();
-        let ref_a = LocalityProfile::compute(&matrix, &cfg, Method::A, 1).evaluate(&cfg, &settings);
-        let ref_b = LocalityProfile::compute(&matrix, &cfg, Method::B, 1).evaluate(&cfg, &settings);
+        let ref_a = LocalityProfile::compute(&matrix, &cfg, Method::A, 1, &settings)
+            .evaluate(&cfg, &settings);
+        let ref_b = LocalityProfile::compute(&matrix, &cfg, Method::B, 1, &settings)
+            .evaluate(&cfg, &settings);
         (plan, cfg, matrix, ref_a, ref_b)
     }
 

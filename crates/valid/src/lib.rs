@@ -1,7 +1,7 @@
 //! Differential validation harness for the locality model.
 //!
 //! The repo implements the same mathematics several times over — a
-//! streaming profile, a materialized oracle, a marker-stack sweep, two
+//! streaming (marker-stack) profile, a materialized exact oracle, two
 //! prediction methods, and a cycle-free cache simulator. This crate
 //! cross-checks them against each other over a stratified random corpus
 //! covering the paper's §3.1 working-set classes, and emits every

@@ -14,8 +14,8 @@ use std::fmt::Write as _;
 /// Which cross-implementation invariant a record refers to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Check {
-    /// Streaming profile vs materialized oracle vs marker-sweep profile:
-    /// predictions must be byte-identical.
+    /// Streaming profile vs materialized oracle: predictions must be
+    /// byte-identical.
     PipelineAgreement,
     /// Partition-1 misses non-increasing / partition-0 misses
     /// non-decreasing as partition 1 gains ways.
@@ -156,7 +156,9 @@ pub struct StageNanos {
     pub profile: u64,
     /// Materialized oracle computation.
     pub oracle: u64,
-    /// Marker-stack sweep computation.
+    /// Always 0: the marker-stack sweep is the streaming profile, timed
+    /// under `profile`. Kept so the summary line's `stage_ns.sweep` key
+    /// stays stable for its readers.
     pub sweep: u64,
     /// Cache simulator runs.
     pub simulate: u64,

@@ -34,9 +34,25 @@ echo "== validate smoke: differential harness =="
 # Fast tier of the differential validation harness (spmv-locality
 # validate): 16 stratified matrices through every prediction pipeline
 # and the simulator, exits nonzero on any invariant divergence. The full
-# 200-matrix corpus is the release gate (see EXPERIMENTS.md).
+# 200-matrix corpus is the release gate (see EXPERIMENTS.md). The summary
+# line must also report the pinned check count, so a check row that
+# silently stops running fails here; change the count only together with
+# the checks it counts.
+VALIDATE_SMOKE_CHECKS=4462
+VALIDATE_TMP=$(mktemp)
 cargo run --release --offline --bin spmv-locality -- \
-    validate --matrices 16 --smoke
+    validate --matrices 16 --smoke > "$VALIDATE_TMP"
+python3 - "$VALIDATE_TMP" "$VALIDATE_SMOKE_CHECKS" <<'EOF'
+import json, sys
+
+summary = json.loads(open(sys.argv[1]).read().splitlines()[-1])["summary"]
+want = int(sys.argv[2])
+assert summary["divergences"] == 0, summary
+assert summary["checks_run"] == want, \
+    f"validate smoke ran {summary['checks_run']} checks, pinned {want}"
+print(f"validate smoke ok: {want} checks, 0 divergences")
+EOF
+rm -f "$VALIDATE_TMP"
 
 echo "== telemetry smoke: batch --metrics (spmv-obs) =="
 # The metrics sink must never change the report: run the same tiny batch

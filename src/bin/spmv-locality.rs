@@ -54,7 +54,9 @@
 //! selected machine; `simulate` also takes 0 for "sector cache off". A
 //! value outside that range is a bad flag value (exit 2), and so is the
 //! flag on `tune`, which sweeps every split. `--threads` and `--rhs`
-//! take positive counts; 0 is a bad flag value too.
+//! take positive counts; 0 is a bad flag value too, and so is a
+//! `--threads` above the selected machine's core count, which is also
+//! the default (48 on the a64fx).
 //!
 //! `--rhs K` traces a `K`-right-hand-side SpMM instead of the single
 //! vector SpMV (`--rhs-layout` picks row-major interleaved RHS, the
@@ -433,6 +435,10 @@ fn run_batch_command(spec_path: &str, args: impl Iterator<Item = String>) -> ! {
     }
     if !machines.is_empty() {
         spec.machines = machines;
+        if let Err(e) = spec.check_machines() {
+            eprintln!("{spec_path}: {e}");
+            std::process::exit(1);
+        }
     }
     metrics_setup(&metrics);
     match run_batch(&spec) {
@@ -471,7 +477,7 @@ fn parse_cli() -> Cli {
     let mut cli = Cli {
         command,
         path,
-        threads: 48,
+        threads: 0, // resolved against the machine's cores below
         scale: 1,
         l2_ways: 5,
         format: FormatSpec::Csr,
@@ -482,6 +488,7 @@ fn parse_cli() -> Cli {
         metrics: None,
     };
     let mut l2_ways_given = false;
+    let mut threads = None;
     while let Some(flag) = args.next() {
         let mut value = |what: &str| -> usize {
             args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -497,7 +504,7 @@ fn parse_cli() -> Cli {
             n
         };
         match flag.as_str() {
-            "--threads" => cli.threads = positive("--threads", value("--threads")),
+            "--threads" => threads = Some(positive("--threads", value("--threads"))),
             "--scale" => cli.scale = value("--scale"),
             "--l2-ways" => {
                 cli.l2_ways = value("--l2-ways");
@@ -522,6 +529,16 @@ fn parse_cli() -> Cli {
         );
         std::process::exit(2);
     });
+    cli.threads = threads.unwrap_or(hier.num_cores);
+    if cli.threads > hier.num_cores {
+        eprintln!(
+            "spmv-locality: --threads {} exceeds the {} cores of machine '{}'",
+            cli.threads,
+            hier.num_cores,
+            cli.machine.label()
+        );
+        std::process::exit(2);
+    }
     if cli.command == "tune" && l2_ways_given {
         eprintln!(
             "spmv-locality: --l2-ways {} does not apply: tune sweeps every way split",

@@ -196,6 +196,25 @@ fn batch_scale_that_splits_cache_sets_is_a_spec_error() {
     );
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 
+    // So is a scale that fits the spec's machine but not the machine a
+    // `--machine` flag puts in its place.
+    std::fs::write(&spec, "corpus count=1 scale=64\nscale 64\nsettings off\n").unwrap();
+    let out = Command::new(BIN)
+        .args(["batch", spec.to_str().unwrap()])
+        .args([
+            "--machine",
+            "custom:cores=2;l1=4k,4,64;l2=64k,16,64;mem=40g",
+        ])
+        .output()
+        .expect("spawn spmv-locality");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("scale 64 does not fit machine 'custom'"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+
     // The one-shot commands reject the same scale as a bad flag value.
     let out = Command::new(BIN)
         .args(["analyze", "whatever.mtx", "--scale", "3"])
@@ -205,6 +224,120 @@ fn batch_scale_that_splits_cache_sets_is_a_spec_error() {
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("--scale 3"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn threads_beyond_the_machine_cores_are_rejected() {
+    // A batch spec: a typed spec error naming both numbers and the line,
+    // for the a64fx default (48 cores), a count far past any core count,
+    // and a machine directive after the threads line.
+    let dir = scratch("threads-bound");
+    for (text, line, threads, cores) in [
+        (
+            "corpus count=1 scale=64
+threads 200
+scale 64
+",
+            2,
+            "200",
+            "48",
+        ),
+        (
+            "corpus count=1 scale=64
+scale 64
+threads 4000000000
+",
+            3,
+            "4000000000",
+            "48",
+        ),
+        (
+            "corpus count=1 scale=64
+threads 9
+machine generic-x86
+scale 64
+",
+            2,
+            "9",
+            "8",
+        ),
+    ] {
+        let spec = dir.join("jobs.spec");
+        std::fs::write(&spec, text).unwrap();
+        let out = Command::new(BIN)
+            .args(["batch", spec.to_str().unwrap()])
+            .output()
+            .expect("spawn spmv-locality");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{text:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("line {line}"))
+                && stderr.contains(&format!("threads {threads} exceeds the {cores} cores")),
+            "{text:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{text:?}: {stderr}");
+    }
+
+    // A `--machine` flag that replaces the spec's machines is checked too.
+    let spec = dir.join("jobs.spec");
+    std::fs::write(
+        &spec,
+        "corpus count=1 scale=64
+threads 48
+scale 64
+",
+    )
+    .unwrap();
+    let out = Command::new(BIN)
+        .args(["batch", spec.to_str().unwrap(), "--machine", "generic-x86"])
+        .output()
+        .expect("spawn spmv-locality");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("threads 48 exceeds the 8 cores of machine 'generic-x86'"),
+        "stderr: {stderr}"
+    );
+
+    // The one-shot commands reject the same count as a bad flag value,
+    // before the matrix file is opened; the core count itself passes the
+    // check and fails on the missing file.
+    for command in ["analyze", "tune", "simulate"] {
+        let out = Command::new(BIN)
+            .args([command, "whatever.mtx", "--scale", "64", "--threads", "49"])
+            .output()
+            .expect("spawn spmv-locality");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
+        assert!(
+            stderr.contains("--threads 49 exceeds the 48 cores of machine 'a64fx'"),
+            "{command}: {stderr}"
+        );
+        let out = Command::new(BIN)
+            .args([command, "whatever.mtx", "--scale", "64", "--threads", "48"])
+            .output()
+            .expect("spawn spmv-locality");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.contains("failed to read"), "{command}: {stderr}");
+    }
+    let out = Command::new(BIN)
+        .args([
+            "analyze",
+            "whatever.mtx",
+            "--machine",
+            "generic-x86",
+            "--threads",
+            "9",
+        ])
+        .output()
+        .expect("spawn spmv-locality");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--threads 9 exceeds the 8 cores of machine 'generic-x86'"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]

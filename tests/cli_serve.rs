@@ -409,6 +409,53 @@ fn serve_deeply_nested_line_is_a_typed_error_not_a_crash() {
 }
 
 #[test]
+fn serve_threads_beyond_the_machine_cores_are_a_typed_error() {
+    // A thread count past the machine's cores is refused at parse time,
+    // before the row partition is sized: even 4e9 threads answers
+    // bad_request at once, and the daemon keeps answering.
+    let daemon = Daemon::start("threads", &[]);
+    let mut client = daemon.connect();
+    for (id, threads) in [("t1", "49"), ("t2", "4000000000")] {
+        let spec = SPEC.replace("threads 1", &format!("threads {threads}"));
+        client.predict(id, &spec, None);
+        let error = client.recv();
+        assert_eq!(error.get("id").and_then(Json::as_str), Some(id));
+        assert_eq!(error_code(&error), "bad_request");
+        let message = error
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .unwrap_or_default()
+            .to_string();
+        assert!(
+            message.contains(&format!("threads {threads} exceeds the 48 cores")),
+            "{message}"
+        );
+    }
+    client.predict("ok", SPEC, None);
+    let (reports, _) = client.recv_stream("ok");
+    assert_eq!(reports.len(), 8);
+
+    client.send(r#"{"id":"q","shutdown":true}"#);
+    client.recv();
+    let (code, stderr) = daemon.wait();
+    assert_eq!(code, 0, "stderr: {stderr}");
+
+    // A daemon whose default machine has fewer cores checks specs that
+    // name no machine against it.
+    let daemon = Daemon::start("threads-default", &["--machine", "generic-x86"]);
+    let mut client = daemon.connect();
+    let spec = SPEC.replace("threads 1", "threads 9");
+    client.predict("t3", &spec, None);
+    let error = client.recv();
+    assert_eq!(error_code(&error), "bad_request");
+    client.send(r#"{"id":"q","shutdown":true}"#);
+    client.recv();
+    let (code, stderr) = daemon.wait();
+    assert_eq!(code, 0, "stderr: {stderr}");
+}
+
+#[test]
 fn serve_deadline_exceeded_is_a_typed_error_not_a_hang() {
     let daemon = Daemon::start("deadline", &[]);
     let mut client = daemon.connect();

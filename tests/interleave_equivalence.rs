@@ -3,7 +3,10 @@
 //! uses): on equal-rate threads they must yield statistically equivalent
 //! shared-cache miss counts.
 
-use memtrace::interleave::{mcs_interleave, round_robin};
+mod common;
+
+use common::round_robin;
+use memtrace::interleave::mcs_interleave;
 use memtrace::{Access, Array};
 use reuse::MarkerStack;
 

@@ -2,9 +2,11 @@
 //! theory it must embody: a fully associative LRU cache's hits and misses
 //! are *exactly* predicted by Eq. (1).
 
+mod common;
+
 use a64fx::{Cache, CacheGeometry, Outcome, Replacement, Request, SectorPolicy};
+use common::NaiveStack;
 use proptest::prelude::*;
-use reuse::naive::NaiveStack;
 
 const LINE: usize = 64;
 

@@ -3,10 +3,13 @@
 //! processor and the naive LRU-stack oracle on arbitrary traces, and the
 //! partitioned accounting must decompose into independent caches.
 
-use memtrace::interleave::{domain_groups, round_robin};
+mod common;
+
+use common::{lru_misses, reuse_distances, round_robin};
+use memtrace::interleave::domain_groups;
 use memtrace::{Access, Array, ArraySet};
 use proptest::prelude::*;
-use reuse::{naive, ExactStack, MarkerStack, PartitionedStack, ReuseHistogram};
+use reuse::{ExactStack, MarkerStack, PartitionedStack, ReuseHistogram};
 
 fn arb_trace(max_len: usize, universe: u64) -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0..universe, 0..max_len)
@@ -18,7 +21,7 @@ proptest! {
     /// Exact stack distances equal the naive oracle's on any trace.
     #[test]
     fn exact_equals_naive(trace in arb_trace(400, 40)) {
-        let expect = naive::reuse_distances(&trace);
+        let expect = reuse_distances(&trace);
         let mut s = ExactStack::new();
         for (i, &l) in trace.iter().enumerate() {
             prop_assert_eq!(s.access(l), expect[i]);
@@ -161,6 +164,16 @@ proptest! {
         prop_assert_eq!(ps.total_misses(0, 0), solo0.misses(0) + solo1.misses(0));
     }
 
+    /// Exact-stack histogram miss counts equal the naive oracle's LRU
+    /// misses at every capacity, on any trace.
+    #[test]
+    fn exact_histogram_matches_naive_misses(trace in arb_trace(400, 48)) {
+        let hist = ExactStack::histogram_of(trace.iter().copied());
+        for cap in [1, 2, 4, 8, 16, 32, 48, 64] {
+            prop_assert_eq!(hist.misses(cap), lru_misses(&trace, cap), "capacity {}", cap);
+        }
+    }
+
     /// The LRU miss curve is monotonically non-increasing in capacity.
     #[test]
     fn miss_curve_monotone(trace in arb_trace(400, 50)) {
@@ -174,4 +187,18 @@ proptest! {
         // And a cache bigger than the universe only takes cold misses.
         prop_assert_eq!(hist.misses(64), hist.cold());
     }
+}
+
+/// The naive oracle itself, on textbook traces.
+#[test]
+fn naive_oracle_textbook_distances() {
+    // a b c a -> inf, inf, inf, 2; immediate reuse is distance 0, and a
+    // distance counts distinct lines, not accesses.
+    assert_eq!(reuse_distances(&[1, 2, 3, 1]), [None, None, None, Some(2)]);
+    assert_eq!(reuse_distances(&[5, 5, 5]), [None, Some(0), Some(0)]);
+    assert_eq!(reuse_distances(&[1, 2, 2, 2, 1])[4], Some(1));
+    // Cyclic trace over 3 lines: capacity 2 misses everything, capacity 3
+    // only the cold misses.
+    assert_eq!(lru_misses(&[1, 2, 3, 1, 2, 3], 2), 6);
+    assert_eq!(lru_misses(&[1, 2, 3, 1, 2, 3], 3), 3);
 }

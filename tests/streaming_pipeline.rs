@@ -104,8 +104,10 @@ proptest! {
         }
     }
 
-    /// The sweep-restricted (marker) and capacity-independent (exact)
-    /// streaming profiles answer identically at the tracked settings.
+    /// The streaming profile — marker stacks tracking the sweep's
+    /// capacities for method (A), an exact stack for method (B) —
+    /// answers identically to the independent exact oracle at the
+    /// sweep's settings.
     #[test]
     fn sweep_profile_matches_exact_profile(
         m in arb_matrix(),
@@ -114,9 +116,8 @@ proptest! {
     ) {
         let cfg = MachineConfig::a64fx_scaled(64).with_cores(threads);
         for method in [Method::A, Method::B] {
-            let exact = LocalityProfile::compute(&m, &cfg, method, threads);
-            let sweep =
-                LocalityProfile::compute_for_sweep(&m, &cfg, method, threads, &settings);
+            let exact = LocalityProfile::compute_materialized(&m, &cfg, method, threads);
+            let sweep = LocalityProfile::compute(&m, &cfg, method, threads, &settings);
             prop_assert_eq!(
                 sweep.evaluate(&cfg, &settings),
                 exact.evaluate(&cfg, &settings),
@@ -128,8 +129,10 @@ proptest! {
 
     /// With two cores per domain, 1..=8 threads span one to four L2
     /// domains, so the streaming profile merges per-domain partials whose
-    /// pair sets and histograms overlap. The whole profile — not only its
-    /// predictions — must equal the materialised oracle's.
+    /// pair sets and histograms overlap. A method-(B) profile must equal
+    /// the materialised oracle's whole; a method-(A) profile tracks only
+    /// its sweep's capacities, so over the machine's full way grid its
+    /// predictions and domain shares must.
     #[test]
     fn multi_domain_profile_matches_materialized_oracle(
         m in arb_matrix(),
@@ -137,13 +140,22 @@ proptest! {
     ) {
         let mut cfg = MachineConfig::a64fx_scaled(64).with_cores(threads);
         cfg.cores_per_domain = 2;
+        let grid: Vec<SectorSetting> = std::iter::once(SectorSetting::Off)
+            .chain((1..cfg.l2.ways).map(SectorSetting::L2Ways))
+            .collect();
         for method in [Method::A, Method::B] {
+            let streaming = LocalityProfile::compute(&m, &cfg, method, threads, &grid);
+            let oracle = LocalityProfile::compute_materialized(&m, &cfg, method, threads);
             prop_assert_eq!(
-                LocalityProfile::compute(&m, &cfg, method, threads),
-                LocalityProfile::compute_materialized(&m, &cfg, method, threads),
+                streaming.evaluate(&cfg, &grid),
+                oracle.evaluate(&cfg, &grid),
                 "method {:?}",
                 method
             );
+            prop_assert_eq!(streaming.domains(), oracle.domains());
+            if method == Method::B {
+                prop_assert_eq!(streaming, oracle);
+            }
         }
     }
 }
