@@ -78,7 +78,7 @@ impl PartitionOptimizer {
                 let mut stack = ExactStack::new();
                 // Warm-up iteration.
                 for p in merged.trace.iter().filter(|p| group.contains(p.array())) {
-                    stack.access(p.line());
+                    stack.touch(p.line());
                 }
                 // Measured iteration.
                 let mut hist = ReuseHistogram::new();

@@ -31,9 +31,8 @@ use memtrace::{
     Access, AccessBlock, Array, ArraySet, BlockSink, BlockTee, DataLayout, PackedAccess, RefSink,
     SpmvWorkload, TraceCursor, TraceSink, BLOCK_REFS,
 };
-use reuse::{ExactStack, LineTable, MarkerStack, QuantizedCounts, ReuseHistogram};
+use reuse::{ExactStack, FxHashMap, LineTable, MarkerStack, QuantizedCounts, ReuseHistogram};
 use sparsemat::{CsrMatrix, RowPartition};
-use std::collections::HashMap;
 
 /// One NUMA domain's share of the workload (for the analytic terms and
 /// working-set fit checks of method B) — a [`memtrace::WorkShare`] in the
@@ -67,32 +66,96 @@ impl ArrayHistograms {
     }
 }
 
-/// Trace sink recording steady-state reuse distances of a two-partition
-/// routed stream into per-array histograms — the exact method-(A) replay
-/// of the materialized oracle.
+/// One exact stack of the materialized oracle with dense per-array
+/// distance counters for the measured iteration.
+struct CountingStack {
+    stack: ExactStack,
+    /// `finite[array][d]`: measured references to `array` at reuse
+    /// distance `d` (distances are below the stack's line count).
+    finite: [Vec<u64>; 5],
+    cold: [u64; 5],
+}
+
+impl CountingStack {
+    fn new(distinct_lines: usize) -> Self {
+        CountingStack {
+            stack: ExactStack::with_line_capacity(distinct_lines),
+            finite: Default::default(),
+            cold: [0; 5],
+        }
+    }
+
+    fn record(&mut self, access: Access) {
+        let array = access.array as usize;
+        match self.stack.access(access.line) {
+            Some(d) => {
+                let counts = &mut self.finite[array];
+                let d = d as usize;
+                if d >= counts.len() {
+                    counts.resize(d + 1, 0);
+                }
+                counts[d] += 1;
+            }
+            None => self.cold[array] += 1,
+        }
+    }
+
+    /// Folds the counters into per-array histograms. `record_n` skips
+    /// zero counts, so the result equals recording reference by
+    /// reference.
+    fn histograms(&self) -> ArrayHistograms {
+        let mut h = ArrayHistograms::default();
+        for a in Array::ALL {
+            let hist = &mut h.by_array[a as usize];
+            hist.record_n(None, self.cold[a as usize]);
+            for (d, &n) in self.finite[a as usize].iter().enumerate() {
+                hist.record_n(Some(d as u64), n);
+            }
+        }
+        h
+    }
+}
+
+/// Trace sink of the materialized oracle's method-(A) replay: one exact
+/// stack for the unpartitioned routing and the Listing-1 pair, all fed
+/// by the same pass. The warm-up only updates the stacks
+/// ([`ExactStack::touch`]); the measured iteration counts distances.
 struct HistogramSink {
-    sector1: ArraySet,
-    stack0: ExactStack,
-    stack1: ExactStack,
-    hist0: ArrayHistograms,
-    hist1: ArrayHistograms,
-    recording: bool,
+    shared: CountingStack,
+    part0: CountingStack,
+    part1: CountingStack,
+    measuring: bool,
 }
 
 impl HistogramSink {
-    /// Creates a routed sink whose two stacks are sized from the *actual*
-    /// access counts each will see (partition 1 receives only `a` and
-    /// `colidx` references — `4·nnz` over warm-up plus measured — not the
-    /// full trace length the old `expected_len.min(1024)` heuristic
-    /// assumed).
-    fn new(sector1: ArraySet, expected0: usize, expected1: usize) -> Self {
+    /// Creates the sink with each stack pre-sized for the lines of the
+    /// arrays it can hold.
+    fn new(layout: &DataLayout) -> Self {
+        let total = layout.total_lines() as usize;
+        // Partition 1 holds the matrix stream, `a` and `colidx`.
+        let stream = (layout.array_lines(Array::A) + layout.array_lines(Array::ColIdx)) as usize;
         HistogramSink {
-            sector1,
-            stack0: ExactStack::with_capacity(expected0),
-            stack1: ExactStack::with_capacity(expected1),
-            hist0: ArrayHistograms::default(),
-            hist1: ArrayHistograms::default(),
-            recording: false,
+            shared: CountingStack::new(total),
+            part0: CountingStack::new(total - stream),
+            part1: CountingStack::new(stream),
+            measuring: false,
+        }
+    }
+}
+
+impl TraceSink for HistogramSink {
+    fn access(&mut self, access: Access) {
+        let routed = if ArraySet::MATRIX_STREAM.contains(access.array) {
+            &mut self.part1
+        } else {
+            &mut self.part0
+        };
+        if self.measuring {
+            self.shared.record(access);
+            routed.record(access);
+        } else {
+            self.shared.stack.touch(access.line);
+            routed.stack.touch(access.line);
         }
     }
 }
@@ -105,20 +168,6 @@ fn route(order: &[LastAccess], sector1: ArraySet, want1: bool) -> Vec<u64> {
         .filter(|a| sector1.contains(a.array) == want1)
         .map(|a| a.line)
         .collect()
-}
-
-impl TraceSink for HistogramSink {
-    fn access(&mut self, access: Access) {
-        let (stack, hist) = if self.sector1.contains(access.array) {
-            (&mut self.stack1, &mut self.hist1)
-        } else {
-            (&mut self.stack0, &mut self.hist0)
-        };
-        let distance = stack.access(access.line);
-        if self.recording {
-            hist.by_array[access.array as usize].record(distance);
-        }
-    }
 }
 
 /// Trace sink classifying a two-partition routed stream against fixed
@@ -374,7 +423,7 @@ impl XPairSink {
             "x trace exceeds u32 timestamp range"
         );
         let lines: Vec<u64> = order.iter().map(|a| a.line).collect();
-        let mut stack = ExactStack::with_line_capacity(lines.len() + len, distinct_lines);
+        let mut stack = ExactStack::with_line_capacity(distinct_lines);
         stack.seed_lru(&lines);
         let mut last_seen = LineTable::with_capacity(distinct_lines);
         for a in order {
@@ -1106,8 +1155,8 @@ impl LocalityProfile {
     /// bit-for-bit). Its traces come from the independent
     /// `memtrace::spmv_trace`/`memtrace::xtrace` generators rather than the
     /// cursors the streaming path runs on. Buffers every per-thread trace
-    /// and replays each domain four times — prefer
-    /// [`compute`](Self::compute).
+    /// and replays each domain twice, warm-up then measured, through
+    /// exact stacks — prefer [`compute`](Self::compute).
     pub fn compute_materialized(
         matrix: &CsrMatrix,
         cfg: &MachineConfig,
@@ -1173,9 +1222,10 @@ impl LocalityProfile {
     /// domain's accounting for a span of work items; `per_thread` produces
     /// each thread's buffered trace — every array for method (A), `x` only
     /// for method (B). The traces are grouped into L2 domains and each
-    /// domain is replayed twice (warm-up, then measured): method (A)
-    /// through the unpartitioned and the Listing-1 routings on exact
-    /// stacks, method (B) on an exact stack paired with a reuse-gap clock.
+    /// domain is replayed twice (warm-up, then measured), one reference
+    /// at a time: method (A) through one sink holding the unpartitioned
+    /// exact stack and the Listing-1 pair, method (B) on an exact stack
+    /// paired with a reuse-gap clock and a hash-map pair merge.
     fn replay_materialized<W: SpmvWorkload>(
         workload: &W,
         cfg: &MachineConfig,
@@ -1222,29 +1272,20 @@ impl LocalityProfile {
             ));
         }
 
-        let per_thread = per_thread(&layout, &partition);
-        let expected: usize = per_thread.iter().map(|t| t.len()).sum();
-        let domains = DomainTraces::group(per_thread, cores_per_domain);
+        let domains = DomainTraces::group(per_thread(&layout, &partition), cores_per_domain);
         match method {
             Method::A => {
                 let mut shared = ArrayHistograms::default();
                 let mut part0 = ArrayHistograms::default();
                 let mut part1 = ArrayHistograms::default();
                 for d in 0..domains.num_domains() {
-                    // Unpartitioned routing.
-                    let mut sink = HistogramSink::new(ArraySet::EMPTY, expected, 16);
+                    let mut sink = HistogramSink::new(&layout);
                     domains.feed_domain(d, &mut sink); // warm-up
-                    sink.recording = true;
+                    sink.measuring = true;
                     domains.feed_domain(d, &mut sink); // measured
-                    shared.merge(&sink.hist0);
-
-                    // Listing-1 routing.
-                    let mut sink = HistogramSink::new(ArraySet::MATRIX_STREAM, expected, expected);
-                    domains.feed_domain(d, &mut sink);
-                    sink.recording = true;
-                    domains.feed_domain(d, &mut sink);
-                    part0.merge(&sink.hist0);
-                    part1.merge(&sink.hist1);
+                    shared.merge(&sink.shared.histograms());
+                    part0.merge(&sink.part0.histograms());
+                    part1.merge(&sink.part1.histograms());
                 }
                 profile.kind = ProfileKind::Trace(TraceProfile {
                     shared,
@@ -1253,26 +1294,29 @@ impl LocalityProfile {
                 });
             }
             Method::B => {
-                let mut pairs: HashMap<(u64, u64), u64> = HashMap::new();
+                let mut pairs: FxHashMap<(u64, u64), u64> = FxHashMap::default();
                 let mut cold = 0u64;
                 for d in 0..domains.num_domains() {
                     let mut interleaved = memtrace::VecSink::new();
                     domains.feed_domain(d, &mut interleaved);
                     let trace = &interleaved.trace;
-                    let mut stack = ExactStack::with_capacity(trace.len() * 2);
-                    let mut last_seen: HashMap<u64, u64> = HashMap::new();
+                    let mut stack =
+                        ExactStack::with_line_capacity(layout.array_lines(Array::X) as usize);
+                    // Each line's last access time, dense over the layout's
+                    // line ids: `time + 1`, 0 = not yet seen.
+                    let mut last_seen = vec![0u64; layout.total_lines() as usize];
                     // Warm-up iteration.
                     for (t, a) in trace.iter().enumerate() {
-                        stack.access(a.line);
-                        last_seen.insert(a.line, t as u64);
+                        stack.touch(a.line);
+                        last_seen[a.line as usize] = t as u64 + 1;
                     }
                     // Measured iteration.
                     let offset = trace.len() as u64;
                     for (t, a) in trace.iter().enumerate() {
                         let now = offset + t as u64;
                         let rd = stack.access(a.line);
-                        let g = last_seen.insert(a.line, now).map(|prev| now - prev);
-                        match (rd, g) {
+                        let prev = std::mem::replace(&mut last_seen[a.line as usize], now + 1);
+                        match (rd, prev.checked_sub(1).map(|prev| now - prev)) {
                             (Some(rd), Some(g)) => *pairs.entry((rd, g)).or_insert(0) += 1,
                             _ => cold += 1,
                         }

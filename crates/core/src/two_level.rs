@@ -24,10 +24,10 @@ use sparsemat::CsrMatrix;
 /// then measurement replays both see a warm L1), matching steady-state
 /// iterative SpMV: the filter is warmed with one full pass first.
 pub fn l1_filter(trace: &[Access], l1_lines: usize) -> Vec<Access> {
-    let mut stack = ExactStack::with_capacity(trace.len());
+    let mut stack = ExactStack::new();
     // Warm-up pass: establish steady-state L1 contents.
     for a in trace {
-        stack.access(a.line);
+        stack.touch(a.line);
     }
     let mut out = Vec::new();
     for a in trace {

@@ -467,6 +467,16 @@ where
             }
             let workload = slot
                 .workload(cache, ctx)
+                .and_then(|w| {
+                    // Refuse a layout the stacks cannot index before the
+                    // pipeline sizes anything by it.
+                    w.check_line_range(rm.cfg.l2.line_bytes)
+                        .map(|()| w)
+                        .map_err(|message| EngineError::Scenario {
+                            name: meta.name.clone(),
+                            message,
+                        })
+                })
                 .map_err(|e| build_error = Some(e))
                 .ok()?;
             let _compute_phase = ctx.phase(&["compute"], Some("serve.phase.compute_ns"));

@@ -77,25 +77,7 @@ impl DataLayout {
     /// Panics if `line_bytes` is zero or not a multiple of 8 (so that 8-byte
     /// elements never straddle a line boundary).
     pub fn from_dims(num_rows: usize, num_cols: usize, nnz: usize, line_bytes: usize) -> Self {
-        assert!(line_bytes > 0, "line size must be positive");
-        assert_eq!(line_bytes % 8, 0, "line size must be a multiple of 8 bytes");
-        let counts = [num_cols, num_rows, nnz, nnz, num_rows + 1];
-        let mut base = [0u64; 5];
-        let mut lines = [0u64; 5];
-        let mut next = 0u64;
-        for (i, &array) in Array::ALL.iter().enumerate() {
-            let bytes = counts[i] * array.element_bytes();
-            let n_lines = (bytes.div_ceil(line_bytes)) as u64;
-            base[i] = next;
-            lines[i] = n_lines;
-            next += n_lines;
-        }
-        DataLayout {
-            line_bytes,
-            base,
-            lines,
-            elements: counts,
-        }
+        Self::from_counts([num_cols, num_rows, nnz, nnz, num_rows + 1], line_bytes)
     }
 
     /// Builds the layout for `matrix` (A64FX default when `line_bytes` is
@@ -118,19 +100,18 @@ impl DataLayout {
     ///
     /// # Panics
     ///
-    /// Panics if `line_bytes` is zero or not a multiple of 8.
+    /// Panics if `line_bytes` is zero or not a multiple of 8, or if an
+    /// array's byte count overflows `usize` (see
+    /// [`checked_total_lines`](Self::checked_total_lines)).
     pub fn from_counts(counts: [usize; 5], line_bytes: usize) -> Self {
         assert!(line_bytes > 0, "line size must be positive");
         assert_eq!(line_bytes % 8, 0, "line size must be a multiple of 8 bytes");
+        let lines = Self::array_lines_of(counts, line_bytes).expect("layout byte counts overflow");
         let mut base = [0u64; 5];
-        let mut lines = [0u64; 5];
         let mut next = 0u64;
-        for (i, &array) in Array::ALL.iter().enumerate() {
-            let bytes = counts[i] * array.element_bytes();
-            let n_lines = (bytes.div_ceil(line_bytes)) as u64;
-            base[i] = next;
-            lines[i] = n_lines;
-            next += n_lines;
+        for (b, &n) in base.iter_mut().zip(&lines) {
+            *b = next;
+            next += n;
         }
         DataLayout {
             line_bytes,
@@ -138,6 +119,32 @@ impl DataLayout {
             lines,
             elements: counts,
         }
+    }
+
+    /// The number of lines [`from_counts`](Self::from_counts) would lay
+    /// out, with checked arithmetic: `None` when a byte or line count
+    /// overflows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line_bytes` is zero.
+    pub fn checked_total_lines(counts: [usize; 5], line_bytes: usize) -> Option<u64> {
+        let lines = Self::array_lines_of(counts, line_bytes)?;
+        lines
+            .iter()
+            .try_fold(0u64, |total, &n| total.checked_add(n))
+    }
+
+    /// Lines per array for the element counts, or `None` when a byte
+    /// count overflows `usize`.
+    fn array_lines_of(counts: [usize; 5], line_bytes: usize) -> Option<[u64; 5]> {
+        let mut lines = [0u64; 5];
+        for ((n, &count), array) in lines.iter_mut().zip(&counts).zip(Array::ALL) {
+            *n = count
+                .checked_mul(array.element_bytes())?
+                .div_ceil(line_bytes) as u64;
+        }
+        Some(lines)
     }
 
     /// The cache-line size this layout was built for.

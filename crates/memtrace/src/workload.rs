@@ -128,10 +128,51 @@ pub trait SpmvWorkload: Sync {
     /// historical untagged value.
     fn fingerprint(&self) -> u64;
 
+    /// Element counts of the five array roles, in [`Array`] layout order
+    /// (`x`, `y`, `a`, `colidx`, `rowptr`), or `None` when one overflows
+    /// `usize`.
+    ///
+    /// [`Array`]: crate::Array
+    fn layout_counts(&self) -> Option<[usize; 5]>;
+
     /// The cache-line layout of the five array roles — the single
     /// constructor every layer (trace generation, profiles, the cache
     /// simulator) routes through.
-    fn layout(&self, line_bytes: usize) -> DataLayout;
+    ///
+    /// # Panics
+    ///
+    /// Panics if the element counts overflow; callers sizing anything by
+    /// a workload from outside check
+    /// [`check_line_range`](Self::check_line_range) first.
+    fn layout(&self, line_bytes: usize) -> DataLayout {
+        let counts = self
+            .layout_counts()
+            .expect("layout element counts overflow usize");
+        DataLayout::from_counts(counts, line_bytes)
+    }
+
+    /// Checks that [`layout`](Self::layout) at `line_bytes` stays below
+    /// `u32::MAX` cache lines, with checked arithmetic, before anything
+    /// is sized by it. Marker-stack nodes, line tables and exact-stack
+    /// slots index lines with 32-bit handles, so a larger layout (say, an
+    /// SpMM view with a huge RHS count) is an error, not an allocation.
+    fn check_line_range(&self, line_bytes: usize) -> Result<(), String> {
+        let max = u64::from(u32::MAX) - 1;
+        match self
+            .layout_counts()
+            .and_then(|counts| DataLayout::checked_total_lines(counts, line_bytes))
+        {
+            Some(lines) if lines <= max => Ok(()),
+            Some(lines) => Err(format!(
+                "the layout spans {lines} cache lines of {line_bytes} bytes, \
+                 beyond the {max} the model can index"
+            )),
+            None => Err(format!(
+                "the layout's size in {line_bytes}-byte cache lines overflows \
+                 64-bit arithmetic"
+            )),
+        }
+    }
 
     /// The model quantities of a contiguous work-item range.
     fn share(&self, items: Range<usize>) -> WorkShare;
@@ -211,8 +252,9 @@ impl SpmvWorkload for CsrMatrix {
         CsrMatrix::fingerprint(self)
     }
 
-    fn layout(&self, line_bytes: usize) -> DataLayout {
-        DataLayout::new(self, line_bytes)
+    fn layout_counts(&self) -> Option<[usize; 5]> {
+        let (rows, cols, nnz) = (self.num_rows(), self.num_cols(), self.nnz());
+        Some([cols, rows, nnz, nnz, rows.checked_add(1)?])
     }
 
     fn share(&self, items: Range<usize>) -> WorkShare {
@@ -284,17 +326,14 @@ impl SpmvWorkload for SellMatrix {
         SellMatrix::fingerprint(self)
     }
 
-    fn layout(&self, line_bytes: usize) -> DataLayout {
-        DataLayout::from_counts(
-            [
-                SellMatrix::num_cols(self),
-                SellMatrix::num_rows(self),
-                self.stored_entries(),
-                self.stored_entries(),
-                self.num_chunks() + 1,
-            ],
-            line_bytes,
-        )
+    fn layout_counts(&self) -> Option<[usize; 5]> {
+        Some([
+            SellMatrix::num_cols(self),
+            SellMatrix::num_rows(self),
+            self.stored_entries(),
+            self.stored_entries(),
+            self.num_chunks().checked_add(1)?,
+        ])
     }
 
     fn share(&self, items: Range<usize>) -> WorkShare {
@@ -729,17 +768,14 @@ impl SpmvWorkload for SpmmWorkload {
         mix_fingerprint(SpmvWorkload::fingerprint(&self.base), tag)
     }
 
-    fn layout(&self, line_bytes: usize) -> DataLayout {
-        DataLayout::from_counts(
-            [
-                SpmvWorkload::num_cols(&self.base) * self.k,
-                SpmvWorkload::num_rows(&self.base) * self.k,
-                self.base.x_refs(),
-                self.base.x_refs(),
-                self.meta_count(),
-            ],
-            line_bytes,
-        )
+    fn layout_counts(&self) -> Option<[usize; 5]> {
+        Some([
+            SpmvWorkload::num_cols(&self.base).checked_mul(self.k)?,
+            SpmvWorkload::num_rows(&self.base).checked_mul(self.k)?,
+            self.base.x_refs(),
+            self.base.x_refs(),
+            self.meta_count(),
+        ])
     }
 
     fn share(&self, items: Range<usize>) -> WorkShare {
@@ -907,18 +943,15 @@ impl SpmvWorkload for CgWorkload {
         )
     }
 
-    fn layout(&self, line_bytes: usize) -> DataLayout {
+    fn layout_counts(&self) -> Option<[usize; 5]> {
         let n = SpmvWorkload::num_rows(&self.base);
-        DataLayout::from_counts(
-            [
-                3 * n,
-                n,
-                self.base.x_refs(),
-                self.base.x_refs(),
-                self.meta_count(),
-            ],
-            line_bytes,
-        )
+        Some([
+            n.checked_mul(3)?,
+            n,
+            self.base.x_refs(),
+            self.base.x_refs(),
+            self.meta_count(),
+        ])
     }
 
     fn share(&self, items: Range<usize>) -> WorkShare {
@@ -1108,8 +1141,8 @@ impl SpmvWorkload for Workload {
         delegate!(self, m => SpmvWorkload::fingerprint(m))
     }
 
-    fn layout(&self, line_bytes: usize) -> DataLayout {
-        delegate!(self, m => m.layout(line_bytes))
+    fn layout_counts(&self) -> Option<[usize; 5]> {
+        delegate!(self, m => m.layout_counts())
     }
 
     fn share(&self, items: Range<usize>) -> WorkShare {

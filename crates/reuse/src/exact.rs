@@ -1,11 +1,20 @@
 //! Exact stack-distance processor (Bennett–Kruskal / Olken style).
 //!
-//! Computes the exact reuse distance of every reference in O(log N) per
-//! reference using a hash map of last-access times plus a [`Fenwick`] tree
-//! in which position `t` holds 1 while the access at trace time `t` is the
-//! most recent access to its line. The reuse distance of a reference to a
-//! line last touched at `t0` is then the number of set positions strictly
-//! between `t0` and now.
+//! Computes the exact reuse distance of every reference in O(log lines)
+//! per reference using a hash map of last-access slots plus a [`Fenwick`]
+//! tree over a time window in which slot `t` holds 1 while the access
+//! stamped `t` is the most recent access to its line. Every held line has
+//! exactly one live slot and all of them lie below the next stamp, so the
+//! reuse distance of a reference to a line last stamped `t0` — the number
+//! of live slots after `t0` — is `held lines − prefix_sum(t0)`: one
+//! prefix sum per access.
+//!
+//! The window is compacting: when its slots run out, the held lines are
+//! renumbered `0..k` in last-access order in one linear pass (distances
+//! depend only on that order — the argument behind
+//! [`ExactStack::seed_lru`]), and the window doubles only when more than
+//! a quarter of it is live. The tree is therefore O(distinct lines), not
+//! O(trace length).
 //!
 //! This is the precise reference implementation; the production path for
 //! the way-sweep experiments is the locality-independent
@@ -14,23 +23,29 @@
 
 use crate::fenwick::Fenwick;
 use crate::fxhash::LineTable;
-use crate::histogram::ReuseHistogram;
+
+/// Smallest time window a processor starts with.
+const MIN_WINDOW: usize = 64;
 
 /// Exact reuse-distance processor over a stream of cache-line numbers.
 ///
 /// The last-access map is an open-addressing [`LineTable`] (`u64 → u32`)
 /// rather than the default SipHash `HashMap`: one insert-or-update per
 /// reference is the processor's hot path, and the offline trace data needs
-/// no DoS-resistant hashing. The `u32` timestamps cap a single processor
-/// at `u32::MAX` references (~4.3 × 10⁹ — two full replays of a
-/// 700M-nonzero matrix), checked with an assertion.
+/// no DoS-resistant hashing. Its `u32` slot stamps cap a single processor
+/// below `u32::MAX` distinct lines, checked with an assertion; the number
+/// of references is unbounded.
 #[derive(Clone, Debug)]
 pub struct ExactStack {
     last: LineTable,
     live: Fenwick,
-    time: usize,
-    /// Lines placed by [`seed_lru`](Self::seed_lru): each holds one time
-    /// slot but was never an access of this processor.
+    /// The next slot to stamp; every live slot lies below it.
+    now: usize,
+    /// References processed ([`access`](Self::access) and
+    /// [`touch`](Self::touch)), independent of the window's renumbering.
+    accesses: usize,
+    /// Lines placed by [`seed_lru`](Self::seed_lru): each holds one slot
+    /// but was never an access of this processor.
     seeded: usize,
 }
 
@@ -40,31 +55,32 @@ impl Default for ExactStack {
     }
 }
 
+/// Largest window: its slots must fit the `u32` stamps.
+const MAX_WINDOW: usize = u32::MAX as usize;
+
+/// The window a processor expecting `lines` distinct lines starts with:
+/// a quarter of it live, so it compacts rather than doubles.
+fn window_for(lines: usize) -> usize {
+    let slots = lines.saturating_mul(4).clamp(MIN_WINDOW, MAX_WINDOW);
+    slots.next_power_of_two().min(MAX_WINDOW)
+}
+
 impl ExactStack {
-    /// Creates a processor with a small initial time capacity.
+    /// Creates a processor with the minimum time window; it grows with
+    /// the number of distinct lines it holds.
     pub fn new() -> Self {
-        Self::with_capacity(1024)
+        Self::with_line_capacity(0)
     }
 
-    /// Creates a processor sized for an expected trace length (avoids
-    /// regrowth when the length is known up front).
-    pub fn with_capacity(expected_len: usize) -> Self {
-        ExactStack {
-            last: LineTable::new(),
-            live: Fenwick::new(expected_len.max(16)),
-            time: 0,
-            seeded: 0,
-        }
-    }
-
-    /// Like [`with_capacity`](Self::with_capacity), but also pre-sizes
-    /// the last-access map for an expected number of distinct lines, so
-    /// neither structure regrows (nor rehashes) during the trace.
-    pub fn with_line_capacity(expected_len: usize, distinct_lines: usize) -> Self {
+    /// Creates a processor pre-sized for an expected number of distinct
+    /// lines, so neither the last-access map nor the window regrows while
+    /// it holds at most that many.
+    pub fn with_line_capacity(distinct_lines: usize) -> Self {
         ExactStack {
             last: LineTable::with_capacity(distinct_lines),
-            live: Fenwick::new(expected_len.max(16)),
-            time: 0,
+            live: Fenwick::new(window_for(distinct_lines)),
+            now: 0,
+            accesses: 0,
             seeded: 0,
         }
     }
@@ -74,15 +90,13 @@ impl ExactStack {
     /// most-recently-accessed-first order — the exact-stack counterpart of
     /// [`MarkerStack::seed_lru`](crate::MarkerStack::seed_lru).
     ///
-    /// Why this is exact: after a replay, the live Fenwick positions are
-    /// the lines' last-access times, and a later reference's distance is
-    /// the number of live positions strictly between its line's last
-    /// access and now. That count depends only on the *order* of the live
-    /// positions, so renumbering the lines `0..n` in last-access order
-    /// (oldest first) yields the same distance for every later reference.
-    /// The seeded processor needs `n` time slots instead of the warm-up's
-    /// length: size it with
-    /// [`with_line_capacity`](Self::with_line_capacity)`(n + measured_len, …)`.
+    /// Why this is exact: after a replay, the live Fenwick slots are the
+    /// lines' last-access stamps, and a later reference's distance is the
+    /// number of live slots after its line's last stamp. That count
+    /// depends only on the *order* of the live slots, so renumbering the
+    /// lines `0..n` in last-access order (oldest first) yields the same
+    /// distance for every later reference. The window's compaction
+    /// renumbers the same way.
     ///
     /// # Panics
     ///
@@ -90,18 +104,18 @@ impl ExactStack {
     /// or if the order holds `u32::MAX` lines or more. Debug builds also
     /// assert the lines are distinct.
     pub fn seed_lru(&mut self, lines_most_recent_first: &[u64]) {
-        assert!(self.time == 0, "seed_lru requires an empty stack");
+        assert!(self.now == 0, "seed_lru requires an empty stack");
         let n = lines_most_recent_first.len();
-        assert!(n < u32::MAX as usize, "seed exceeds u32 timestamp range");
-        if self.live.len() < n {
-            self.live = Fenwick::new(n.max(16));
+        assert!(n < u32::MAX as usize, "seed exceeds the u32 line range");
+        if self.live.len() < window_for(n) {
+            self.live = Fenwick::new(window_for(n));
         }
-        self.live.fill_prefix_ones(n);
+        self.live.set_prefix_ones(n);
         for (i, &line) in lines_most_recent_first.iter().enumerate() {
             let previous = self.last.insert(line, (n - 1 - i) as u32);
             debug_assert!(previous.is_none(), "seed line {line} repeated");
         }
-        self.time = n;
+        self.now = n;
         self.seeded = n;
     }
 
@@ -110,20 +124,14 @@ impl ExactStack {
     ///
     /// # Panics
     ///
-    /// Panics after `u32::MAX` accesses (the last-access table stores
-    /// 32-bit timestamps).
+    /// Panics once the processor holds `u32::MAX` distinct lines (the
+    /// last-access table stores 32-bit slot stamps).
     pub fn access(&mut self, line: u64) -> Option<u64> {
-        if self.time >= self.live.len() {
-            self.live.grow(self.live.len() * 2);
-        }
-        let t = self.time;
-        assert!(t < u32::MAX as usize, "trace exceeds u32 timestamp range");
-        self.time += 1;
+        let t = self.stamp();
         let distance = match self.last.insert(line, t as u32) {
             Some(t0) => {
                 let t0 = t0 as usize;
-                // Count most-recent accesses strictly between t0 and t.
-                let d = self.live.range_sum(t0 + 1..t);
+                let d = self.last.len() as u64 - self.live.prefix_sum(t0);
                 self.live.add(t0, -1);
                 Some(d)
             }
@@ -133,15 +141,73 @@ impl ExactStack {
         distance
     }
 
+    /// Processes one access whose distance the caller does not need —
+    /// a warm-up replay. Leaves the processor in exactly the state
+    /// [`access`](Self::access) would, without the prefix sum.
+    pub fn touch(&mut self, line: u64) {
+        let t = self.stamp();
+        if let Some(t0) = self.last.insert(line, t as u32) {
+            self.live.add(t0 as usize, -1);
+        }
+        self.live.add(t, 1);
+    }
+
+    /// Claims the next slot for an access, compacting the window first
+    /// when it is full.
+    fn stamp(&mut self) -> usize {
+        if self.now == self.live.len() {
+            self.compact();
+        }
+        self.accesses += 1;
+        self.now += 1;
+        self.now - 1
+    }
+
+    /// Renumbers the held lines `0..k` in last-access order, in one pass
+    /// over the window and one over the last-access map, then refills the
+    /// tree with `k` leading ones. Doubles the window when more than a
+    /// quarter of it stays live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the processor holds `u32::MAX` distinct lines or more.
+    fn compact(&mut self) {
+        let held = self.last.len();
+        assert!(
+            held < u32::MAX as usize,
+            "exact stack exceeds the u32 line range"
+        );
+        // rank[t] = the live slots below t = slot t's new stamp.
+        let mut rank = vec![0u32; self.live.len()];
+        for t in self.last.values_mut() {
+            rank[*t as usize] = 1;
+        }
+        let mut next = 0u32;
+        for r in &mut rank {
+            let live = *r;
+            *r = next;
+            next += live;
+        }
+        for t in self.last.values_mut() {
+            *t = rank[*t as usize];
+        }
+        if held > self.live.len() / 4 {
+            self.live = Fenwick::new((self.live.len() * 2).min(MAX_WINDOW));
+        }
+        self.live.set_prefix_ones(held);
+        self.now = held;
+    }
+
     /// Number of distinct lines seen so far, seeded lines included.
     pub fn distinct_lines(&self) -> usize {
         self.last.len()
     }
 
-    /// Number of accesses processed so far (seeded lines are state, not
-    /// accesses, and are not counted).
+    /// Number of accesses processed so far, [`touch`](Self::touch)es
+    /// included (seeded lines are state, not accesses, and are not
+    /// counted).
     pub fn accesses(&self) -> usize {
-        self.time - self.seeded
+        self.accesses
     }
 
     /// Reports this processor's accumulated statistics to the telemetry
@@ -176,16 +242,6 @@ impl ExactStack {
         obs::gauge_max("reuse.linetable.slots_max", probes.slots);
         obs::add("reuse.linetable.rehashes", self.last.rehashes());
     }
-
-    /// Processes a whole trace, returning its reuse-distance histogram.
-    pub fn histogram_of(lines: impl IntoIterator<Item = u64>) -> ReuseHistogram {
-        let mut s = ExactStack::new();
-        let mut h = ReuseHistogram::new();
-        for line in lines {
-            h.record(s.access(line));
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -204,15 +260,39 @@ mod tests {
     }
 
     #[test]
-    fn growth_preserves_correctness() {
-        // Start tiny so the Fenwick tree must grow several times. A cyclic
-        // trace over 10 lines: 10 cold accesses, then every reuse sees the
+    fn compaction_preserves_correctness() {
+        // A cyclic trace over 10 lines runs through many compactions of
+        // the minimum window: 10 cold accesses, then every reuse sees the
         // 9 other lines.
-        let mut s = ExactStack::with_capacity(4);
+        let mut s = ExactStack::new();
         for i in 0..500u64 {
             let expect = (i >= 10).then_some(9);
             assert_eq!(s.access(i % 10), expect, "position {i}");
         }
+        assert_eq!(s.live.len(), MIN_WINDOW, "10 of 64 live never doubles");
+        // 40 lines keep more than a quarter of the window live: it
+        // doubles twice, until a quarter of it holds them.
+        let mut s = ExactStack::new();
+        for i in 0..2000u64 {
+            assert_eq!(s.access(i % 40), (i >= 40).then_some(39), "position {i}");
+        }
+        assert_eq!(s.live.len(), 4 * MIN_WINDOW);
+    }
+
+    #[test]
+    fn touch_leaves_the_state_access_leaves() {
+        let trace = [3u64, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3];
+        let (mut touched, mut accessed) = (ExactStack::new(), ExactStack::new());
+        for _ in 0..8 {
+            for &l in &trace {
+                touched.touch(l);
+                accessed.access(l);
+            }
+        }
+        for &l in &trace {
+            assert_eq!(touched.access(l), accessed.access(l));
+        }
+        assert_eq!(touched.accesses(), accessed.accesses());
     }
 
     #[test]
@@ -239,5 +319,53 @@ mod tests {
         assert_eq!(s.access(8), Some(2));
         assert_eq!(s.access(6), None);
         assert_eq!((s.distinct_lines(), s.accesses()), (4, 2));
+    }
+
+    #[test]
+    fn counters_do_not_see_compactions() {
+        // The same seeded trace through a window that never compacts and
+        // through the minimum window, which compacts and doubles many
+        // times: the accessors and every `reuse.exact.*` counter agree.
+        let seed: Vec<u64> = (150..200).rev().collect();
+        let trace: Vec<u64> = (0..3000u64).map(|i| (i * 7919) % 97 + 90).collect();
+        let run = |mut s: ExactStack| {
+            s.seed_lru(&seed);
+            for &l in &trace {
+                s.access(l);
+            }
+            let compacted = s.now < seed.len() + trace.len();
+            obs::reset();
+            obs::enable();
+            s.flush_obs();
+            let snapshot = obs::snapshot();
+            obs::disable();
+            let counters: Vec<(String, u64)> = snapshot
+                .counters
+                .into_iter()
+                .filter(|(name, _)| name.starts_with("reuse.exact."))
+                .collect();
+            let distinct = snapshot
+                .histograms
+                .get("reuse.exact.distinct_lines")
+                .cloned();
+            (
+                s.accesses(),
+                s.distinct_lines(),
+                counters,
+                distinct,
+                compacted,
+            )
+        };
+        let (acc, lines, counters, distinct, compacted) =
+            run(ExactStack::with_line_capacity(1 << 12));
+        assert!(!compacted, "the pre-sized window must not compact here");
+        let (acc_c, lines_c, counters_c, distinct_c, compacted_c) = run(ExactStack::new());
+        assert!(compacted_c, "the minimum window must compact here");
+        assert_eq!((acc, lines), (trace.len(), 110));
+        assert_eq!((acc_c, lines_c), (acc, lines));
+        assert_eq!(counters.len(), 3, "{counters:?}");
+        assert_eq!(counters_c, counters);
+        assert!(distinct.is_some());
+        assert_eq!(distinct_c, distinct);
     }
 }

@@ -1,9 +1,9 @@
 //! Fenwick tree (binary indexed tree) over integer counts.
 //!
-//! Backs the exact stack-distance processor: one slot per trace position,
-//! holding 1 while that position is the *most recent* access to its cache
-//! line. The number of distinct lines accessed between two trace positions
-//! is then a range sum.
+//! Backs the exact stack-distance processor: one slot per stamp of its
+//! time window, holding 1 while that stamp is the *most recent* access to
+//! its cache line. The number of distinct lines accessed since a stamp is
+//! then the held line count minus a prefix sum.
 
 /// A Fenwick tree over `len` slots of `u64` counts.
 #[derive(Clone, Debug)]
@@ -63,72 +63,20 @@ impl Fenwick {
         sum
     }
 
-    /// Sum of slots in `range` (half-open).
-    pub fn range_sum(&self, range: std::ops::Range<usize>) -> u64 {
-        if range.is_empty() {
-            return 0;
-        }
-        let hi = self.prefix_sum(range.end - 1);
-        let lo = if range.start == 0 {
-            0
-        } else {
-            self.prefix_sum(range.start - 1)
-        };
-        hi.wrapping_sub(lo)
-    }
-
-    /// Sum of all slots.
-    pub fn total(&self) -> u64 {
-        if self.is_empty() {
-            0
-        } else {
-            self.prefix_sum(self.len() - 1)
-        }
-    }
-
-    /// Sets slots `0..n` of a zeroed tree to 1 in O(n + log len) — the
-    /// bulk form of `n` calls to `add(i, 1)`. Node `i` (1-based) covers
-    /// slots `(i - lowbit(i), i]`: nodes up to `n` cover only set slots,
-    /// and the nodes above `n` that cover some set slot are exactly the
-    /// ones whose range contains `n`, i.e. the update path of `n`.
+    /// Overwrites the tree so that slots `0..n` hold 1 and the rest 0, in
+    /// one pass over the nodes and without reallocating. Node `i`
+    /// (1-based) covers slots `(i - lowbit(i), i]`, so it holds how many
+    /// of those lie below `n`.
     ///
     /// # Panics
     ///
-    /// Panics if `n > len`. Debug builds also assert the tree is zeroed.
-    pub fn fill_prefix_ones(&mut self, n: usize) {
+    /// Panics if `n > len`.
+    pub fn set_prefix_ones(&mut self, n: usize) {
         assert!(n <= self.len(), "{n} ones exceed {} slots", self.len());
-        debug_assert_eq!(self.total(), 0, "fill_prefix_ones needs a zeroed tree");
-        for (i, node) in self.tree.iter_mut().enumerate().take(n + 1).skip(1) {
-            *node = (i & i.wrapping_neg()) as u64;
-        }
-        if n == 0 {
-            return;
-        }
-        let mut i = n + (n & n.wrapping_neg());
-        while i < self.tree.len() {
+        for (i, node) in self.tree.iter_mut().enumerate().skip(1) {
             let low = i & i.wrapping_neg();
-            self.tree[i] = (n - (i - low)) as u64;
-            i += low;
+            *node = n.saturating_sub(i - low).min(low) as u64;
         }
-    }
-
-    /// Grows the tree to at least `new_len` slots, preserving contents.
-    pub fn grow(&mut self, new_len: usize) {
-        if new_len <= self.len() {
-            return;
-        }
-        // Rebuild from per-slot values (O(n log n), amortised by doubling).
-        let mut values = vec![0i64; new_len];
-        for (i, v) in values.iter_mut().enumerate().take(self.len()) {
-            *v = self.range_sum(i..i + 1) as i64;
-        }
-        let mut fresh = Fenwick::new(new_len);
-        for (i, &v) in values.iter().enumerate() {
-            if v != 0 {
-                fresh.add(i, v);
-            }
-        }
-        *self = fresh;
     }
 }
 
@@ -146,19 +94,6 @@ mod tests {
         assert_eq!(f.prefix_sum(2), 1);
         assert_eq!(f.prefix_sum(3), 3);
         assert_eq!(f.prefix_sum(9), 8);
-        assert_eq!(f.total(), 8);
-    }
-
-    #[test]
-    fn range_sums() {
-        let mut f = Fenwick::new(8);
-        for i in 0..8 {
-            f.add(i, 1);
-        }
-        assert_eq!(f.range_sum(0..8), 8);
-        assert_eq!(f.range_sum(2..5), 3);
-        assert_eq!(f.range_sum(4..4), 0);
-        assert_eq!(f.range_sum(7..8), 1);
     }
 
     #[test]
@@ -167,31 +102,22 @@ mod tests {
         f.add(1, 1);
         f.add(2, 1);
         f.add(1, -1);
-        assert_eq!(f.total(), 1);
-        assert_eq!(f.range_sum(1..2), 0);
-        assert_eq!(f.range_sum(2..3), 1);
+        assert_eq!(f.prefix_sum(3), 1);
+        assert_eq!(f.prefix_sum(1), 0);
+        assert_eq!(f.prefix_sum(2), 1);
     }
 
     #[test]
-    fn grow_preserves_contents() {
-        let mut f = Fenwick::new(4);
-        f.add(0, 3);
-        f.add(3, 1);
-        f.grow(16);
-        assert_eq!(f.len(), 16);
-        assert_eq!(f.range_sum(0..1), 3);
-        assert_eq!(f.range_sum(3..4), 1);
-        assert_eq!(f.total(), 4);
-        f.add(15, 2);
-        assert_eq!(f.total(), 6);
-    }
-
-    #[test]
-    fn fill_prefix_ones_matches_repeated_adds() {
+    fn set_prefix_ones_matches_repeated_adds() {
         for len in [0usize, 1, 2, 7, 8, 9, 33, 64] {
             for n in 0..=len {
+                // Start from a tree holding other counts: the bulk set
+                // overwrites every node.
                 let mut bulk = Fenwick::new(len);
-                bulk.fill_prefix_ones(n);
+                for i in (0..len).step_by(3) {
+                    bulk.add(i, 5);
+                }
+                bulk.set_prefix_ones(n);
                 let mut adds = Fenwick::new(len);
                 for i in 0..n {
                     adds.add(i, 1);
@@ -205,7 +131,7 @@ mod tests {
     fn empty_tree() {
         let f = Fenwick::new(0);
         assert!(f.is_empty());
-        assert_eq!(f.total(), 0);
+        assert_eq!(f.len(), 0);
     }
 
     #[test]
@@ -223,7 +149,7 @@ mod tests {
         let mut f = Fenwick::new(6);
         f.add(0, 2);
         f.add(5, 3);
-        assert_eq!(f.prefix_sum(5), f.total());
+        assert_eq!(f.prefix_sum(5), 5);
     }
 
     #[test]

@@ -264,6 +264,17 @@ impl LineTable {
         }
     }
 
+    /// Every stored value, mutably, in slot order (entries are never
+    /// removed, so this is every key ever inserted). The exact stack
+    /// renumbers its slot stamps through it when its window compacts.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut u32> {
+        self.keys
+            .iter()
+            .zip(&mut self.vals)
+            .filter(|(&k, _)| k != EMPTY)
+            .map(|(_, v)| v)
+    }
+
     /// Times the table grew (each growth rehashes every entry).
     pub fn rehashes(&self) -> u64 {
         self.rehashes

@@ -5,8 +5,9 @@
 //! of `n` lines, a reference hits iff its reuse distance is `< n`
 //! (Eq. 1). Computing it once yields miss counts for *every* capacity.
 //!
-//! * [`exact::ExactStack`] — exact distances in O(log N) per reference via
-//!   a hash map of last-access times and a [`fenwick::Fenwick`] tree.
+//! * [`exact::ExactStack`] — exact distances in O(log lines) per reference
+//!   via a hash map of last-access stamps and a [`fenwick::Fenwick`] tree
+//!   over a compacting time window.
 //! * [`fxhash`] — FxHash hasher and the open-addressing [`fxhash::LineTable`]
 //!   backing the processors' per-reference map operations.
 //! * [`markers::MarkerStack`] — the Kim et al. (1991) algorithm the paper

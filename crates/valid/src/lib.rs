@@ -105,10 +105,11 @@ impl ValidationReport {
 }
 
 /// Runs the whole harness: generates the stratified corpus, fans the
-/// cases out over the work-stealing pool, and folds the per-case results
-/// into one report. The verdict, divergence records, and counters are
-/// deterministic for a fixed `(matrices, seed, smoke)` triple regardless
-/// of `workers`; only the `stage_ns` wall-clock metrics vary run to run.
+/// cases out over the work-stealing pool (largest first), and folds the
+/// per-case results into one report in corpus order. The verdict,
+/// divergence records, and counters are deterministic for a fixed
+/// `(matrices, seed, smoke)` triple regardless of `workers`; only the
+/// `stage_ns` wall-clock metrics vary run to run.
 pub fn run_validation(config: &ValidationConfig) -> ValidationReport {
     let specs = corpus::stratified(config.matrices, config.seed);
     let mut plan = CheckPlan::new(config.smoke).with_machine(&config.machine);
@@ -123,16 +124,23 @@ pub fn run_validation(config: &ValidationConfig) -> ValidationReport {
     // prediction bytes before any per-case work runs.
     let (mut divergences, identity_checks) = checks::machine_identity(&plan, seed);
 
-    let results = pool::run_indexed(config.workers, &specs, |_, spec| {
-        checks::run_case(spec, &plan, seed)
+    // Deal the cases longest first (by `n·p`, ties in corpus order), so
+    // no worker is left alone with a large case at the tail; the results
+    // go back into corpus order below.
+    let mut order: Vec<usize> = (0..specs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(specs[i].n * specs[i].p));
+    let dealt = pool::run_indexed(config.workers, &order, |_, &i| {
+        checks::run_case(&specs[i], &plan, seed)
     });
+    let mut results: Vec<(usize, CaseResult)> = order.into_iter().zip(dealt).collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
 
     let mut stats = RunStats {
         matrices: specs.len(),
         checks_run: identity_checks,
         ..RunStats::default()
     };
-    for r in results {
+    for (_, r) in results {
         stats.by_class[r.class_index] += 1;
         stats.checks_run += r.checks_run;
         stats.nanos.add(&r.nanos);
@@ -147,7 +155,9 @@ mod tests {
     use super::*;
 
     /// The tier-1 gate on the harness itself: a small smoke corpus must
-    /// come back clean, cover every stratum, and be worker-independent.
+    /// come back clean, cover every stratum, and be worker-independent:
+    /// with the wall-clock `stage_ns` stripped, one worker and two
+    /// workers (which deal the cases longest first) give the same bytes.
     #[test]
     fn smoke_corpus_validates_cleanly() {
         let config = ValidationConfig {
@@ -158,6 +168,15 @@ mod tests {
             ..ValidationConfig::default()
         };
         let report = run_validation(&config);
+        let stripped = |mut report: ValidationReport| {
+            report.stats.nanos = StageNanos::default();
+            report.to_json_lines()
+        };
+        let serial = run_validation(&ValidationConfig {
+            workers: 1,
+            ..config.clone()
+        });
+        assert_eq!(stripped(serial), stripped(report.clone()));
         assert!(
             report.passed(),
             "divergences on the smoke corpus:\n{}",

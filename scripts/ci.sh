@@ -195,6 +195,18 @@ f.write('{"id":"s2","status":true}\n'); f.flush()
 msg = json.loads(f.readline())
 assert msg["id"] == "s2" and "status" in msg, msg
 
+# A right-hand-side count whose layout exceeds the stacks' u32 line ids
+# is a typed error before anything is sized by it (it used to abort the
+# daemon on a 200 GB allocation); STATUS still answers afterwards.
+f.write(json.dumps({"id": "k", "spec": spec + "rhs 100000000000\n"}) + "\n")
+f.flush()
+err = json.loads(f.readline())
+assert err["id"] == "k" and err["error"]["code"] == "bad_request", err
+assert "cache lines" in err["error"]["message"], err
+f.write('{"id":"s3","status":true}\n'); f.flush()
+msg = json.loads(f.readline())
+assert msg["id"] == "s3" and "status" in msg, msg
+
 # SIGTERM with a request in flight: the daemon drains it — the full
 # response still arrives — then exits cleanly.
 f.write(json.dumps({"id": "c3", "spec": heavy}) + "\n")
@@ -208,7 +220,8 @@ while done is None:
     if "done" in msg:
         done = msg["done"]
 assert done["jobs"] == 7, done
-print("serve smoke ok: oracle match, cache reuse, typed errors, nesting bound, drain")
+print("serve smoke ok: oracle match, cache reuse, typed errors, nesting bound, "
+      "line-id bound, drain")
 EOF
 if [ "$SERVE_SMOKE" -ne 0 ]; then
     kill "$SERVE_PID" 2>/dev/null || true

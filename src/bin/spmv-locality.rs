@@ -622,6 +622,10 @@ fn main() {
         std::process::exit(2);
     }
     let workload = scenario.apply(cli.format.build(matrix.clone()));
+    if let Err(e) = workload.check_line_range(cfg.l2.line_bytes) {
+        eprintln!("spmv-locality: cannot trace {}: {e}", cli.path);
+        std::process::exit(2);
+    }
 
     match cli.command.as_str() {
         "analyze" => {

@@ -528,3 +528,70 @@ fn zero_threads_and_zero_rhs_are_bad_flag_values() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("failed to read"), "{stderr}");
 }
+
+#[test]
+fn rhs_counts_beyond_the_line_id_range_are_refused_before_allocation() {
+    // K right-hand sides widen `x` and `y` K-fold. On a 4×4 matrix,
+    // K = 1e11 lays out ~2.5e10 cache lines, past the u32 line ids the
+    // stacks index by, and K = usize::MAX overflows the byte count: each
+    // must be a typed error before any per-line table is sized, never an
+    // allocation abort (exit 134).
+    let dir = scratch("huge-rhs");
+    let mtx = dir.join("tiny.mtx");
+    std::fs::write(
+        &mtx,
+        "%%MatrixMarket matrix coordinate pattern general\n4 4 5\n1 1\n2 2\n3 3\n4 4\n1 4\n",
+    )
+    .unwrap();
+    for (k, why) in [
+        ("100000000000", "beyond the 4294967294"),
+        ("18446744073709551615", "overflows"),
+    ] {
+        for command in ["analyze", "tune"] {
+            let out = Command::new(BIN)
+                .args([command, mtx.to_str().unwrap(), "--scale", "64", "--rhs", k])
+                .output()
+                .expect("spawn spmv-locality");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command} --rhs {k}: {stderr}");
+            assert!(
+                stderr.contains("cannot trace") && stderr.contains(why),
+                "{command} --rhs {k}: {stderr}"
+            );
+        }
+        for source in [
+            format!("mtx {}", mtx.display()),
+            "corpus count=1 scale=64".to_string(),
+        ] {
+            let spec = dir.join("huge-rhs.spec");
+            std::fs::write(
+                &spec,
+                format!("{source}\nsettings off\nthreads 1\nscale 64\nrhs {k}\n"),
+            )
+            .unwrap();
+            let out = Command::new(BIN)
+                .args(["batch", spec.to_str().unwrap()])
+                .output()
+                .expect("spawn spmv-locality");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{source} rhs {k}: {stderr}");
+            assert!(
+                stderr.contains("cannot trace") && stderr.contains(why),
+                "{source} rhs {k}: {stderr}"
+            );
+        }
+    }
+    // A modest K still runs.
+    let out = Command::new(BIN)
+        .args([
+            "analyze",
+            mtx.to_str().unwrap(),
+            "--scale",
+            "64",
+            "--rhs",
+            "16",
+        ])
+        .output()
+        .expect("spawn spmv-locality");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}

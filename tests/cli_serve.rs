@@ -456,6 +456,41 @@ fn serve_threads_beyond_the_machine_cores_are_a_typed_error() {
 }
 
 #[test]
+fn serve_rhs_beyond_the_line_id_range_is_a_typed_error_not_an_abort() {
+    // 1e11 right-hand sides lay out more cache lines than the stacks'
+    // u32 line ids can index: the request gets a typed error before any
+    // per-line table is sized, and the daemon keeps answering.
+    let daemon = Daemon::start("huge-rhs", &[]);
+    let mut client = daemon.connect();
+    let spec = format!("{SPEC}rhs 100000000000\n");
+    client.predict("k", &spec, None);
+    let error = client.recv();
+    assert_eq!(error.get("id").and_then(Json::as_str), Some("k"));
+    assert_eq!(error_code(&error), "bad_request");
+    let message = error
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .unwrap_or_default()
+        .to_string();
+    assert!(message.contains("cache lines"), "{message}");
+
+    client.send(r#"{"id":"s","status":true}"#);
+    assert!(
+        client.recv().get("status").is_some(),
+        "daemon should answer"
+    );
+    client.predict("ok", SPEC, None);
+    let (reports, _) = client.recv_stream("ok");
+    assert_eq!(reports.len(), 8);
+
+    client.send(r#"{"id":"q","shutdown":true}"#);
+    client.recv();
+    let (code, stderr) = daemon.wait();
+    assert_eq!(code, 0, "stderr: {stderr}");
+}
+
+#[test]
 fn serve_deadline_exceeded_is_a_typed_error_not_a_hang() {
     let daemon = Daemon::start("deadline", &[]);
     let mut client = daemon.connect();

@@ -1,10 +1,12 @@
 //! Test-only helpers shared by the integration tests: the naive LRU-stack
-//! reuse-distance oracle and a materialising round-robin interleaver.
+//! reuse-distance oracle, an exact-stack histogram and a materialising
+//! round-robin interleaver.
 //! Each test file pulls this in with `mod common;` and uses a subset.
 #![allow(dead_code)]
 
 use memtrace::interleave::round_robin_into;
 use memtrace::{Access, VecSink};
+use reuse::{ExactStack, ReuseHistogram};
 
 /// Naive O(N·n) reuse-distance processor: the LRU stack as a plain vector,
 /// scanned linearly on each access. Far too slow for real traces but
@@ -51,6 +53,17 @@ pub fn lru_misses(lines: &[u64], capacity: usize) -> u64 {
         .into_iter()
         .filter(|d| d.is_none_or(|d| d >= capacity as u64))
         .count() as u64
+}
+
+/// The reuse-distance histogram of a whole trace of line numbers, from
+/// the exact stack processor.
+pub fn exact_histogram(lines: &[u64]) -> ReuseHistogram {
+    let mut s = ExactStack::new();
+    let mut h = ReuseHistogram::new();
+    for &line in lines {
+        h.record(s.access(line));
+    }
+    h
 }
 
 /// The round-robin interleaving of per-thread traces in chunks of

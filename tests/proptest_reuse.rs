@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{lru_misses, reuse_distances, round_robin};
+use common::{exact_histogram, lru_misses, reuse_distances, round_robin};
 use memtrace::interleave::domain_groups;
 use memtrace::{Access, Array, ArraySet};
 use proptest::prelude::*;
@@ -38,7 +38,7 @@ proptest! {
         measured in arb_trace(300, 60),
     ) {
         for warm in [&warm[..], &[]] {
-            let mut replayed = ExactStack::with_capacity(4);
+            let mut replayed = ExactStack::new();
             for &l in warm {
                 replayed.access(l);
             }
@@ -48,13 +48,52 @@ proptest! {
                     order.push(l);
                 }
             }
-            // Tiny capacity: the seeded Fenwick tree must grow too.
-            let mut seeded = ExactStack::with_capacity(4);
+            let mut seeded = ExactStack::new();
             seeded.seed_lru(&order);
             for (i, &l) in measured.iter().enumerate() {
                 prop_assert_eq!(seeded.access(l), replayed.access(l), "measured ref {}", i);
             }
         }
+    }
+
+    /// Long traces over small line universes run exact stacks that start
+    /// at their minimum window (64 slots) through dozens of compactions —
+    /// and, once more than a quarter of the window stays live, doublings
+    /// up to 512 slots. Every reference must get the naive stack's
+    /// distance: from a fresh start, from a `seed_lru` start, and after a
+    /// warm-up replayed with `touch` or with `access`.
+    #[test]
+    fn exact_compactions_equal_naive(
+        trace in prop::collection::vec(0u64..1 << 20, 1500..4000),
+        universe in 2u64..100,
+        seed_len in 0u64..60,
+    ) {
+        let trace: Vec<u64> = trace.iter().map(|&l| l % universe).collect();
+        // Seeded lines partly overlap the trace's universe.
+        let order: Vec<u64> = (0..seed_len).map(|i| 2 * i).rev().collect();
+        let (mut fresh, mut seeded) = (ExactStack::new(), ExactStack::new());
+        seeded.seed_lru(&order);
+        let (mut naive_fresh, mut naive_seeded) = (common::NaiveStack::new(), common::NaiveStack::new());
+        for &l in order.iter().rev() {
+            naive_seeded.access(l);
+        }
+        let (mut touched, mut accessed) = (ExactStack::new(), ExactStack::new());
+        let mut naive_warm = common::NaiveStack::new();
+        for &l in &trace {
+            touched.touch(l);
+            accessed.access(l);
+            naive_warm.access(l);
+        }
+        for (i, &l) in trace.iter().enumerate() {
+            prop_assert_eq!(fresh.access(l), naive_fresh.access(l), "fresh ref {}", i);
+            prop_assert_eq!(seeded.access(l), naive_seeded.access(l), "seeded ref {}", i);
+            let warm = naive_warm.access(l);
+            prop_assert_eq!(touched.access(l), warm, "touched ref {}", i);
+            prop_assert_eq!(accessed.access(l), warm, "accessed ref {}", i);
+        }
+        prop_assert_eq!(seeded.accesses(), trace.len());
+        prop_assert_eq!(touched.accesses(), 2 * trace.len());
+        prop_assert_eq!(touched.distinct_lines(), fresh.distinct_lines());
     }
 
     /// Marker-stack miss counts equal histogram-derived miss counts for
@@ -168,7 +207,7 @@ proptest! {
     /// misses at every capacity, on any trace.
     #[test]
     fn exact_histogram_matches_naive_misses(trace in arb_trace(400, 48)) {
-        let hist = ExactStack::histogram_of(trace.iter().copied());
+        let hist = exact_histogram(&trace);
         for cap in [1, 2, 4, 8, 16, 32, 48, 64] {
             prop_assert_eq!(hist.misses(cap), lru_misses(&trace, cap), "capacity {}", cap);
         }
@@ -177,7 +216,7 @@ proptest! {
     /// The LRU miss curve is monotonically non-increasing in capacity.
     #[test]
     fn miss_curve_monotone(trace in arb_trace(400, 50)) {
-        let hist = ExactStack::histogram_of(trace.iter().copied());
+        let hist = exact_histogram(&trace);
         let mut prev = u64::MAX;
         for cap in 1..60 {
             let m = hist.misses(cap);
