@@ -2,8 +2,9 @@
 //!
 //! Computes the exact reuse distance of every reference in O(log lines)
 //! per reference using a hash map of last-access slots plus a [`Fenwick`]
-//! tree over a time window in which slot `t` holds 1 while the access
-//! stamped `t` is the most recent access to its line. Every held line has
+//! tree over a time window (a bitmap with counts per word) in which slot
+//! `t` is set while the access stamped `t` is the most recent access to
+//! its line. Every held line has
 //! exactly one live slot and all of them lie below the next stamp, so the
 //! reuse distance of a reference to a line last stamped `t0` — the number
 //! of live slots after `t0` — is `held lines − prefix_sum(t0)`: one
@@ -132,12 +133,12 @@ impl ExactStack {
             Some(t0) => {
                 let t0 = t0 as usize;
                 let d = self.last.len() as u64 - self.live.prefix_sum(t0);
-                self.live.add(t0, -1);
+                self.live.clear(t0);
                 Some(d)
             }
             None => None,
         };
-        self.live.add(t, 1);
+        self.live.set(t);
         distance
     }
 
@@ -147,9 +148,9 @@ impl ExactStack {
     pub fn touch(&mut self, line: u64) {
         let t = self.stamp();
         if let Some(t0) = self.last.insert(line, t as u32) {
-            self.live.add(t0 as usize, -1);
+            self.live.clear(t0 as usize);
         }
-        self.live.add(t, 1);
+        self.live.set(t);
     }
 
     /// Claims the next slot for an access, compacting the window first
@@ -164,9 +165,9 @@ impl ExactStack {
     }
 
     /// Renumbers the held lines `0..k` in last-access order, in one pass
-    /// over the window and one over the last-access map, then refills the
-    /// tree with `k` leading ones. Doubles the window when more than a
-    /// quarter of it stays live.
+    /// over the window's words and one over the last-access map, then
+    /// refills the tree with `k` leading ones. Doubles the window when
+    /// more than a quarter of it stays live.
     ///
     /// # Panics
     ///
@@ -177,19 +178,12 @@ impl ExactStack {
             held < u32::MAX as usize,
             "exact stack exceeds the u32 line range"
         );
-        // rank[t] = the live slots below t = slot t's new stamp.
-        let mut rank = vec![0u32; self.live.len()];
-        for t in self.last.values_mut() {
-            rank[*t as usize] = 1;
-        }
-        let mut next = 0u32;
-        for r in &mut rank {
-            let live = *r;
-            *r = next;
-            next += live;
-        }
-        for t in self.last.values_mut() {
-            *t = rank[*t as usize];
+        // A live stamp's new value is the number of live stamps below it.
+        {
+            let rank = self.live.ranks();
+            for t in self.last.values_mut() {
+                *t = rank(*t as usize);
+            }
         }
         if held > self.live.len() / 4 {
             self.live = Fenwick::new((self.live.len() * 2).min(MAX_WINDOW));

@@ -1,81 +1,142 @@
-//! Fenwick tree (binary indexed tree) over integer counts.
+//! Fenwick tree (binary indexed tree) over a set of 0/1 slots.
 //!
 //! Backs the exact stack-distance processor: one slot per stamp of its
-//! time window, holding 1 while that stamp is the *most recent* access to
-//! its cache line. The number of distinct lines accessed since a stamp is
-//! then the held line count minus a prefix sum.
+//! time window, set while that stamp is the *most recent* access to its
+//! cache line. The number of distinct lines accessed since a stamp is
+//! then the held line count minus a prefix count.
+//!
+//! The slots live in a bitmap and the tree runs over per-word counts: a
+//! prefix count is one masked popcount plus a walk over `len / 64`
+//! words, six levels shorter than a tree over the slots themselves, and
+//! the whole structure takes about 1.1 bits per slot, so the exact
+//! stack's hottest data stays cache-resident.
 
-/// A Fenwick tree over `len` slots of `u64` counts.
+/// A Fenwick tree over `len` slots that are each set or clear.
 #[derive(Clone, Debug)]
 pub struct Fenwick {
-    tree: Vec<u64>,
+    /// Slot `i` is bit `i % 64` of word `i / 64`.
+    bits: Vec<u64>,
+    /// 1-based Fenwick tree over the set-bit counts of `bits`' words;
+    /// every count is at most `len`, which the exact stack keeps within
+    /// `u32`.
+    tree: Vec<u32>,
+    len: usize,
 }
 
 impl Fenwick {
-    /// Creates a zeroed tree with `len` slots (indices `0..len`).
+    /// Creates a tree with `len` slots (indices `0..len`), all clear.
     pub fn new(len: usize) -> Self {
+        let words = len.div_ceil(64);
         Fenwick {
-            tree: vec![0; len + 1],
+            bits: vec![0; words],
+            tree: vec![0; words + 1],
+            len,
         }
     }
 
     /// Number of slots.
     pub fn len(&self) -> usize {
-        self.tree.len() - 1
+        self.len
     }
 
     /// Returns `true` if the tree has no slots.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Adds `delta` to slot `i`.
+    /// Sets slot `i`, which must be clear (asserted in debug builds).
     ///
     /// # Panics
     ///
-    /// Panics if `i >= len` (in debug builds via indexing).
-    pub fn add(&mut self, i: usize, delta: i64) {
-        let mut i = i + 1;
-        while i < self.tree.len() {
-            self.tree[i] = self.tree[i].wrapping_add(delta as u64);
-            i += i & i.wrapping_neg();
+    /// Panics if `i >= len` rounded up to a whole word.
+    #[inline]
+    pub fn set(&mut self, i: usize) {
+        let bit = 1u64 << (i % 64);
+        debug_assert!(self.bits[i / 64] & bit == 0, "slot {i} already set");
+        self.bits[i / 64] |= bit;
+        let mut w = i / 64 + 1;
+        while w < self.tree.len() {
+            self.tree[w] += 1;
+            w += w & w.wrapping_neg();
         }
     }
 
-    /// Sum of slots `0..=i`.
+    /// Clears slot `i`, which must be set (asserted in debug builds).
     ///
-    /// `i` must be a valid slot index (`i < len`). Debug builds assert
-    /// this; release builds clamp to the last slot, returning the total —
-    /// out-of-range queries are a caller bug, and the clamp merely keeps
-    /// the answer monotone instead of panicking mid-experiment.
+    /// # Panics
+    ///
+    /// Panics if `i >= len` rounded up to a whole word.
+    #[inline]
+    pub fn clear(&mut self, i: usize) {
+        let bit = 1u64 << (i % 64);
+        debug_assert!(self.bits[i / 64] & bit != 0, "slot {i} not set");
+        self.bits[i / 64] &= !bit;
+        let mut w = i / 64 + 1;
+        while w < self.tree.len() {
+            self.tree[w] -= 1;
+            w += w & w.wrapping_neg();
+        }
+    }
+
+    /// Number of set slots in `0..=i`.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds assert `i < len`; release builds panic only past the
+    /// last word.
+    #[inline]
     pub fn prefix_sum(&self, i: usize) -> u64 {
         debug_assert!(
-            i < self.len(),
+            i < self.len,
             "prefix_sum index {i} out of range for {} slots",
-            self.len()
+            self.len
         );
-        let mut i = (i + 1).min(self.tree.len() - 1);
-        let mut sum = 0u64;
-        while i > 0 {
-            sum = sum.wrapping_add(self.tree[i]);
-            i -= i & i.wrapping_neg();
+        let mut w = i / 64;
+        let in_word = self.bits[w] & (u64::MAX >> (63 - i % 64));
+        let mut sum = u64::from(in_word.count_ones());
+        while w > 0 {
+            sum += u64::from(self.tree[w]);
+            w -= w & w.wrapping_neg();
         }
         sum
     }
 
-    /// Overwrites the tree so that slots `0..n` hold 1 and the rest 0, in
-    /// one pass over the nodes and without reallocating. Node `i`
-    /// (1-based) covers slots `(i - lowbit(i), i]`, so it holds how many
-    /// of those lie below `n`.
+    /// A rank function for the current slots: `rank(i)` is the number
+    /// of set slots in `0..i`. Built in one pass over the words (a
+    /// `u32` per word), each query is then one masked popcount — how the
+    /// exact stack renumbers its live stamps when its window compacts.
+    ///
+    /// The returned closure panics for `i` past the last word.
+    pub fn ranks(&self) -> impl Fn(usize) -> u32 + '_ {
+        let below: Vec<u32> = self
+            .bits
+            .iter()
+            .scan(0u32, |acc, word| {
+                let before = *acc;
+                *acc += word.count_ones();
+                Some(before)
+            })
+            .collect();
+        move |i| below[i / 64] + (self.bits[i / 64] & ((1u64 << (i % 64)) - 1)).count_ones()
+    }
+
+    /// Overwrites the tree so that slots `0..n` are set and the rest
+    /// clear, in one pass and without reallocating. Tree node `w`
+    /// (1-based) counts the words `(w - lowbit(w), w]`, so it holds how
+    /// many of their slots lie below `n`.
     ///
     /// # Panics
     ///
     /// Panics if `n > len`.
     pub fn set_prefix_ones(&mut self, n: usize) {
-        assert!(n <= self.len(), "{n} ones exceed {} slots", self.len());
-        for (i, node) in self.tree.iter_mut().enumerate().skip(1) {
-            let low = i & i.wrapping_neg();
-            *node = n.saturating_sub(i - low).min(low) as u64;
+        assert!(n <= self.len, "{n} ones exceed {} slots", self.len);
+        for (w, word) in self.bits.iter_mut().enumerate() {
+            let ones = n.saturating_sub(64 * w).min(64);
+            *word = u64::MAX.checked_shr(64 - ones as u32).unwrap_or(0);
+        }
+        for (w, node) in self.tree.iter_mut().enumerate().skip(1) {
+            let low = w & w.wrapping_neg();
+            *node = n.saturating_sub(64 * (w - low)).min(64 * low) as u32;
         }
     }
 }
@@ -85,45 +146,55 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_and_prefix_sums() {
-        let mut f = Fenwick::new(10);
-        f.add(0, 1);
-        f.add(3, 2);
-        f.add(9, 5);
+    fn set_clear_and_prefix_sums() {
+        let mut f = Fenwick::new(200);
+        for i in [0, 3, 63, 64, 130, 199] {
+            f.set(i);
+        }
         assert_eq!(f.prefix_sum(0), 1);
         assert_eq!(f.prefix_sum(2), 1);
-        assert_eq!(f.prefix_sum(3), 3);
-        assert_eq!(f.prefix_sum(9), 8);
+        assert_eq!(f.prefix_sum(3), 2);
+        assert_eq!(f.prefix_sum(63), 3);
+        assert_eq!(f.prefix_sum(64), 4);
+        assert_eq!(f.prefix_sum(199), 6);
+        f.clear(63);
+        f.clear(0);
+        assert_eq!(f.prefix_sum(63), 1);
+        assert_eq!(f.prefix_sum(199), 4);
     }
 
     #[test]
-    fn negative_deltas_remove() {
-        let mut f = Fenwick::new(4);
-        f.add(1, 1);
-        f.add(2, 1);
-        f.add(1, -1);
-        assert_eq!(f.prefix_sum(3), 1);
-        assert_eq!(f.prefix_sum(1), 0);
-        assert_eq!(f.prefix_sum(2), 1);
-    }
-
-    #[test]
-    fn set_prefix_ones_matches_repeated_adds() {
-        for len in [0usize, 1, 2, 7, 8, 9, 33, 64] {
-            for n in 0..=len {
-                // Start from a tree holding other counts: the bulk set
-                // overwrites every node.
+    fn set_prefix_ones_matches_repeated_sets() {
+        for len in [0usize, 1, 2, 63, 64, 65, 127, 128, 129, 700] {
+            for n in (0..=len).step_by(7).chain([len]) {
+                // Start from a tree holding other slots: the bulk set
+                // overwrites every word and node.
                 let mut bulk = Fenwick::new(len);
                 for i in (0..len).step_by(3) {
-                    bulk.add(i, 5);
+                    bulk.set(i);
                 }
                 bulk.set_prefix_ones(n);
-                let mut adds = Fenwick::new(len);
+                let mut sets = Fenwick::new(len);
                 for i in 0..n {
-                    adds.add(i, 1);
+                    sets.set(i);
                 }
-                assert_eq!(bulk.tree, adds.tree, "len {len} n {n}");
+                assert_eq!(bulk.bits, sets.bits, "len {len} n {n}");
+                assert_eq!(bulk.tree, sets.tree, "len {len} n {n}");
             }
+        }
+    }
+
+    #[test]
+    fn ranks_count_the_set_slots_below() {
+        let mut f = Fenwick::new(300);
+        let set = [0usize, 5, 63, 64, 100, 128, 299];
+        for &i in &set {
+            f.set(i);
+        }
+        let rank = f.ranks();
+        for i in 0..300 {
+            let expect = set.iter().filter(|&&s| s < i).count() as u32;
+            assert_eq!(rank(i), expect, "slot {i}");
         }
     }
 
@@ -143,32 +214,35 @@ mod tests {
     }
 
     #[test]
-    fn prefix_sum_last_slot_equals_total() {
-        // The documented release-mode clamp target: the last valid index
-        // must already cover the whole tree.
-        let mut f = Fenwick::new(6);
-        f.add(0, 2);
-        f.add(5, 3);
-        assert_eq!(f.prefix_sum(5), 5);
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already set")]
+    fn setting_a_set_slot_asserts_in_debug() {
+        let mut f = Fenwick::new(4);
+        f.set(2);
+        f.set(2);
     }
 
     #[test]
     fn matches_naive_prefix_sums() {
-        // Deterministic pseudo-random adds compared against a plain array.
-        let mut f = Fenwick::new(64);
-        let mut naive = [0i64; 64];
+        // Deterministic pseudo-random toggles compared against a plain
+        // array, over several words.
+        let mut f = Fenwick::new(300);
+        let mut naive = [false; 300];
         let mut state = 12345u64;
-        for _ in 0..500 {
+        for _ in 0..3000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let i = (state >> 33) as usize % 64;
-            let delta = ((state >> 20) % 7) as i64 - 3;
-            f.add(i, delta);
-            naive[i] += delta;
+            let i = (state >> 33) as usize % 300;
+            if naive[i] {
+                f.clear(i);
+            } else {
+                f.set(i);
+            }
+            naive[i] = !naive[i];
         }
-        let mut acc = 0i64;
-        for (i, &n) in naive.iter().enumerate() {
-            acc += n;
-            assert_eq!(f.prefix_sum(i), acc as u64, "prefix {i}");
+        let mut acc = 0u64;
+        for (i, &set) in naive.iter().enumerate() {
+            acc += u64::from(set);
+            assert_eq!(f.prefix_sum(i), acc, "prefix {i}");
         }
     }
 }
