@@ -455,8 +455,6 @@ fn parse_settings(line: usize, arg: &str) -> Result<Vec<SectorSetting>, SpecErro
 pub struct Job {
     /// Position in the batch (stable output order).
     pub id: usize,
-    /// Index into the resolved matrix list.
-    pub matrix: usize,
     /// Index into the resolved machine list.
     pub machine: usize,
     /// Model variant.

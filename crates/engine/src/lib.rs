@@ -5,9 +5,13 @@
 //! sweep evaluates 7 sector settings per matrix and method, and the
 //! expensive part — the trace analysis — is *identical* for all 7. This
 //! crate runs such batches on a work-stealing pool of plain `std`
-//! threads, memoizing each matrix's [`LocalityProfile`] under its
-//! structural fingerprint so a `matrices × methods × settings` batch
-//! computes only `matrices × methods` profiles.
+//! threads, one matrix (with all its jobs) per pool item, memoizing each
+//! matrix's [`LocalityProfile`] under its structural fingerprint so a
+//! `matrices × methods × settings` batch computes only
+//! `matrices × methods` profiles. A profile fans its L2 domains out over
+//! only the pool width the matrices leave unused, so a batch has one
+//! level of parallelism: many matrices run side by side, one matrix runs
+//! its domains side by side.
 //!
 //! Five entry points, over one private job path (plan the run once, then
 //! look up or compute, evaluate and report each job). A spec's matrices
@@ -19,8 +23,8 @@
 //! * [`compute_profile_sharded`] — one profile, its L2 domains (or
 //!   capacity shards) fanned out over the pool (the benchmark's
 //!   `perfbench/layers/src/probes.rs`).
-//! * [`run_batch`] — a whole spec, on the pool, against a fresh cache
-//!   (the `batch` command and `tests/obs_telemetry.rs`).
+//! * [`run_batch`] — a whole spec, its matrices on the pool, against a
+//!   fresh cache (the `batch` command and `tests/obs_telemetry.rs`).
 //! * [`run_on`] — the same sweep over caller-built workloads (the Table 2/3
 //!   and hard-matrix drivers, through `crates/bench/src/accuracy.rs` and
 //!   `crates/bench/src/bin/exp_hard.rs`).
@@ -37,7 +41,8 @@
 //! * [`cache`] — the [`ProfileCache`], keyed by the workload's
 //!   format-tagged [`SpmvWorkload::fingerprint`] (reorder-tagged by the
 //!   spec) + method + threads + machine geometry.
-//! * [`pool`] — the work-stealing worker pool ([`pool::run_indexed`]).
+//! * [`pool`] — the work-stealing worker pool ([`pool::run_indexed`]): a
+//!   batch's matrices, or one profile's domains.
 //! * [`report`] — per-job [`Report`]s and the deterministic JSON-lines
 //!   output (no timestamps; identical bytes for any worker count).
 //!
@@ -149,7 +154,6 @@ fn job_at(spec: &BatchSpec, id: usize) -> Job {
     let within = id % spec.jobs_per_matrix();
     Job {
         id,
-        matrix: id / spec.jobs_per_matrix(),
         machine: within / per_machine,
         method: spec.methods[within % per_machine / settings],
         setting: spec.settings[within % settings],
@@ -263,13 +267,15 @@ pub fn ecm_for<W: SpmvWorkload>(
 /// work-stealing pool: each domain's trace analysis is a pure function of
 /// the builder, so the partials run on `workers` threads and are merged in
 /// domain order — the result is byte-identical to the sequential pipeline
-/// for any worker count. Method (A) runs marker stacks over the
+/// for any worker count. Inside a batch, `workers` is the width the
+/// batch's matrices leave unused ([`profile_workers`]); the streaming
+/// runs pass the spec's `workers`. Method (A) runs marker stacks over the
 /// capacities `settings` query (see [`ProfileBuilder::for_sweep`]);
 /// method (B) ignores `settings`.
 ///
-/// When one matrix has fewer L2 domains than the pool has workers, the
-/// per-domain fan-out alone cannot saturate the pool; method (A) builders
-/// then split each domain's tracked capacity grid into shards — every
+/// When one matrix has fewer L2 domains than `workers`, the per-domain
+/// fan-out alone cannot fill that width; method (A) builders then split
+/// each domain's tracked capacity grid into shards — every
 /// shard replays the identical stream against a slice of the capacities,
 /// and the deterministic per-domain merge reproduces the unsharded
 /// counters bit for bit. `shards = None` applies that heuristic;
@@ -422,12 +428,14 @@ fn plan(spec: &BatchSpec) -> Plan<'_> {
 /// miss), the per-setting evaluation and the report. Returns the report
 /// and whether the profile was a cache hit. `token` is polled before the
 /// job and before a build inside the lookup. Records `build`,
-/// `cache-lookup` and `compute` phases into `ctx`.
+/// `cache-lookup` and `compute` phases into `ctx`. A profile computed here
+/// fans out over `workers` pool threads.
 fn run_job<'a, W, H>(
     plan: &Plan<'_>,
     job: &Job,
     slot: &MatrixSlot<'a, H>,
     cache: &'a ProfileCache,
+    workers: usize,
     token: &CancelToken,
     ctx: &obs::RequestCtx,
 ) -> Result<(Report, bool), EngineError>
@@ -486,7 +494,7 @@ where
                 job.method,
                 spec.threads,
                 &spec.settings,
-                spec.workers,
+                workers,
                 None,
                 token,
                 ctx,
@@ -515,12 +523,12 @@ where
 }
 
 /// Runs a batch: expands the spec's sources into per-matrix source keys
-/// (reading `mtx` files up front, so their errors come first), then fans
-/// the jobs out over the work-stealing pool as [`run_on`] does. Each
-/// matrix is built — with the spec's `reorder`, `format` and scenario —
-/// by the first job that needs it, on that job's worker, and dropped when
-/// its last job finishes. A spec with `deadline_ms` runs under a
-/// [`CancelToken`] covering the whole batch and reports
+/// (reading `mtx` files up front, so their errors come first), then deals
+/// the matrices to the work-stealing pool as [`run_on`] does. Each matrix
+/// is built — with the spec's `reorder`, `format` and scenario — by the
+/// first of its jobs that needs it, on the worker running that matrix,
+/// and dropped when its last job finishes. A spec with `deadline_ms` runs
+/// under a [`CancelToken`] covering the whole batch and reports
 /// [`EngineError::Cancelled`] if the budget runs out.
 pub fn run_batch(spec: &BatchSpec) -> Result<BatchResult, EngineError> {
     let token = match spec.deadline_ms {
@@ -577,11 +585,12 @@ fn batch_spec(
 /// so callers passing reordered matrices keep them distinct from
 /// natural-order runs.
 ///
-/// Jobs run on the work-stealing pool; each (matrix, method) profile is
-/// computed once and shared by every setting via the fingerprint-keyed
-/// cache. Reports come back sorted by job id — matrix outermost, then
-/// method, then setting, matching the spec's orders — and carry no
-/// timing, so the output is byte-identical for any worker count.
+/// Matrices run on the work-stealing pool, each one's jobs in job order
+/// on one worker; each (matrix, method) profile is computed once and
+/// shared by every setting via the fingerprint-keyed cache. Reports come
+/// back sorted by job id — matrix outermost, then method, then setting,
+/// matching the spec's orders — and carry no timing, so the output is
+/// byte-identical for any worker count.
 pub fn run_on<W: SpmvWorkload>(spec: &BatchSpec, matrices: &[(&str, &W)]) -> BatchResult {
     let cache = ProfileCache::new();
     let jobs = spec.jobs_per_matrix();
@@ -594,13 +603,28 @@ pub fn run_on<W: SpmvWorkload>(spec: &BatchSpec, matrices: &[(&str, &W)]) -> Bat
         .expect("a never-cancelled batch over built workloads completes")
 }
 
-/// The batch runner behind [`run_batch`] and [`run_on`]: every job on the
-/// work-stealing pool against `cache`, matrix `m`'s jobs on
-/// `slots[slot_of[m]]`. `token` is polled before every job and between
-/// the per-domain partials inside each profile computation. Once it trips
-/// the whole run reports [`Cancelled`] — reports are all or nothing,
-/// matching the batch contract (deterministic, complete JSON-lines
-/// output).
+/// The width a batch's profile computations fan out over: what a pool of
+/// `pool_width` threads has left once each worker holds a matrix, so the
+/// batch never runs more than `pool_width` analysis threads. A one-matrix
+/// batch keeps the whole pool for its domains (or capacity shards); a
+/// batch with at least as many matrices as workers computes each profile
+/// inline on the worker that holds its matrix.
+fn profile_workers(pool_width: usize, matrices: usize) -> usize {
+    (pool_width / matrices.clamp(1, pool_width.max(1))).max(1)
+}
+
+/// The batch runner behind [`run_batch`] and [`run_on`]: the matrices on
+/// the work-stealing pool against `cache`, each one's jobs in job order
+/// on one worker, matrix `m`'s on `slots[slot_of[m]]`. A worker thus
+/// holds at most its own matrix and never waits on a profile another
+/// worker computes (except for a source named twice, which shares one
+/// slot). Profiles fan out over [`profile_workers`] threads. `token` is
+/// polled before every job and between the per-domain partials inside
+/// each profile computation. Once it trips the whole run reports
+/// [`Cancelled`] — reports are all or nothing, matching the batch
+/// contract (deterministic, complete JSON-lines output); an error stops
+/// its matrix's remaining jobs, and the first one in job order is
+/// reported.
 fn batch_on<'a, W, H>(
     spec: &BatchSpec,
     slots: &[MatrixSlot<'a, H>],
@@ -615,14 +639,20 @@ where
     let _span = obs::span("batch.run");
     obs::add("engine.batch.runs", 1);
     let plan = plan(spec);
-    let jobs: Vec<Job> = (0..slot_of.len() * spec.jobs_per_matrix())
-        .map(|id| job_at(spec, id))
-        .collect();
+    let per_matrix = spec.jobs_per_matrix();
+    let jobs = slot_of.len() * per_matrix;
+    let workers = profile_workers(pool::resolved_workers(spec.workers), slot_of.len());
+    obs::gauge_max("engine.batch.profile_workers", workers as u64);
     let ctx = obs::RequestCtx::disabled();
-    let reports: Result<Vec<Report>, EngineError> =
-        pool::run_indexed(spec.workers, &jobs, |_, job| {
-            let slot = &slots[slot_of[job.matrix]];
-            run_job(&plan, job, slot, cache, token, &ctx).map(|(report, _)| report)
+    let reports: Result<Vec<Vec<Report>>, EngineError> =
+        pool::run_indexed(spec.workers, slot_of, |m, &s| {
+            let slot = &slots[s];
+            (m * per_matrix..(m + 1) * per_matrix)
+                .map(|id| {
+                    run_job(&plan, &job_at(spec, id), slot, cache, workers, token, &ctx)
+                        .map(|(report, _)| report)
+                })
+                .collect::<Result<Vec<Report>, EngineError>>()
         })
         .into_iter()
         .collect();
@@ -630,16 +660,16 @@ where
     // The cache is the single source of truth for both the report stats
     // and the telemetry counters — no parallel tally.
     cache.flush_obs();
-    obs::add("engine.batch.jobs", jobs.len() as u64);
+    obs::add("engine.batch.jobs", jobs as u64);
 
     Ok(BatchResult {
         stats: BatchStats {
             matrices: slot_of.len(),
-            jobs: jobs.len(),
+            jobs,
             profile_computations: cache.computations(),
             profile_hits: cache.hits(),
         },
-        reports: reports?,
+        reports: reports?.into_iter().flatten().collect(),
     })
 }
 
@@ -706,7 +736,8 @@ pub fn run_streaming_traced(
             Entry::Mtx(_) => mtx.pop_front().expect("every mtx source was read"),
         };
         for id in m * jobs..(m + 1) * jobs {
-            let (report, hit) = run_job(&plan, &job_at(spec, id), &slot, cache, token, ctx)?;
+            let job = job_at(spec, id);
+            let (report, hit) = run_job(&plan, &job, &slot, cache, spec.workers, token, ctx)?;
             if hit {
                 stats.profile_hits += 1;
             } else {
@@ -1523,6 +1554,12 @@ mod tests {
             let cache = ProfileCache::new();
             batch_spec(&spec, &cache, &CancelToken::never()).unwrap();
             assert_eq!(cache.sources_built(), 4, "{workers} workers");
+            // Each worker holds at most the matrix it runs.
+            assert!(
+                cache.sources_live_max() <= workers as u64,
+                "{workers} workers: {} live matrices",
+                cache.sources_live_max()
+            );
             if workers == 1 {
                 assert_eq!(cache.sources_live_max(), 1, "one live matrix");
             }
@@ -1538,6 +1575,31 @@ mod tests {
             )
             .unwrap();
             assert_eq!(cache.sources_built(), 2, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn profiles_fan_out_over_the_width_the_matrices_leave() {
+        for matrices in [0, 1, 2, 18, 1000] {
+            assert_eq!(profile_workers(1, matrices), 1, "{matrices} matrices");
+        }
+        assert_eq!(profile_workers(2, 18), 1);
+        assert_eq!(profile_workers(2, 2), 1);
+        assert_eq!(profile_workers(2, 1), 2);
+        assert_eq!(profile_workers(8, 3), 2);
+        assert_eq!(profile_workers(8, 1), 8);
+        // No matrices, no profiles: any width will do, but no panic.
+        assert!(profile_workers(4, 0) >= 1);
+        // Never more analysis threads than the pool has.
+        for pool_width in 1..=16 {
+            for matrices in 1..=20 {
+                let width = profile_workers(pool_width, matrices);
+                assert!(width >= 1);
+                assert!(
+                    width * matrices.min(pool_width) <= pool_width,
+                    "pool {pool_width}, {matrices} matrices: width {width}"
+                );
+            }
         }
     }
 

@@ -2,15 +2,20 @@
 //! environment has no third-party crates, so there is no rayon or
 //! crossbeam to lean on.
 //!
-//! Each worker owns a deque of job indices; it pops from the front of its
+//! The engine runs two kinds of item on it: a batch's matrices (each with
+//! all its jobs), and one profile's L2 domains or capacity shards. A
+//! batch gives its profiles only the width its matrices leave unused, so
+//! the two never multiply into more threads than the batch's `workers`.
+//!
+//! Each worker owns a deque of item indices; it pops from the front of its
 //! own deque and, when empty, steals from the *back* of a sibling's (the
 //! classic split that keeps contention low and gives thieves the work the
-//! owner would reach last). Jobs are dealt round-robin up front, so with
+//! owner would reach last). Items are dealt round-robin up front, so with
 //! uniform costs nobody steals at all and with skewed costs (one huge
 //! matrix among small ones) idle workers drain the loaded deque.
 //!
-//! Results are returned in job order regardless of which worker ran what —
-//! batch output must be byte-identical for any worker count.
+//! Results are returned in item order regardless of which worker ran
+//! what — batch output must be byte-identical for any worker count.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -64,7 +69,7 @@ where
         return out;
     }
 
-    // Deal round-robin: worker w starts with jobs w, w+workers, ...
+    // Deal round-robin: worker w starts with items w, w+workers, ...
     let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
         .map(|w| Mutex::new((w..items.len()).step_by(workers).collect()))
         .collect();

@@ -153,6 +153,25 @@ pub fn run_validation(config: &ValidationConfig) -> ValidationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The a64fx smoke corpus (4 matrices, seed 2023) at two workers.
+    fn a64fx_smoke_config() -> ValidationConfig {
+        ValidationConfig {
+            matrices: 4,
+            seed: 2023,
+            workers: 2,
+            smoke: true,
+            ..ValidationConfig::default()
+        }
+    }
+
+    /// [`a64fx_smoke_config`]'s report, run once for every test that
+    /// reads it.
+    fn a64fx_smoke() -> &'static ValidationReport {
+        static REPORT: OnceLock<ValidationReport> = OnceLock::new();
+        REPORT.get_or_init(|| run_validation(&a64fx_smoke_config()))
+    }
 
     /// The tier-1 gate on the harness itself: a small smoke corpus must
     /// come back clean, cover every stratum, and be worker-independent:
@@ -160,21 +179,14 @@ mod tests {
     /// workers (which deal the cases longest first) give the same bytes.
     #[test]
     fn smoke_corpus_validates_cleanly() {
-        let config = ValidationConfig {
-            matrices: 4,
-            seed: 2023,
-            workers: 2,
-            smoke: true,
-            ..ValidationConfig::default()
-        };
-        let report = run_validation(&config);
+        let report = a64fx_smoke();
         let stripped = |mut report: ValidationReport| {
             report.stats.nanos = StageNanos::default();
             report.to_json_lines()
         };
         let serial = run_validation(&ValidationConfig {
             workers: 1,
-            ..config.clone()
+            ..a64fx_smoke_config()
         });
         assert_eq!(stripped(serial), stripped(report.clone()));
         assert!(
@@ -192,16 +204,9 @@ mod tests {
     /// model invariants, no simulator cross-checks, and a clean verdict.
     #[test]
     fn generic_x86_smoke_runs_model_only() {
-        let a64fx = ValidationConfig {
-            matrices: 4,
-            seed: 2023,
-            workers: 2,
-            smoke: true,
-            ..ValidationConfig::default()
-        };
         let x86 = ValidationConfig {
             machine: MachineSpec::GenericX86,
-            ..a64fx.clone()
+            ..a64fx_smoke_config()
         };
         let report = run_validation(&x86);
         assert!(
@@ -211,7 +216,7 @@ mod tests {
         );
         // No simulator cross-checks and no machine-identity pass: strictly
         // fewer comparisons than the a64fx run of the same corpus.
-        let reference = run_validation(&a64fx);
+        let reference = a64fx_smoke();
         assert!(
             report.stats.checks_run < reference.stats.checks_run,
             "{} vs {}",

@@ -487,14 +487,20 @@ echo "== table1 oracle: the 18 Table-1 generators, byte for byte =="
 # The batch oracle above covers two corpus matrices; this one covers every
 # Table-1 analogue (banded, kron, stencil, arrow and random generators).
 # Same spec as the batch-table1 benchmark workload; perfbench/ is only
-# read here.
+# read here. The default width, one worker (every profile inline) and
+# three workers (a pool width that does not divide the 18 matrices) must
+# all give the same bytes.
 printf 'table1 scale=32\nmethods A,B\nsettings paper\nthreads 48\nscale 32\n' \
     > "$OBS_TMP/table1.spec"
-cargo run --release --offline --bin spmv-locality -- \
-    batch "$OBS_TMP/table1.spec" > "$OBS_TMP/table1.jsonl"
-cmp perfbench/expected/batch-table1.jsonl "$OBS_TMP/table1.jsonl" || {
-    echo "ci: table1 batch drifted from perfbench/expected/batch-table1.jsonl" >&2
-    exit 1
-}
+for TABLE1_WORKERS in "" "--workers 1" "--workers 3"; do
+    # Unquoted on purpose: the flag and its value are two words.
+    cargo run --release --offline --bin spmv-locality -- \
+        batch "$OBS_TMP/table1.spec" $TABLE1_WORKERS > "$OBS_TMP/table1.jsonl"
+    cmp perfbench/expected/batch-table1.jsonl "$OBS_TMP/table1.jsonl" || {
+        echo "ci: table1 batch (${TABLE1_WORKERS:-default workers}) drifted" \
+            "from perfbench/expected/batch-table1.jsonl" >&2
+        exit 1
+    }
+done
 
 echo "ci: all gates passed"
