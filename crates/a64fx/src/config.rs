@@ -20,7 +20,7 @@
 
 pub use machine::{CacheGeometry, PrefetchConfig, Replacement, SectorPolicy, TimingParams};
 
-use machine::{CacheHierarchy, HierarchyConfig, LevelConfig, LevelScope};
+use machine::{HierarchyConfig, LevelConfig, LevelScope};
 
 /// Full machine description: the two-level view of a cache hierarchy.
 #[derive(Clone, Debug, PartialEq)]
@@ -124,11 +124,6 @@ impl MachineConfig {
         self.num_cores.div_ceil(self.cores_per_domain)
     }
 
-    /// Domain of a given core.
-    pub fn domain_of(&self, core: usize) -> usize {
-        core / self.cores_per_domain
-    }
-
     /// Sets the L2 sector-1 way count (builder style).
     #[must_use]
     pub fn with_l2_sector(mut self, sector1_ways: usize) -> Self {
@@ -198,10 +193,6 @@ mod tests {
         assert_eq!(cfg.l1.total_lines(), 256);
         assert_eq!(cfg.l2.total_lines(), 32768);
         assert_eq!(cfg.num_domains(), 4);
-        assert_eq!(cfg.domain_of(0), 0);
-        assert_eq!(cfg.domain_of(11), 0);
-        assert_eq!(cfg.domain_of(12), 1);
-        assert_eq!(cfg.domain_of(47), 3);
     }
 
     #[test]

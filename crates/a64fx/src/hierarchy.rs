@@ -32,7 +32,7 @@
 use crate::cache::{Cache, Outcome, Request};
 use crate::counters::PmuSnapshot;
 use crate::prefetch::StreamPrefetcher;
-use machine::{CacheHierarchy, HierarchyConfig, PrefetchConfig};
+use machine::{HierarchyConfig, PrefetchConfig};
 use memtrace::{Access, ArraySet};
 
 struct Core {

@@ -37,6 +37,6 @@ pub use cache::{Cache, CacheStats, Outcome, Request};
 pub use config::{CacheGeometry, MachineConfig, PrefetchConfig, Replacement, SectorPolicy};
 pub use counters::PmuSnapshot;
 pub use hierarchy::Machine;
-pub use machine::{CacheHierarchy, HierarchyConfig, A64FX_LINE_BYTES};
+pub use machine::{HierarchyConfig, A64FX_LINE_BYTES};
 pub use sim_spmv::{simulate_spmv, simulate_spmv_partitioned, SimResult};
 pub use timing::{estimate, Bottleneck, Performance};

@@ -50,12 +50,6 @@ pub fn stream_misses_y(num_rows: usize, line_bytes: usize) -> u64 {
     (8 * num_rows).div_ceil(line_bytes) as u64
 }
 
-/// Total matrix-stream misses (`a` + `colidx`), the partition-1 capacity
-/// misses of a class-(2) matrix.
-pub fn stream_misses_matrix(nnz: usize, line_bytes: usize) -> u64 {
-    stream_misses_a(nnz, line_bytes) + stream_misses_colidx(nnz, line_bytes)
-}
-
 /// Method (B) scaling factor with partitioning (`x` shares partition 0
 /// with `rowptr` and `y`): `s1 = (16·M/K + 8)/8`.
 ///

@@ -145,18 +145,6 @@ impl PartitionOptimizer {
             .sum()
     }
 
-    /// Misses with partitioning disabled (all groups share all ways).
-    ///
-    /// Note this is an approximation when groups interleave: it sums each
-    /// group's solo curve at full capacity, which ignores cross-group
-    /// pollution — the exact unpartitioned number comes from a single
-    /// combined stack (method A's first pass).
-    pub fn unpartitioned_upper_bound(&self) -> u64 {
-        (0..self.groups.len())
-            .map(|g| self.group_misses(g, self.sets * self.ways))
-            .sum()
-    }
-
     /// Exhaustively finds the allocation minimising total misses.
     /// Returns `(ways per group, predicted misses)`.
     pub fn best_allocation(&self) -> (Vec<usize>, u64) {

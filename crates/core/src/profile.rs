@@ -64,6 +64,17 @@ impl ArrayHistograms {
             mine.merge(theirs);
         }
     }
+
+    /// Adds one routing's marker counters, distilled per array by
+    /// [`QuantizedCounts::histogram`]. `None` (a routing that tracks no
+    /// capacity) adds nothing.
+    fn merge_counts(&mut self, counts: &Option<QuantizedCounts>) {
+        if let Some(c) = counts {
+            for a in Array::ALL {
+                self.by_array[a as usize].merge(&c.histogram(a));
+            }
+        }
+    }
 }
 
 /// One exact stack of the materialized oracle with dense per-array
@@ -254,24 +265,6 @@ impl MarkerSink {
         if let Some(s) = &mut self.stack1 {
             s.seed_lru(&route(order, self.sector1, true));
         }
-    }
-
-    fn histograms(stack: &Option<MarkerStack>) -> ArrayHistograms {
-        let mut h = ArrayHistograms::default();
-        if let Some(s) = stack {
-            for a in Array::ALL {
-                h.by_array[a as usize] = s.quantized_histogram(a);
-            }
-        }
-        h
-    }
-
-    fn histograms0(&self) -> ArrayHistograms {
-        Self::histograms(&self.stack0)
-    }
-
-    fn histograms1(&self) -> ArrayHistograms {
-        Self::histograms(&self.stack1)
     }
 
     /// Reports the instantiated stacks' statistics to the telemetry
@@ -638,36 +631,27 @@ pub struct LocalityProfile {
 }
 
 /// One L2 domain's contribution to a profile, produced by
-/// [`ProfileBuilder::domain_partial`] and merged by
+/// [`ProfileBuilder::domain_shard_partial`] and merged by
 /// [`ProfileBuilder::finish`]. Domains are independent, so partials may be
 /// computed on any thread in any order; merging in domain order keeps the
-/// result identical to the sequential pipeline.
+/// result identical to the sequential pipeline. A method-(A) partial may
+/// cover only a slice of the tracked capacities (one shard); a domain's
+/// shards are joined with [`Self::merge_shards`] before `finish`.
 //
 // Same trade-off as [`ProfileKind`]: a handful of instances per matrix,
 // so the variant size gap is not worth a box.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DomainPartial {
-    /// Method (A): one domain's histograms under both routings.
+    /// Method (A): one domain's marker counters per routing, over the
+    /// capacities this partial tracked. A routing is `None` when it
+    /// tracks none of them.
     Trace {
-        /// Unpartitioned routing.
-        shared: ArrayHistograms,
-        /// Listing-1 routing, partition 0.
-        part0: ArrayHistograms,
-        /// Listing-1 routing, partition 1.
-        part1: ArrayHistograms,
-    },
-    /// Method (A), capacity-sharded: one shard's quantized miss counts
-    /// per routing, produced by [`ProfileBuilder::domain_shard_partial`].
-    /// A routing is `None` when this shard owns none of its tracked
-    /// capacities. Shards of one domain merge into a [`Self::Trace`]
-    /// partial via [`Self::merge_shards`].
-    TraceShard {
-        /// Unpartitioned-routing counts (this shard's capacity slice).
+        /// Unpartitioned-routing counts.
         shared: Option<QuantizedCounts>,
-        /// Partition-0 counts (this shard's capacity slice).
+        /// Listing-1 partition-0 counts.
         part0: Option<QuantizedCounts>,
-        /// Partition-1 counts (this shard's capacity slice).
+        /// Listing-1 partition-1 counts.
         part1: Option<QuantizedCounts>,
     },
     /// Method (B): one domain's `(RD, gap)` pair counts (sorted) and cold
@@ -681,8 +665,9 @@ pub enum DomainPartial {
 }
 
 impl DomainPartial {
-    /// Merges one domain's shard partials (in shard order) into the
-    /// [`Self::Trace`] partial the unsharded pipeline would produce.
+    /// Joins one domain's shard partials (in shard order) into the
+    /// partial an unsharded computation produces. A single partial, of
+    /// either method, passes through unchanged.
     ///
     /// A marker stack's miss count at a capacity is independent of the
     /// other capacities the stack tracks, so concatenating each routing's
@@ -692,41 +677,34 @@ impl DomainPartial {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is empty, contains a non-[`Self::TraceShard`]
-    /// partial, or the shards' streams disagree.
-    pub fn merge_shards(shards: Vec<DomainPartial>) -> DomainPartial {
+    /// Panics if `shards` is empty, holds several partials of which one
+    /// is a method-(B) partial, or the shards' streams disagree.
+    pub fn merge_shards(mut shards: Vec<DomainPartial>) -> DomainPartial {
         assert!(!shards.is_empty(), "need at least one shard partial");
-        let mut shared_parts = Vec::new();
-        let mut part0_parts = Vec::new();
-        let mut part1_parts = Vec::new();
+        if shards.len() == 1 {
+            return shards.pop().expect("one partial");
+        }
+        let mut parts: [Vec<QuantizedCounts>; 3] = Default::default();
         for shard in shards {
             match shard {
-                DomainPartial::TraceShard {
+                DomainPartial::Trace {
                     shared,
                     part0,
                     part1,
                 } => {
-                    shared_parts.extend(shared);
-                    part0_parts.extend(part0);
-                    part1_parts.extend(part1);
+                    parts[0].extend(shared);
+                    parts[1].extend(part0);
+                    parts[2].extend(part1);
                 }
-                _ => panic!("merge_shards expects TraceShard partials"),
+                DomainPartial::XTrace { .. } => panic!("method (B) partials are not sharded"),
             }
         }
-        let hist = |parts: Vec<QuantizedCounts>| -> ArrayHistograms {
-            let mut h = ArrayHistograms::default();
-            if !parts.is_empty() {
-                let merged = QuantizedCounts::concat(parts);
-                for a in Array::ALL {
-                    h.by_array[a as usize] = merged.histogram(a);
-                }
-            }
-            h
-        };
+        let [shared, part0, part1] =
+            parts.map(|p| (!p.is_empty()).then(|| QuantizedCounts::concat(p)));
         DomainPartial::Trace {
-            shared: hist(shared_parts),
-            part0: hist(part0_parts),
-            part1: hist(part1_parts),
+            shared,
+            part0,
+            part1,
         }
     }
 }
@@ -735,12 +713,14 @@ impl DomainPartial {
 /// factored so independent L2 domains can run on separate threads.
 ///
 /// Construction does the cheap shared setup (layout, work partition,
-/// domain shares); [`domain_partial`](Self::domain_partial) is a pure
-/// function of `&self` and the domain index — it streams the domain's
-/// interleaved references from cursors (no trace is materialised), feeding
-/// both routings of one replay through a single generation pass via a tee
-/// sink. [`finish`](Self::finish) merges the partials in domain order, so
-/// any parallel schedule produces the byte-identical profile.
+/// domain shares); [`domain_shard_partial`](Self::domain_shard_partial)
+/// is a pure function of `&self`, the domain index and the capacity shard
+/// — it streams the domain's interleaved references from cursors (no
+/// trace is materialised), feeding both routings of one replay through a
+/// single generation pass via a tee sink. [`finish`](Self::finish)
+/// merges the partials in domain order and distils their counters into
+/// histograms, so any parallel schedule produces the byte-identical
+/// profile.
 ///
 /// Generic over the storage format via [`SpmvWorkload`] (defaulting to
 /// CSR, whose results are byte-identical to the historical CSR-only
@@ -959,58 +939,39 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
     const REPLAY_REFS_MAX: usize = 1 << 22;
 
     /// Computes domain `d`'s contribution restricted to capacity shard
-    /// `shard` of `shards`: the same stream is replayed against only the
-    /// shard's slice of the tracked capacity grids, so the `shards`
-    /// partials of one domain can run on separate threads and
-    /// [`DomainPartial::merge_shards`] reassembles the exact full-grid
-    /// partial. `shards` may exceed [`max_shards`](Self::max_shards);
-    /// the surplus shards own empty grids and contribute nothing.
+    /// `shard` of `shards`. Method (A) replays the domain's stream on
+    /// marker stacks over only the shard's slice of the tracked capacity
+    /// grids, so the `shards` partials of one domain can run on separate
+    /// threads and [`DomainPartial::merge_shards`] reassembles the exact
+    /// full-grid partial; `shards` may exceed
+    /// [`max_shards`](Self::max_shards), and the surplus shards own empty
+    /// grids and contribute nothing. Method (B) runs an exact stack over
+    /// the `x` trace and has nothing to shard. `shard = 0, shards = 1` is
+    /// the whole domain. Pure in `&self`: safe to call from any thread,
+    /// in any order.
     ///
     /// # Panics
     ///
-    /// Panics if `shard >= shards`, `d >= num_domains()`, or the builder
-    /// is a method-(B) builder.
+    /// Panics if `shard >= shards`, `d >= num_domains()`, or `shards > 1`
+    /// on a method-(B) builder.
     pub fn domain_shard_partial(&self, d: usize, shard: usize, shards: usize) -> DomainPartial {
         assert!(shard < shards, "shard index {shard} out of range {shards}");
-        let t = self
-            .tracked
-            .as_ref()
-            .expect("capacity sharding requires a method (A) builder");
-        let _span = obs::span("profile.domain");
-        let (shared, routed) = self.run_tracked_domain(d, Self::shard_grids(t, shard, shards));
-        let _extract = obs::span("reuse_stack.extract");
-        shared.flush_obs();
-        routed.flush_obs();
-        DomainPartial::TraceShard {
-            shared: shared.counts0(),
-            part0: routed.counts0(),
-            part1: routed.counts1(),
-        }
-    }
-
-    /// Computes domain `d`'s contribution: method (A) on marker stacks
-    /// over the tracked grids, method (B) on an exact stack over the
-    /// `x` trace. Pure in `&self`: safe to call from any thread, in any
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d >= num_domains()`.
-    pub fn domain_partial(&self, d: usize) -> DomainPartial {
         let _span = obs::span("profile.domain");
         match &self.tracked {
             Some(t) => {
-                let (shared, routed) = self.run_tracked_domain(d, (&t.shared, &t.part0, &t.part1));
+                let (shared, routed) =
+                    self.run_tracked_domain(d, Self::shard_grids(t, shard, shards));
                 let _extract = obs::span("reuse_stack.extract");
                 shared.flush_obs();
                 routed.flush_obs();
                 DomainPartial::Trace {
-                    shared: shared.histograms0(),
-                    part0: routed.histograms0(),
-                    part1: routed.histograms1(),
+                    shared: shared.counts0(),
+                    part0: routed.counts0(),
+                    part1: routed.counts1(),
                 }
             }
             None => {
+                assert_eq!(shards, 1, "method (B) builders run one shard per domain");
                 let cursors = DomainCursors::new(
                     self.workload,
                     &self.layout,
@@ -1036,7 +997,8 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
         }
     }
 
-    /// Merges the per-domain partials (in domain order) into the profile.
+    /// Merges the per-domain partials (in domain order) into the profile,
+    /// turning method (A)'s marker counters into per-array histograms.
     ///
     /// # Panics
     ///
@@ -1059,12 +1021,9 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
                             part0: p0,
                             part1: p1,
                         } => {
-                            shared.merge(s);
-                            part0.merge(p0);
-                            part1.merge(p1);
-                        }
-                        DomainPartial::TraceShard { .. } => {
-                            panic!("unmerged shard partial; merge with DomainPartial::merge_shards")
+                            shared.merge_counts(s);
+                            part0.merge_counts(p0);
+                            part1.merge_counts(p1);
                         }
                         DomainPartial::XTrace { .. } => {
                             panic!("method (B) partial in method (A) build")
@@ -1089,7 +1048,7 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
                             pairs = merge_sorted_pairs(pairs, run);
                             cold += c;
                         }
-                        DomainPartial::Trace { .. } | DomainPartial::TraceShard { .. } => {
+                        DomainPartial::Trace { .. } => {
                             panic!("method (A) partial in method (B) build")
                         }
                     }
@@ -1145,7 +1104,7 @@ impl LocalityProfile {
         let builder = ProfileBuilder::for_sweep(workload, cfg, method, threads, settings);
         obs::observe("core.profile.domains", builder.num_domains() as u64);
         let partials = (0..builder.num_domains())
-            .map(|d| builder.domain_partial(d))
+            .map(|d| builder.domain_shard_partial(d, 0, 1))
             .collect();
         builder.finish(partials)
     }
@@ -1702,7 +1661,7 @@ mod tests {
             // Compute partials back-to-front, hand them over in order.
             let mut partials: Vec<DomainPartial> = (0..builder.num_domains())
                 .rev()
-                .map(|d| builder.domain_partial(d))
+                .map(|d| builder.domain_shard_partial(d, 0, 1))
                 .collect();
             partials.reverse();
             let profile = builder.finish(partials);
@@ -1721,7 +1680,7 @@ mod tests {
         let settings = SectorSetting::paper_sweep();
         let builder = ProfileBuilder::for_sweep(workload, &cfg, Method::A, threads, &settings);
         let reference: Vec<DomainPartial> = (0..builder.num_domains())
-            .map(|d| builder.domain_partial(d))
+            .map(|d| builder.domain_shard_partial(d, 0, 1))
             .collect();
         assert!(builder.max_shards() > 1, "paper sweep tracks many slots");
         for shards in [1, 2, 3, 7, 16] {
@@ -1767,13 +1726,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "merge_shards expects TraceShard partials")]
-    fn merge_shards_rejects_plain_partials() {
-        DomainPartial::merge_shards(vec![DomainPartial::Trace {
-            shared: ArrayHistograms::default(),
-            part0: ArrayHistograms::default(),
-            part1: ArrayHistograms::default(),
-        }]);
+    #[should_panic(expected = "method (B) partials are not sharded")]
+    fn merge_shards_rejects_method_b_shards() {
+        let x = || DomainPartial::XTrace {
+            pairs: Vec::new(),
+            cold: 0,
+        };
+        DomainPartial::merge_shards(vec![x(), x()]);
     }
 
     /// Satellite regression: on the PR-2 benchmark spec (corpus count 4,

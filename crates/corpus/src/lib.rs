@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 
 pub mod banded;
-pub mod kron;
 pub mod random;
 pub mod stencil;
 pub mod suite;

@@ -301,9 +301,7 @@ mod tests {
         let c = corpus(20, 64, 42);
         assert_eq!(c.len(), 20);
         let hier = machine::HierarchyConfig::a64fx().scaled(64);
-        let segment = machine::CacheHierarchy::last_level(&hier)
-            .geometry
-            .size_bytes;
+        let segment = hier.last_level().geometry.size_bytes;
         let sizes: Vec<usize> = c.iter().map(|m| m.matrix.matrix_bytes()).collect();
         // Every matrix exceeds one L2 segment (the paper's selection rule).
         for (m, &b) in c.iter().zip(&sizes) {

@@ -8,8 +8,9 @@
 //! threads, one matrix (with all its jobs) per pool item, memoizing each
 //! matrix's [`LocalityProfile`] under its structural fingerprint so a
 //! `matrices × methods × settings` batch computes only
-//! `matrices × methods` profiles. A profile fans its L2 domains out over
-//! only the pool width the matrices leave unused, so a batch has one
+//! `matrices × methods` profiles. A profile fans its L2 domains (split
+//! into capacity shards when there are fewer domains than workers) out
+//! over only the pool width the matrices leave unused, so a batch has one
 //! level of parallelism: many matrices run side by side, one matrix runs
 //! its domains side by side.
 //!
@@ -40,9 +41,10 @@
 //!   different storage format (e.g. SELL-C-σ) or row order.
 //! * [`cache`] — the [`ProfileCache`], keyed by the workload's
 //!   format-tagged [`SpmvWorkload::fingerprint`] (reorder-tagged by the
-//!   spec) + method + threads + machine geometry.
+//!   spec) + method + threads + machine geometry; unbounded for a batch,
+//!   LRU-bounded for the serve daemon.
 //! * [`pool`] — the work-stealing worker pool ([`pool::run_indexed`]): a
-//!   batch's matrices, or one profile's domains.
+//!   batch's matrices, or one profile's `(domain, shard)` partials.
 //! * [`report`] — per-job [`Report`]s and the deterministic JSON-lines
 //!   output (no timestamps; identical bytes for any worker count).
 //!
@@ -75,7 +77,7 @@ pub mod pool;
 pub mod report;
 mod source;
 
-pub use cache::{Admission, CacheLookup, EvictionPolicy, ProfileCache, ProfileKey};
+pub use cache::{CacheLookup, ProfileCache, ProfileKey};
 pub use cancel::{CancelToken, Cancelled};
 pub use job::{BatchSpec, Job, MatrixSource, SpecError};
 pub use report::{BatchResult, BatchStats, EcmSummary, Report};
@@ -85,7 +87,7 @@ use locality_core::{
     DomainPartial, LocalityProfile, Method, Prediction, ProfileBuilder, SectorSetting,
     SpmvWorkload, TrackedCaps, Workload,
 };
-use machine::{CacheHierarchy, HierarchyConfig};
+use machine::HierarchyConfig;
 use source::{Entry, MatrixSlot};
 use std::collections::{hash_map, HashMap};
 use std::fmt;
@@ -174,7 +176,7 @@ struct ResolvedMachine {
     cfg: MachineConfig,
     /// The declarative hierarchy itself.
     hier: HierarchyConfig,
-    /// [`CacheHierarchy::fingerprint`] — the cache-key machine tag.
+    /// [`HierarchyConfig::fingerprint`] — the cache-key machine tag.
     tag: u64,
 }
 
@@ -227,7 +229,7 @@ pub fn ecm_for<W: SpmvWorkload>(
 ) -> EcmSummary {
     obs::add("engine.ecm.estimates", 1);
     let line = hier.line_bytes() as f64;
-    let cores = hier.num_cores().max(1) as f64;
+    let cores = hier.num_cores.max(1) as f64;
     let domains = hier.num_domains().max(1) as f64;
     let footprint = workload.layout(hier.line_bytes()).total_lines() as f64 * line;
     let x_refs = workload.x_refs() as f64;
@@ -323,22 +325,15 @@ fn try_compute_profile<W: SpmvWorkload>(
     }
     .min(builder.max_shards());
 
-    if shard_count <= 1 {
-        let domains: Vec<usize> = (0..num_domains).collect();
-        let partials: Option<Vec<DomainPartial>> = pool::run_indexed(workers, &domains, |_, &d| {
-            if token.is_cancelled() {
-                None
-            } else {
-                let _p = ctx.phase(&["compute", "domain"], Some("serve.phase.domain_ns"));
-                Some(builder.domain_partial(d))
-            }
-        })
-        .into_iter()
-        .collect();
-        return Some(builder.finish(partials?));
-    }
-
-    obs::gauge_max("engine.profile.shards", shard_count as u64);
+    // Domain-major tasks, so consecutive runs of `shard_count` partials
+    // are one domain's shards in shard order — what the merge expects.
+    // One shard per domain is the plain per-domain fan-out.
+    let (phase, histogram): (&'static [&'static str], _) = if shard_count > 1 {
+        obs::gauge_max("engine.profile.shards", shard_count as u64);
+        (&["compute", "shard"], "serve.phase.shard_ns")
+    } else {
+        (&["compute", "domain"], "serve.phase.domain_ns")
+    };
     let tasks: Vec<(usize, usize)> = (0..num_domains)
         .flat_map(|d| (0..shard_count).map(move |s| (d, s)))
         .collect();
@@ -347,17 +342,15 @@ fn try_compute_profile<W: SpmvWorkload>(
             if token.is_cancelled() {
                 None
             } else {
-                let _p = ctx.phase(&["compute", "shard"], Some("serve.phase.shard_ns"));
+                let _p = ctx.phase(phase, Some(histogram));
                 Some(builder.domain_shard_partial(d, s, shard_count))
             }
         })
         .into_iter()
         .collect();
-    // Tasks are domain-major, so consecutive chunks are one domain's
-    // shards in shard order — exactly what the merge expects.
-    let partials: Vec<DomainPartial> = shard_partials?
-        .chunks(shard_count)
-        .map(|chunk| DomainPartial::merge_shards(chunk.to_vec()))
+    let mut shard_partials = shard_partials?.into_iter();
+    let partials: Vec<DomainPartial> = (0..num_domains)
+        .map(|_| DomainPartial::merge_shards(shard_partials.by_ref().take(shard_count).collect()))
         .collect();
     Some(builder.finish(partials))
 }
@@ -757,6 +750,22 @@ mod tests {
     use locality_core::ScenarioSpec;
     use sparsemat::CsrMatrix;
 
+    /// Writes `matrix` to `path` as a pattern Matrix Market file.
+    fn write_mtx(path: &std::path::Path, matrix: &CsrMatrix) {
+        let mut text = format!(
+            "%%MatrixMarket matrix coordinate pattern general\n{} {} {}\n",
+            matrix.num_rows(),
+            matrix.num_cols(),
+            matrix.nnz()
+        );
+        for r in 0..matrix.num_rows() {
+            for c in matrix.row(r) {
+                text += &format!("{} {}\n", r + 1, c + 1);
+            }
+        }
+        std::fs::write(path, text).unwrap();
+    }
+
     fn small_spec() -> BatchSpec {
         BatchSpec::parse(
             "corpus count=4 scale=64 seed=11\n\
@@ -1121,9 +1130,7 @@ mod tests {
         let mut coo = sparsemat::CooMatrix::new(2, 5);
         coo.push(0, 4);
         coo.push(1, 0);
-        let mut file = std::fs::File::create(&path).unwrap();
-        sparsemat::mm::write_csr(&mut file, &coo.to_csr()).unwrap();
-        drop(file);
+        write_mtx(&path, &coo.to_csr());
 
         let spec = BatchSpec::parse(&format!(
             "mtx {}\nsettings off\nmethods B\nscale 64\nworkload cg\n",
@@ -1185,9 +1192,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("diag4.mtx");
         let m = CsrMatrix::identity(4);
-        let mut file = std::fs::File::create(&path).unwrap();
-        sparsemat::mm::write_csr(&mut file, &m).unwrap();
-        drop(file);
+        write_mtx(&path, &m);
 
         let spec = BatchSpec::parse(&format!(
             "mtx {}\nsettings off\nmethods B\nscale 64\n",
@@ -1512,9 +1517,7 @@ mod tests {
         .unwrap();
         let cache = ProfileCache::bounded(8);
         let serve = |m: &CsrMatrix| {
-            let mut file = std::fs::File::create(&path).unwrap();
-            sparsemat::mm::write_csr(&mut file, m).unwrap();
-            drop(file);
+            write_mtx(&path, m);
             let mut fingerprint = 0;
             run_streaming(&spec, &cache, &CancelToken::never(), |r| {
                 fingerprint = r.fingerprint

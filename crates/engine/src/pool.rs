@@ -3,9 +3,14 @@
 //! crossbeam to lean on.
 //!
 //! The engine runs two kinds of item on it: a batch's matrices (each with
-//! all its jobs), and one profile's L2 domains or capacity shards. A
+//! all its jobs), and one profile's domain-major `(domain, shard)`
+//! partials, one shard per domain being the plain per-domain fan-out. A
 //! batch gives its profiles only the width its matrices leave unused, so
 //! the two never multiply into more threads than the batch's `workers`.
+//!
+//! The `engine.pool.jobs` counter and the `engine.pool.jobs_per_worker`
+//! histogram count pool items — matrices in a batch, domain or shard
+//! partials in a profile — not batch jobs.
 //!
 //! Each worker owns a deque of item indices; it pops from the front of its
 //! own deque and, when empty, steals from the *back* of a sibling's (the

@@ -18,7 +18,7 @@
 //! the matrix/index/result streams and optimistic for repeated x gathers
 //! that miss in inner levels).
 
-use crate::hierarchy::{CacheHierarchy, EcmOverlap, HierarchyConfig, LevelScope};
+use crate::hierarchy::{EcmOverlap, HierarchyConfig, LevelScope};
 
 /// Per-iteration work and traffic volumes for one ECM evaluation.
 #[derive(Clone, Debug, PartialEq)]
@@ -115,14 +115,6 @@ pub fn core_seconds(hier: &HierarchyConfig, max_core_ops: f64) -> f64 {
     max_core_ops * hier.timing.cycles_per_nnz / hier.timing.clock_hz
 }
 
-/// Sanity helper used by tests and docs: the machine's streaming balance
-/// in flops per byte at the memory interface.
-pub fn memory_balance_flops_per_byte(hier: &HierarchyConfig) -> f64 {
-    let mem_bw: f64 = hier.last_level().link_bandwidth_bps * hier.num_domains() as f64;
-    let peak = hier.num_cores as f64 * 2.0 * hier.timing.clock_hz / hier.timing.cycles_per_nnz;
-    peak / mem_bw
-}
-
 /// True when level `i`'s link bandwidth is per-core rather than
 /// per-domain (mirrors [`crate::LevelConfig::link_bandwidth_bps`] scope).
 pub fn link_is_per_core(hier: &HierarchyConfig, i: usize) -> bool {
@@ -196,12 +188,6 @@ mod tests {
         let a = HierarchyConfig::a64fx();
         assert_eq!(link_label(&a, 0), "l1-l2");
         assert_eq!(link_label(&a, 1), "mem");
-    }
-
-    #[test]
-    fn balance_says_a64fx_spmv_is_memory_bound() {
-        // Machine balance far above SpMV's ~1/6 flop per byte.
-        assert!(memory_balance_flops_per_byte(&HierarchyConfig::a64fx()) > 0.2);
     }
 
     #[test]

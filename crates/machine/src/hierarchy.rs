@@ -2,9 +2,9 @@
 //!
 //! A [`HierarchyConfig`] is a list of [`LevelConfig`]s (closest to the
 //! core first), plus topology, replacement/prefetch policy and the timing
-//! parameters the analytic models need. The [`CacheHierarchy`] trait is
-//! the read-only contract the rest of the stack consumes (see DESIGN.md);
-//! `HierarchyConfig` is its canonical implementation.
+//! parameters the analytic models need. The rest of the stack reads a
+//! machine through `HierarchyConfig`'s public fields and its read-only
+//! accessors (see DESIGN.md §3d).
 //!
 //! Presets:
 //!
@@ -96,20 +96,6 @@ impl LevelConfig {
             inclusion: Inclusion::NonInclusive,
             link_bandwidth_bps,
             link_latency_s,
-        }
-    }
-
-    /// Capacity (in lines) of the partition holding sector-`sector` data.
-    pub fn partition_lines(&self, sector: u8) -> usize {
-        if !self.sector.enabled() {
-            return self.geometry.total_lines();
-        }
-        match sector {
-            0 => self
-                .geometry
-                .sector_lines(self.geometry.ways - self.sector.sector1_ways),
-            1 => self.geometry.sector_lines(self.sector.sector1_ways),
-            _ => panic!("only sectors 0 and 1 are modelled"),
         }
     }
 }
@@ -247,46 +233,6 @@ impl fmt::Display for HierarchyError {
             ),
         }
     }
-}
-
-/// Read-only contract every machine model satisfies; consumed by the
-/// simulator, the engine and the validator. See DESIGN.md for the
-/// invariants each method must uphold.
-pub trait CacheHierarchy {
-    /// Display name.
-    fn name(&self) -> &str;
-    /// Number of cache levels.
-    fn num_levels(&self) -> usize;
-    /// Level `i` (0 = closest to core). Panics if out of range.
-    fn level(&self, i: usize) -> &LevelConfig;
-    /// The uniform line size in bytes.
-    fn line_bytes(&self) -> usize;
-    /// Total cores.
-    fn num_cores(&self) -> usize;
-    /// Cores per NUMA domain.
-    fn cores_per_domain(&self) -> usize;
-
-    /// Number of domains in use.
-    fn num_domains(&self) -> usize {
-        self.num_cores().div_ceil(self.cores_per_domain())
-    }
-
-    /// Index of the first shared (per-domain) level.
-    fn first_shared_level(&self) -> usize {
-        (0..self.num_levels())
-            .find(|&i| self.level(i).scope == LevelScope::PerDomain)
-            .expect("validated hierarchies end in a shared level")
-    }
-
-    /// The last (memory-side) level.
-    fn last_level(&self) -> &LevelConfig {
-        self.level(self.num_levels() - 1)
-    }
-
-    /// Order-sensitive fingerprint over every modelled parameter; two
-    /// hierarchies with equal fingerprints are interchangeable for
-    /// caching purposes.
-    fn fingerprint(&self) -> u64;
 }
 
 impl HierarchyConfig {
@@ -460,32 +406,50 @@ impl HierarchyConfig {
     }
 }
 
-impl CacheHierarchy for HierarchyConfig {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn num_levels(&self) -> usize {
+impl HierarchyConfig {
+    /// Number of cache levels.
+    pub fn num_levels(&self) -> usize {
         self.levels.len()
     }
 
-    fn level(&self, i: usize) -> &LevelConfig {
+    /// Level `i` (0 = closest to core).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn level(&self, i: usize) -> &LevelConfig {
         &self.levels[i]
     }
 
-    fn line_bytes(&self) -> usize {
+    /// The uniform line size in bytes (validated equal at every level).
+    pub fn line_bytes(&self) -> usize {
         self.levels[0].geometry.line_bytes
     }
 
-    fn num_cores(&self) -> usize {
-        self.num_cores
+    /// Number of domains in use.
+    pub fn num_domains(&self) -> usize {
+        self.num_cores.div_ceil(self.cores_per_domain)
     }
 
-    fn cores_per_domain(&self) -> usize {
-        self.cores_per_domain
+    /// Index of the first shared (per-domain) level.
+    pub fn first_shared_level(&self) -> usize {
+        self.levels
+            .iter()
+            .position(|l| l.scope == LevelScope::PerDomain)
+            .expect("validated hierarchies end in a shared level")
     }
 
-    fn fingerprint(&self) -> u64 {
+    /// The last (memory-side) level.
+    pub fn last_level(&self) -> &LevelConfig {
+        self.levels
+            .last()
+            .expect("validated hierarchies have levels")
+    }
+
+    /// Order-sensitive fingerprint over every modelled parameter; two
+    /// hierarchies with equal fingerprints are interchangeable for
+    /// caching purposes.
+    pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         h.write_str(&self.name);
         h.write(self.num_cores as u64);
@@ -646,14 +610,5 @@ mod tests {
         assert_ne!(a.fingerprint(), scaled.fingerprint());
         let cores = HierarchyConfig::a64fx().with_cores(8);
         assert_ne!(a.fingerprint(), cores.fingerprint());
-    }
-
-    #[test]
-    fn partition_lines_respects_sector_split() {
-        let mut h = HierarchyConfig::a64fx();
-        h.levels[1].sector = SectorPolicy::ways(5);
-        assert_eq!(h.level(1).partition_lines(1), 2048 * 5);
-        assert_eq!(h.level(1).partition_lines(0), 2048 * 11);
-        assert_eq!(h.level(0).partition_lines(0), 256);
     }
 }

@@ -5,7 +5,7 @@
 //! parameters live in [`HierarchyConfig`] presets here, and everything
 //! else — the analytic models in `locality-core`, the simulator in
 //! `a64fx`, the batch engine, the CLI and the validator — consumes them
-//! through the [`CacheHierarchy`] contract.
+//! through its public fields and read-only accessors.
 //!
 //! * [`geometry`] — per-level geometry and shared policy types
 //!   (re-exported by `a64fx` for compatibility).
@@ -27,7 +27,7 @@ pub mod spec;
 pub use ecm::{EcmEstimate, EcmInput};
 pub use geometry::{CacheGeometry, PrefetchConfig, Replacement, SectorPolicy, TimingParams};
 pub use hierarchy::{
-    CacheHierarchy, EcmOverlap, HierarchyConfig, HierarchyError, Inclusion, LevelConfig,
-    LevelScope, A64FX_LINE_BYTES,
+    EcmOverlap, HierarchyConfig, HierarchyError, Inclusion, LevelConfig, LevelScope,
+    A64FX_LINE_BYTES,
 };
 pub use spec::{MachineParseError, MachineSpec};

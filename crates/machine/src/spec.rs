@@ -19,9 +19,6 @@
 //! messages, mirroring the `FormatSpec::parse` hardening.
 
 use crate::hierarchy::{EcmOverlap, HierarchyConfig, HierarchyError, LevelScope};
-
-#[cfg(test)]
-use crate::hierarchy::CacheHierarchy;
 use crate::{CacheGeometry, LevelConfig, Replacement, SectorPolicy, TimingParams};
 use std::fmt;
 

@@ -1017,22 +1017,6 @@ impl Workload {
             Workload::Cg(_) => ScenarioSpec::Cg,
         }
     }
-
-    /// The CSR view, if this is a CSR workload.
-    pub fn as_csr(&self) -> Option<&CsrMatrix> {
-        match self {
-            Workload::Csr(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The SELL view, if this is a SELL workload.
-    pub fn as_sell(&self) -> Option<&SellMatrix> {
-        match self {
-            Workload::Sell(m) => Some(m),
-            _ => None,
-        }
-    }
 }
 
 /// Method (A) cursor of a [`Workload`].
@@ -1392,7 +1376,6 @@ mod tests {
             ReorderSpec::Rcm,
         );
         assert_eq!(SpmvWorkload::nnz(&wl), m.nnz());
-        assert!(wl.as_sell().is_some());
         assert_eq!(
             wl.format(),
             FormatSpec::Sell {

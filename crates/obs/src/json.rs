@@ -330,14 +330,6 @@ impl Json {
         }
     }
 
-    /// The value as an array slice, if it is one.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// The value as a bool, if it is one.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

@@ -64,11 +64,6 @@ impl RequestCtx {
         RequestCtx { inner: None }
     }
 
-    /// Whether this ctx records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// The request id a live ctx was admitted under.
     pub fn request_id(&self) -> Option<&str> {
         self.inner.as_deref().map(|i| i.request_id.as_str())
@@ -202,7 +197,6 @@ mod tests {
     #[test]
     fn disabled_ctx_records_nothing_and_finishes_none() {
         let ctx = RequestCtx::disabled();
-        assert!(!ctx.is_enabled());
         assert_eq!(ctx.request_id(), None);
         {
             let _p = ctx.phase(&["compute"], None);

@@ -71,25 +71,6 @@ impl ReuseHistogram {
             *self.finite.entry(d).or_insert(0) += c;
         }
     }
-
-    /// Iterates over `(distance, count)` in increasing distance order.
-    pub fn iter_finite(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.finite.iter().map(|(&d, &c)| (d, c))
-    }
-
-    /// Mean finite reuse distance, or `None` if no finite distances.
-    pub fn mean_finite(&self) -> Option<f64> {
-        let count: u64 = self.finite.values().sum();
-        if count == 0 {
-            return None;
-        }
-        let sum: u128 = self
-            .finite
-            .iter()
-            .map(|(&d, &c)| d as u128 * c as u128)
-            .sum();
-        Some(sum as f64 / count as f64)
-    }
 }
 
 #[cfg(test)]
@@ -144,13 +125,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 12);
         assert_eq!(a.misses(3), 6);
-    }
-
-    #[test]
-    fn mean_finite_distance() {
-        let h = sample();
-        // (0 + 2 + 2 + 5) / 4 = 2.25
-        assert_eq!(h.mean_finite(), Some(2.25));
-        assert_eq!(ReuseHistogram::new().mean_finite(), None);
     }
 }

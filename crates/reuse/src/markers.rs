@@ -233,35 +233,6 @@ impl MarkerStack {
         self.misses[j][array as usize]
     }
 
-    /// Index of a tracked capacity value, if present.
-    pub fn capacity_index(&self, capacity: usize) -> Option<usize> {
-        self.caps.iter().position(|&c| c == capacity)
-    }
-
-    /// Misses at the tracked capacity with value `capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is not one of the tracked capacities.
-    pub fn misses_at(&self, capacity: usize) -> u64 {
-        let j = self
-            .capacity_index(capacity)
-            .expect("capacity not tracked by this stack");
-        self.misses(j)
-    }
-
-    /// Misses attributable to `array` at the tracked capacity value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is not one of the tracked capacities.
-    pub fn misses_by_array_at(&self, capacity: usize, array: Array) -> u64 {
-        let j = self
-            .capacity_index(capacity)
-            .expect("capacity not tracked by this stack");
-        self.misses_by_array(j, array)
-    }
-
     /// Number of distinct lines currently in the stack.
     pub fn depth(&self) -> usize {
         self.len
@@ -473,34 +444,11 @@ impl MarkerStack {
         }
     }
 
-    /// Distils one array's counters into a reuse-distance histogram that
-    /// is **exact at every tracked capacity**.
-    ///
-    /// An access classified into inter-marker group `g` has a true
-    /// distance `d` with `caps[g-1] <= d < caps[g]`; the histogram
-    /// records it at the representative distance `caps[g-1]` (0 for
-    /// accesses that hit at every capacity, infinite for cold ones). For
-    /// any tracked capacity `c`, `histogram.misses(c)` then equals the
-    /// marker counter exactly; between tracked capacities the curve is a
-    /// step-function approximation. This is how the streaming profile
-    /// pipeline routes the Kim et al. counter under evaluate-compatible
-    /// histograms: a way sweep pays O(#capacities) per reference instead
-    /// of the exact processor's O(log N) Fenwick updates.
-    pub fn quantized_histogram(&self, array: Array) -> ReuseHistogram {
-        histogram_from(
-            &self.caps,
-            &self.misses,
-            &self.cold,
-            &self.accesses_by_array,
-            array,
-        )
-    }
-
-    /// Snapshots the per-capacity counters backing
-    /// [`quantized_histogram`](Self::quantized_histogram) — the mergeable
-    /// form used by sharded profile computation: each shard tracks a
-    /// subset of the capacity grid against the same stream, and
-    /// [`QuantizedCounts::concat`] splices the subsets back together.
+    /// Snapshots the per-capacity counters in mergeable form: each shard
+    /// of a sharded profile computation tracks a subset of the capacity
+    /// grid against the same stream, [`QuantizedCounts::concat`] splices
+    /// the subsets back together, and [`QuantizedCounts::histogram`]
+    /// distils them per array.
     pub fn counts(&self) -> QuantizedCounts {
         QuantizedCounts {
             caps: self.caps.clone(),
@@ -646,35 +594,6 @@ impl BlockSink for MarkerStack {
     }
 }
 
-/// Builds the quantized histogram of one array from marker counters —
-/// the single construction shared by [`MarkerStack::quantized_histogram`]
-/// and [`QuantizedCounts::histogram`], so direct and shard-merged
-/// profiles produce bit-identical histograms by construction.
-fn histogram_from(
-    caps: &[usize],
-    misses: &[[u64; 5]],
-    cold_by_array: &[u64; 5],
-    accesses_by_array: &[u64; 5],
-    array: Array,
-) -> ReuseHistogram {
-    let ai = array as usize;
-    let n = caps.len();
-    debug_assert!(n > 0, "quantized histogram needs at least one capacity");
-    let total = accesses_by_array[ai];
-    let cold = cold_by_array[ai];
-    let mut h = ReuseHistogram::new();
-    // Hits at every capacity: distance below caps[0].
-    h.record_n(Some(0), total - misses[0][ai]);
-    // Between adjacent capacities: misses at caps[j], hits at caps[j+1].
-    for j in 0..n - 1 {
-        h.record_n(Some(caps[j] as u64), misses[j][ai] - misses[j + 1][ai]);
-    }
-    // Warm misses beyond the largest capacity, then the cold tail.
-    h.record_n(Some(caps[n - 1] as u64), misses[n - 1][ai] - cold);
-    h.record_n(None, cold);
-    h
-}
-
 /// A [`MarkerStack`]'s per-capacity counters in mergeable form.
 ///
 /// The marker algorithm's miss count at a capacity `c` depends only on
@@ -698,21 +617,41 @@ pub struct QuantizedCounts {
 }
 
 impl QuantizedCounts {
-    /// Distils one array's counters into the quantized reuse-distance
-    /// histogram — identical to [`MarkerStack::quantized_histogram`] on
-    /// the stack these counts were (or could have been) taken from.
+    /// Distils one array's counters into a reuse-distance histogram that
+    /// is **exact at every tracked capacity**.
+    ///
+    /// An access classified into inter-marker group `g` has a true
+    /// distance `d` with `caps[g-1] <= d < caps[g]`; the histogram
+    /// records it at the representative distance `caps[g-1]` (0 for
+    /// accesses that hit at every capacity, infinite for cold ones). For
+    /// any tracked capacity `c`, `histogram.misses(c)` then equals the
+    /// marker counter exactly; between tracked capacities the curve is a
+    /// step-function approximation. This is how the streaming profile
+    /// pipeline routes the Kim et al. counter under evaluate-compatible
+    /// histograms: a way sweep pays O(#capacities) per reference instead
+    /// of the exact processor's O(log N) Fenwick updates.
     ///
     /// # Panics
     ///
     /// Panics if `caps` is empty (debug builds).
     pub fn histogram(&self, array: Array) -> ReuseHistogram {
-        histogram_from(
-            &self.caps,
-            &self.misses,
-            &self.cold,
-            &self.accesses_by_array,
-            array,
-        )
+        let ai = array as usize;
+        let (caps, misses) = (&self.caps, &self.misses);
+        let n = caps.len();
+        debug_assert!(n > 0, "quantized histogram needs at least one capacity");
+        let total = self.accesses_by_array[ai];
+        let cold = self.cold[ai];
+        let mut h = ReuseHistogram::new();
+        // Hits at every capacity: distance below caps[0].
+        h.record_n(Some(0), total - misses[0][ai]);
+        // Between adjacent capacities: misses at caps[j], hits at caps[j+1].
+        for j in 0..n - 1 {
+            h.record_n(Some(caps[j] as u64), misses[j][ai] - misses[j + 1][ai]);
+        }
+        // Warm misses beyond the largest capacity, then the cold tail.
+        h.record_n(Some(caps[n - 1] as u64), misses[n - 1][ai] - cold);
+        h.record_n(None, cold);
+        h
     }
 
     /// Splices capacity-sharded counts back into one grid.
@@ -789,7 +728,8 @@ mod tests {
     #[test]
     fn matches_exact_large_universe() {
         let trace = pseudorandom_trace(2000, 5000, 17);
-        compare_with_exact(&trace, &[4, 100, 1000, 4096]);
+        // Out of order on purpose: `new` sorts the capacities.
+        compare_with_exact(&trace, &[1000, 4, 4096, 100]);
     }
 
     #[test]
@@ -864,17 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn misses_at_by_capacity_value() {
-        let mut ms = MarkerStack::new(&[8, 2]);
-        for l in [1, 2, 3, 1] {
-            ms.access(l, Array::X);
-        }
-        // Distance of final access to 1 is 2: miss at cap 2, hit at cap 8.
-        assert_eq!(ms.misses_at(2), 4); // 3 cold + 1
-        assert_eq!(ms.misses_at(8), 3); // cold only
-    }
-
-    #[test]
     fn quantized_histogram_exact_at_tracked_capacities() {
         let trace = pseudorandom_trace(3000, 120, 5);
         let caps = [1, 4, 16, 64, 128];
@@ -885,14 +814,14 @@ mod tests {
             ms.access(l, Array::A);
             hist.record(ex.access(l));
         }
-        let q = ms.quantized_histogram(Array::A);
+        let q = ms.counts().histogram(Array::A);
         assert_eq!(q.total(), hist.total());
         assert_eq!(q.cold(), hist.cold());
         for &c in &caps {
             assert_eq!(q.misses(c), hist.misses(c), "capacity {c}");
         }
         // Arrays that never appeared produce an empty histogram.
-        assert_eq!(ms.quantized_histogram(Array::X).total(), 0);
+        assert_eq!(ms.counts().histogram(Array::X).total(), 0);
     }
 
     #[test]
@@ -909,7 +838,7 @@ mod tests {
             ms.access(l, Array::X);
             hist.record(ex.access(l));
         }
-        let q = ms.quantized_histogram(Array::X);
+        let q = ms.counts().histogram(Array::X);
         for c in 3..=8 {
             assert_eq!(q.misses(c), hist.misses(8), "capacity {c}");
             assert!(q.misses(c) <= hist.misses(c));
@@ -929,9 +858,9 @@ mod tests {
         ] {
             ms.access(l, a);
         }
-        let qx = ms.quantized_histogram(Array::X);
-        let qa = ms.quantized_histogram(Array::A);
-        let qy = ms.quantized_histogram(Array::Y);
+        let qx = ms.counts().histogram(Array::X);
+        let qa = ms.counts().histogram(Array::A);
+        let qy = ms.counts().histogram(Array::Y);
         assert_eq!(qx.total() + qa.total() + qy.total(), ms.accesses());
         assert_eq!(qx.cold() + qa.cold() + qy.cold(), ms.cold_total());
         for (j, &c) in ms.capacities().to_vec().iter().enumerate() {
@@ -1119,7 +1048,7 @@ mod tests {
             let merged = QuantizedCounts::concat(parts);
             assert_eq!(merged, full.counts(), "split {split}");
             for &a in &[Array::X, Array::A] {
-                assert_eq!(merged.histogram(a), full.quantized_histogram(a));
+                assert_eq!(merged.histogram(a), full.counts().histogram(a));
             }
         }
     }
@@ -1133,13 +1062,6 @@ mod tests {
         b.access(1, Array::X);
         b.access(2, Array::X);
         QuantizedCounts::concat([a.counts(), b.counts()]);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity not tracked")]
-    fn misses_at_unknown_capacity_panics() {
-        let ms = MarkerStack::new(&[2]);
-        ms.misses_at(3);
     }
 
     #[test]

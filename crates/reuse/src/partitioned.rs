@@ -115,8 +115,8 @@ mod tests {
             ps.access(a.line, a.array);
             hist.record(ex.access(a.line));
         }
-        assert_eq!(ps.partition0().misses_at(16), hist.misses(16));
-        assert_eq!(ps.partition0().misses_at(64), hist.misses(64));
+        assert_eq!(ps.partition0().misses(0), hist.misses(16));
+        assert_eq!(ps.partition0().misses(1), hist.misses(64));
         assert_eq!(ps.partition1().accesses(), 0);
     }
 

@@ -241,13 +241,6 @@ pub fn error_line(id: Option<&str>, code: ErrorCode, message: &str) -> String {
     )
 }
 
-impl RequestError {
-    /// Serializes this rejection as its wire line.
-    pub fn to_line(&self) -> String {
-        error_line(self.id.as_deref(), self.code, &self.message)
-    }
-}
-
 /// A `status` response line wrapping an already-rendered single-line
 /// JSON document (the obs metrics doc).
 pub fn status_line(id: &str, body_json: &str) -> String {

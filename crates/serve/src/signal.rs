@@ -54,12 +54,6 @@ pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
 
-/// Raises the dump flag programmatically (tests use this in place of an
-/// actual SIGQUIT).
-pub fn request_dump() {
-    DUMP.store(true, Ordering::SeqCst);
-}
-
 /// Consumes a pending dump request, returning whether one was pending.
 /// The accept loop polls this once per iteration; swap-to-false makes
 /// each SIGQUIT produce exactly one dump.

@@ -6,12 +6,11 @@
 //! `integer` and `pattern` fields with `general` or `symmetric` symmetry,
 //! so real collections can be dropped into the experiment harness when
 //! available. Only the sparsity pattern is kept: value tokens are parsed
-//! and validated, then dropped. Writing (as `pattern` files) is supported
-//! for round-tripping and for exporting generated corpus matrices.
+//! and validated, then dropped.
 
 use std::collections::HashSet;
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead};
 use std::path::Path;
 
 use crate::coo::CooMatrix;
@@ -92,6 +91,10 @@ enum Symmetry {
 /// past it as their entries arrive.
 const PRESIZE_ENTRIES_MAX: usize = 1 << 20;
 
+/// Most rows [`read_coo`] accepts beyond those the declared entries can
+/// fill: 1M empty rows (about 24 MB of CSR row counters).
+const EMPTY_ROWS_MAX: usize = 1 << 20;
+
 /// Reads a Matrix Market coordinate file into COO form.
 ///
 /// Supports `matrix coordinate {real, integer, pattern}` with
@@ -101,7 +104,9 @@ const PRESIZE_ENTRIES_MAX: usize = 1 << 20;
 /// Complex and array (dense) files are rejected with [`MmError::Parse`].
 ///
 /// A row or column count that does not fit `u32` is [`MmError::Parse`],
-/// checked before anything is allocated for the matrix.
+/// checked before anything is allocated for the matrix, and so is a row
+/// count above the declared entry count (doubled for symmetric and
+/// skew-symmetric files) plus a fixed allowance of 1M empty rows.
 ///
 /// Malformed coordinate data is rejected with a typed error instead of
 /// being silently absorbed into the CSR: out-of-bounds entries
@@ -178,6 +183,23 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
                 "{what} count {n} exceeds the u32 index range"
             )));
         }
+    }
+
+    // CSR conversion allocates counters for every row. Each entry fills
+    // at most one row (two with its mirror), and the declared entry count
+    // is checked against the file below, so this bound ties that
+    // allocation to the file's size plus a fixed allowance of empty rows.
+    let filled = match symmetry {
+        Symmetry::General => declared_nnz,
+        Symmetry::Symmetric | Symmetry::SkewSymmetric => declared_nnz.saturating_mul(2),
+    };
+    let row_limit = filled.saturating_add(EMPTY_ROWS_MAX);
+    if num_rows > row_limit {
+        return Err(MmError::Parse(format!(
+            "row count {num_rows} exceeds the limit of {row_limit} rows \
+             ({filled} the {declared_nnz} declared entries can fill plus \
+             {EMPTY_ROWS_MAX} empty rows)"
+        )));
     }
 
     // The declared count is untrusted: pre-size for at most
@@ -261,25 +283,6 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
 pub fn read_csr_file<P: AsRef<Path>>(path: P) -> Result<CsrMatrix, MmError> {
     let file = std::fs::File::open(path)?;
     Ok(read_coo(io::BufReader::new(file))?.to_csr())
-}
-
-/// Writes `matrix` as a `matrix coordinate pattern general` Matrix Market
-/// file.
-pub fn write_csr<W: Write>(writer: &mut W, matrix: &CsrMatrix) -> io::Result<()> {
-    writeln!(writer, "%%MatrixMarket matrix coordinate pattern general")?;
-    writeln!(
-        writer,
-        "{} {} {}",
-        matrix.num_rows(),
-        matrix.num_cols(),
-        matrix.nnz()
-    )?;
-    for r in 0..matrix.num_rows() {
-        for c in matrix.row(r) {
-            writeln!(writer, "{} {}", r + 1, c + 1)?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -496,18 +499,5 @@ mod tests {
             err.to_string().contains("declares 4000000000000 entries"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn write_read_roundtrip() {
-        let mut coo = CooMatrix::new(3, 4);
-        coo.push(0, 3);
-        coo.push(2, 0);
-        coo.push(1, 1);
-        let original = coo.to_csr();
-        let mut buf = Vec::new();
-        write_csr(&mut buf, &original).unwrap();
-        let reread = read_coo(Cursor::new(buf)).unwrap().to_csr();
-        assert_eq!(original, reread);
     }
 }

@@ -66,7 +66,7 @@ use locality_core::{
     classify_for, CgWorkload, LocalityProfile, MatrixClass, Method, Prediction, ReorderSpec,
     RhsLayout, SectorSetting, SpmmWorkload, SpmvWorkload, Workload,
 };
-use machine::{CacheHierarchy, HierarchyConfig, MachineSpec};
+use machine::{HierarchyConfig, MachineSpec};
 use memtrace::{Array, ArraySet, TraceCursor, CG_SWEEP_REFS_PER_ROW};
 use sparsemat::SellMatrix;
 use std::time::Instant;

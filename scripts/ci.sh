@@ -89,6 +89,10 @@ for span in ("batch.run", "cache.lookup", "profile.build",
     assert span in names, f"missing span {span}; saw {sorted(names)}"
 assert doc["counters"]["engine.cache.computations"] > 0, doc["counters"]
 assert doc["counters"]["memtrace.cursor.refs"] > 0, doc["counters"]
+# --workers 4 over two one-domain matrices leaves each profile two pool
+# workers, so the byte comparison above covers the capacity-sharded
+# fan-out, not only the per-domain one.
+assert doc["gauges"].get("engine.profile.shards", 0) >= 2, doc["gauges"]
 # Block-probe accounting from the marker stacks' line index: every
 # bulk-probed reference costs at least one slot inspection (exactly one
 # on the dense direct-mapped index), and a pre-sized/direct-mapped index
@@ -485,7 +489,7 @@ cargo run --release --offline --bin spmv-locality -- \
 
 echo "== table1 oracle: the 18 Table-1 generators, byte for byte =="
 # The batch oracle above covers two corpus matrices; this one covers every
-# Table-1 analogue (banded, kron, stencil, arrow and random generators).
+# Table-1 analogue (banded, stencil, arrow and random generators).
 # Same spec as the batch-table1 benchmark workload; perfbench/ is only
 # read here. The default width, one worker (every profile inline) and
 # three workers (a pool width that does not divide the 18 matrices) must

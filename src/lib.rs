@@ -76,7 +76,7 @@ pub mod prelude {
     pub use locality_engine::{
         ecm_for, run_batch, BatchResult, BatchSpec, EcmSummary, ProfileCache,
     };
-    pub use machine::{CacheHierarchy, HierarchyConfig, MachineParseError, MachineSpec};
+    pub use machine::{HierarchyConfig, MachineParseError, MachineSpec};
     pub use memtrace::{Access, Array, ArraySet, DataLayout};
     pub use reuse::{ExactStack, MarkerStack, PartitionedStack, ReuseHistogram};
     pub use sparsemat::{CooMatrix, CsrMatrix, MatrixStats, RowPartition};

@@ -89,14 +89,16 @@ fn matrix_name_with_a_tab_round_trips_through_the_report_json() {
 
 #[test]
 fn hostile_matrix_market_dimensions_are_parse_errors_not_aborts() {
-    // Each size line overflows a `u32` index or `num_rows + 1`: it must be
-    // a typed parse error (exit 1), never a panic (101) or an allocation
-    // abort (134), which under `serve` would get past `catch_unwind`.
+    // Each size line overflows a `u32` index or `num_rows + 1`, or
+    // declares billions of rows for one entry: it must be a typed parse
+    // error (exit 1), never a panic (101) or an allocation abort (134),
+    // which under `serve` would get past `catch_unwind`.
     let dir = scratch("hostile-header");
-    for (i, size) in [
-        "2 5000000000 1",
-        "1000000000000 2 1",
-        "18446744073709551615 2 1",
+    for (i, (size, message)) in [
+        ("2 5000000000 1", "exceeds the u32 index range"),
+        ("1000000000000 2 1", "exceeds the u32 index range"),
+        ("18446744073709551615 2 1", "exceeds the u32 index range"),
+        ("4294967294 2 1", "exceeds the limit of 1048577 rows"),
     ]
     .iter()
     .enumerate()
@@ -125,8 +127,7 @@ fn hostile_matrix_market_dimensions_are_parse_errors_not_aborts() {
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
             assert!(
-                stderr.contains("Matrix Market parse error")
-                    && stderr.contains("exceeds the u32 index range"),
+                stderr.contains("Matrix Market parse error") && stderr.contains(message),
                 "{args:?}: {stderr}"
             );
             assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");

@@ -256,6 +256,69 @@ fn serve_matches_batch_and_shares_cache_across_requests() {
 }
 
 #[test]
+fn serve_one_slot_cache_evicts_least_recently_used_profile() {
+    // Two specs, one distinct matrix and one profile each. With room for
+    // one profile, A, B, A makes B evict A and the second A evict B.
+    let spec = |seed: u64| {
+        format!(
+            "corpus count=1 scale=64 seed={seed}\nmethods A\nsettings off,5\nthreads 1\nscale 64\nworkers 1\n"
+        )
+    };
+    let (spec_a, spec_b) = (spec(7), spec(8));
+    let dir = scratch("lru-oracle");
+    let oracle = |name: &str, spec: &str| -> Vec<String> {
+        let path = dir.join(name);
+        std::fs::write(&path, spec).unwrap();
+        let batch = Command::new(BIN)
+            .args(["batch", path.to_str().unwrap()])
+            .output()
+            .expect("run batch oracle");
+        assert_eq!(batch.status.code(), Some(0));
+        String::from_utf8_lossy(&batch.stdout)
+            .lines()
+            .filter(|l| l.contains("\"job\":"))
+            .map(str::to_string)
+            .collect()
+    };
+    let (oracle_a, oracle_b) = (oracle("a.spec", &spec_a), oracle("b.spec", &spec_b));
+    assert_ne!(oracle_a, oracle_b, "the specs must name distinct matrices");
+
+    let daemon = Daemon::start("lru", &["--cache", "1"]);
+    let mut client = daemon.connect();
+    let mut done = Json::Null;
+    for (id, spec, oracle) in [
+        ("a1", &spec_a, &oracle_a),
+        ("b1", &spec_b, &oracle_b),
+        ("a2", &spec_a, &oracle_a),
+    ] {
+        client.predict(id, spec, None);
+        let (reports, d) = client.recv_stream(id);
+        let payloads: Vec<String> = reports.iter().map(|l| strip_framing(l, id)).collect();
+        assert_eq!(&payloads, oracle, "{id} differs from batch output");
+        done = d;
+    }
+    assert!(
+        done.get("profile_computations").and_then(Json::as_u64) > Some(0),
+        "A's profile was evicted, so the third request recomputes: {done:?}"
+    );
+
+    client.send(r#"{"id":"s","status":true}"#);
+    let evictions = client
+        .recv()
+        .get("status")
+        .and_then(|s| s.get("counters"))
+        .and_then(|c| c.get("engine.cache.evictions"))
+        .and_then(Json::as_u64)
+        .expect("engine.cache.evictions counter");
+    assert!(evictions >= 2, "evictions = {evictions}");
+
+    client.send(r#"{"id":"q","shutdown":true}"#);
+    client.recv();
+    let (code, stderr) = daemon.wait();
+    assert_eq!(code, 0, "stderr: {stderr}");
+}
+
+#[test]
 fn serve_stays_byte_exact_under_concurrent_status_and_metrics_polling() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;

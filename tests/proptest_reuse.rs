@@ -143,7 +143,7 @@ proptest! {
                 ms.access(a.line, a.array);
                 hist.record(ex.access(a.line));
             }
-            let quantized = ms.quantized_histogram(Array::X);
+            let quantized = ms.counts().histogram(Array::X);
             for (j, &c) in caps.iter().enumerate() {
                 prop_assert_eq!(ms.misses(j), hist.misses(c), "domain {} capacity {}", d, c);
                 prop_assert_eq!(quantized.misses(c), hist.misses(c), "domain {} capacity {}", d, c);
