@@ -414,6 +414,15 @@ cmp results/ci/table1.txt "$OBS_TMP/table1.txt" || {
     echo "ci: exp_table1 drifted from results/ci/table1.txt" >&2; exit 1
 }
 
+echo "== SpMM pin: k > 1 streaming profiles, byte for byte =="
+# Nothing in the differential harness checks multi-RHS trace generation
+# against an independent generator, so the streaming profiles of SpMM
+# (k = 3 and 16, both RHS layouts, CSR and SELL-8-32, one narrow-row and
+# one wide-row matrix) are pinned byte for byte in
+# tests/golden/rhs_profiles.txt. On a drift the test writes its actual
+# rendering to rhs_profiles.actual under target/ for a diff.
+cargo test --release --offline -q --test rhs_golden
+
 echo "== scenario smoke: SpMM k-sweep and CG batches =="
 # The kernel-scenario axis end to end: --rhs 1 must be byte-identical to
 # the plain run (shared cache keys, shared bytes), --rhs 4 must tag its
