@@ -105,6 +105,8 @@ pub struct Cache {
     policy: SectorPolicy,
     replacement: Replacement,
     num_sets: usize,
+    /// `num_sets - 1` when the set count is a power of two.
+    set_mask: Option<u64>,
     ways: usize,
     /// `sets[set * ways + way]`.
     slots: Vec<Way>,
@@ -125,6 +127,7 @@ impl Cache {
             policy,
             replacement,
             num_sets,
+            set_mask: num_sets.is_power_of_two().then(|| num_sets as u64 - 1),
             ways: geometry.ways,
             slots: vec![Way::default(); num_sets * geometry.ways],
             clock: 0,
@@ -148,6 +151,16 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    /// Set index of `line`: a mask when the set count is a power of two
+    /// (every preset's), the remainder otherwise.
+    #[inline]
+    fn set_of(&self, line: u64) -> usize {
+        match self.set_mask {
+            Some(mask) => (line & mask) as usize,
+            None => (line % self.num_sets as u64) as usize,
+        }
+    }
+
     /// The way-index range victims for `sector` are chosen from.
     fn sector_way_range(&self, sector: u8) -> std::ops::Range<usize> {
         if !self.policy.enabled() {
@@ -164,7 +177,7 @@ impl Cache {
     /// Accesses `line` on behalf of `sector`. See [`Outcome`].
     pub fn access(&mut self, line: u64, sector: u8, request: Request) -> Outcome {
         self.clock += 1;
-        let set = (line % self.num_sets as u64) as usize;
+        let set = self.set_of(line);
         let base = set * self.ways;
         if request.is_demand() {
             self.stats.demand_accesses += 1;
@@ -304,7 +317,7 @@ impl Cache {
 
     /// Returns `true` if `line` is currently resident (test helper).
     pub fn contains(&self, line: u64) -> bool {
-        let set = (line % self.num_sets as u64) as usize;
+        let set = self.set_of(line);
         let base = set * self.ways;
         (0..self.ways).any(|w| {
             let s = &self.slots[base + w];

@@ -189,7 +189,7 @@ struct MarkerSink {
     sector1: ArraySet,
     stack0: Option<MarkerStack>,
     stack1: Option<MarkerStack>,
-    // Per-block routing scratch, reused across consume() calls.
+    // Per-block routing scratch, reused across consume_refs() calls.
     buf0: Vec<PackedAccess>,
     buf1: Vec<PackedAccess>,
 }
@@ -280,9 +280,10 @@ impl MarkerSink {
 }
 
 impl MarkerSink {
-    /// Routes a run of packed references (any length — block-sized on
-    /// the streaming path, a whole buffered trace on the replay path)
-    /// into the partition stacks.
+    /// Routes a run of packed references into the partition stacks.
+    /// An unpartitioned sink takes a run of any length; a partitioned one
+    /// copies the run into its routing scratch, so callers hand it at
+    /// most a block at a time.
     fn consume_refs(&mut self, refs: &[PackedAccess]) {
         // Unpartitioned routing: the whole run goes to stack 0 as-is —
         // no per-reference routing work at all.
@@ -912,9 +913,13 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
             shared.seed_lru(&order);
             routed.seed_lru(&order);
             // Measured iteration: replay. The sinks are independent, so
-            // whole-trace runs are equivalent to interleaved blocks.
+            // the unrouted stack takes the whole buffer in one run; the
+            // routed sink takes it a block at a time, so its routing
+            // scratch stays block-sized instead of copying the trace.
             shared.consume_refs(&buf.trace);
-            routed.consume_refs(&buf.trace);
+            for block in buf.trace.chunks(BLOCK_REFS) {
+                routed.consume_refs(block);
+            }
         } else {
             cursors.feed_spmv_blocks(d, &mut lastpos);
             let order = lastpos.lru_order();

@@ -7,7 +7,11 @@
 //! time it is asked — one at a time through
 //! [`next_access`](TraceCursor::next_access), or a block at a time
 //! through [`next_block`](TraceCursor::next_block), which hoists the
-//! layout arithmetic out of the per-reference path. Every production
+//! layout arithmetic out of the per-reference path. The SpMV and SELL
+//! cursors fill blocks with whole `a`/`colidx`/`k × x` entry groups
+//! from any entry boundary, mid-row included, and leave only row or
+//! chunk bounds, `y` stores and partial groups to the per-reference
+//! step. Every production
 //! reader of a reference stream goes through the block merge
 //! [`round_robin_cursors_blocks`](crate::interleave::round_robin_cursors_blocks),
 //! which interleaves the threads sharing a cache with O(threads) total
@@ -46,7 +50,8 @@ pub trait TraceCursor {
     ///
     /// The default forwards to `next_access`; the SpMV cursors override
     /// it with batched fills that hoist the layout's line arithmetic out
-    /// of the per-reference path.
+    /// of the per-reference path (whole entry groups for the CSR and
+    /// SELL cursors, whole gathers for the single-RHS `x` cursor).
     fn next_block(&mut self, block: &mut AccessBlock) -> usize {
         let mut n = 0;
         while !block.is_full() {
@@ -139,6 +144,61 @@ impl SeqLine {
     }
 }
 
+/// Line geometry of one `a`/`colidx`/`k × x` entry group, the unit of
+/// the SpMV and SELL cursors' block fills.
+#[derive(Clone, Copy, Debug)]
+struct EntryLanes {
+    a: LaneGeom,
+    col: LaneGeom,
+    x: LaneGeom,
+}
+
+impl EntryLanes {
+    fn new(layout: &DataLayout) -> Self {
+        EntryLanes {
+            a: LaneGeom::new(layout, Array::A),
+            col: LaneGeom::new(layout, Array::ColIdx),
+            x: LaneGeom::new(layout, Array::X),
+        }
+    }
+
+    /// Appends the whole groups of `entries` (indices into `colidx` and
+    /// the matrix values), in order, while a group fits in `block`.
+    /// Returns the number of entries emitted; 0 when the block holds less
+    /// than one group.
+    #[inline]
+    fn fill(
+        self,
+        block: &mut AccessBlock,
+        colidx: &[u32],
+        entries: Range<usize>,
+        rhs: RhsGeom,
+    ) -> usize {
+        let groups = (block.space() / (2 + rhs.k)).min(entries.len());
+        if groups == 0 {
+            return 0;
+        }
+        let (x_scale, x_step) = rhs.x_steps();
+        let mut a_line = SeqLine::at(self.a, entries.start);
+        let mut c_line = SeqLine::at(self.col, entries.start);
+        for &col in &colidx[entries.start..entries.start + groups] {
+            block.push(PackedAccess::pack(Access::load(a_line.next(), Array::A)));
+            block.push(PackedAccess::pack(Access::load(
+                c_line.next(),
+                Array::ColIdx,
+            )));
+            let base = col as usize * x_scale;
+            for j in 0..rhs.k {
+                block.push(PackedAccess::pack(Access::load(
+                    self.x.line(base + j * x_step),
+                    Array::X,
+                )));
+            }
+        }
+        groups
+    }
+}
+
 /// Multi-RHS geometry: `k` right-hand sides and how their elements are
 /// laid out in the `x`/`y` array roles.
 ///
@@ -187,10 +247,18 @@ impl RhsGeom {
     /// Element index of RHS `j` of logical `x` element `c`.
     #[inline]
     fn x_elem(self, c: usize, j: usize) -> usize {
+        let (scale, step) = self.x_steps();
+        c * scale + j * step
+    }
+
+    /// `(scale, step)` such that RHS `j` of logical `x` element `c` is
+    /// element `c * scale + j * step`.
+    #[inline]
+    fn x_steps(self) -> (usize, usize) {
         if self.interleaved {
-            c * self.k + j
+            (self.k, 1)
         } else {
-            j * self.x_stride + c
+            (1, self.x_stride)
         }
     }
 
@@ -376,53 +444,26 @@ impl TraceCursor for SpmvCursor<'_> {
     }
 
     fn next_block(&mut self, block: &mut AccessBlock) -> usize {
+        let lanes = EntryLanes::new(self.layout);
+        let group = 2 + self.rhs.k;
         let mut n = 0;
-        let geom_a = LaneGeom::new(self.layout, Array::A);
-        let geom_c = LaneGeom::new(self.layout, Array::ColIdx);
-        let geom_x = LaneGeom::new(self.layout, Array::X);
         loop {
-            // Whole-row fast path (single-RHS only): at a row boundary
-            // with space for the bound load, every a/colidx/x triple and
-            // the y store, emit the row in one scan of its colidx slice.
-            while self.stage == Stage::Bound && self.rhs.k == 1 {
-                let r = self.row;
-                let range = self.matrix.row_range(r);
-                let need = 2 + 3 * range.len();
-                if need > block.space() {
-                    break;
+            // Entry-group fast path: at an entry boundary (the start of
+            // a row or a resume mid-row), emit every whole group of the
+            // row's remaining entries that fits the block.
+            if self.stage == Stage::A {
+                let groups =
+                    lanes.fill(block, self.matrix.colidx(), self.nz..self.nz_end, self.rhs);
+                self.nz += groups;
+                if self.nz == self.nz_end {
+                    self.stage = Stage::Y;
                 }
-                block.push(PackedAccess::pack(Access::load(
-                    self.layout.line_of(Array::RowPtr, r + 1),
-                    Array::RowPtr,
-                )));
-                let mut a_line = SeqLine::at(geom_a, range.start);
-                let mut c_line = SeqLine::at(geom_c, range.start);
-                for &col in &self.matrix.colidx()[range] {
-                    block.push(PackedAccess::pack(Access::load(a_line.next(), Array::A)));
-                    block.push(PackedAccess::pack(Access::load(
-                        c_line.next(),
-                        Array::ColIdx,
-                    )));
-                    block.push(PackedAccess::pack(Access::load(
-                        geom_x.line(col as usize),
-                        Array::X,
-                    )));
-                }
-                block.push(PackedAccess::pack(Access::store(
-                    self.layout.line_of(Array::Y, r),
-                    Array::Y,
-                )));
-                self.row += 1;
-                self.stage = if self.row < self.rows.end {
-                    Stage::Bound
-                } else {
-                    Stage::Done
-                };
-                self.remaining -= need;
-                n += need;
+                self.remaining -= group * groups;
+                n += group * groups;
             }
-            // Per-reference fallback: the loop entry, a mid-row resume,
-            // or a row that does not fit in the block's tail.
+            // Per-reference step: the loop entry, row bounds, `y` stores,
+            // a resume inside a group, and the block's last slots when
+            // they hold less than a whole group.
             if block.is_full() {
                 return n;
             }
@@ -794,38 +835,28 @@ impl TraceCursor for SellCursor<'_> {
     }
 
     fn next_block(&mut self, block: &mut AccessBlock) -> usize {
+        let lanes = EntryLanes::new(self.layout);
+        let group = 2 + self.rhs.k;
         let mut n = 0;
-        let geom_a = LaneGeom::new(self.layout, Array::A);
-        let geom_c = LaneGeom::new(self.layout, Array::ColIdx);
-        let geom_x = LaneGeom::new(self.layout, Array::X);
         loop {
-            // Padded-entry fast path (single-RHS only): emit whole
-            // a/colidx/x triples while they fit; chunk metadata and y
-            // stores go through the per-reference step below.
-            if self.stage == SellStage::A && self.rhs.k == 1 {
-                let triples = (block.space() / 3).min(self.idx_end - self.idx);
-                if triples > 0 {
-                    let mut a_line = SeqLine::at(geom_a, self.idx);
-                    let mut c_line = SeqLine::at(geom_c, self.idx);
-                    for &col in &self.matrix.colidx()[self.idx..self.idx + triples] {
-                        block.push(PackedAccess::pack(Access::load(a_line.next(), Array::A)));
-                        block.push(PackedAccess::pack(Access::load(
-                            c_line.next(),
-                            Array::ColIdx,
-                        )));
-                        block.push(PackedAccess::pack(Access::load(
-                            geom_x.line(col as usize),
-                            Array::X,
-                        )));
-                    }
-                    self.idx += triples;
-                    if self.idx >= self.idx_end {
-                        self.stage = SellStage::Y;
-                    }
-                    self.remaining -= 3 * triples;
-                    n += 3 * triples;
+            // Entry-group fast path, as in `SpmvCursor::next_block`, over
+            // the chunk's padded entries.
+            if self.stage == SellStage::A {
+                let groups = lanes.fill(
+                    block,
+                    self.matrix.colidx(),
+                    self.idx..self.idx_end,
+                    self.rhs,
+                );
+                self.idx += groups;
+                if self.idx == self.idx_end {
+                    self.stage = SellStage::Y;
                 }
+                self.remaining -= group * groups;
+                n += group * groups;
             }
+            // Per-reference step: chunk metadata, `y` stores, a resume
+            // inside a group, and the block's last slots.
             if block.is_full() {
                 return n;
             }
@@ -1522,6 +1553,129 @@ mod tests {
                 assert_eq!(
                     per_ref.len(),
                     (2 + k) * sell.stored_entries() + n + k * sell.num_rows()
+                );
+            }
+        }
+    }
+
+    /// A `rows × cols` matrix whose rows hold about `per_row` nonzeros
+    /// each (duplicates collapse), with row 2 left empty.
+    fn wide_csr(rows: usize, cols: usize, per_row: usize, seed: u64) -> CsrMatrix {
+        let mut state = seed | 1;
+        let mut coo = CooMatrix::new(rows, cols);
+        for r in (0..rows).filter(|&r| r != 2) {
+            for _ in 0..per_row {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(13);
+                coo.push(r, (state >> 33) as usize % cols);
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// Both storage cursors of a wide-row matrix at `k` right-hand sides:
+    /// CSR rows and SELL-4-8 chunks hold far more entry groups than one
+    /// block, so every block fill starts mid-row or mid-chunk.
+    fn wide_views(k: usize) -> (CsrMatrix, SellMatrix) {
+        let m = wide_csr(9, 700, 300, 83 + k as u64);
+        assert!((0..9).any(|r| m.row_range(r).len() * (2 + k) > crate::BLOCK_REFS));
+        let sell = SellMatrix::from_csr(&m, 4, 8);
+        (m, sell)
+    }
+
+    fn sell_rhs_layout(sell: &SellMatrix, k: usize, line_bytes: usize) -> DataLayout {
+        DataLayout::from_counts(
+            [
+                sell.num_cols() * k,
+                sell.num_rows() * k,
+                sell.stored_entries(),
+                sell.stored_entries(),
+                sell.num_chunks() + 1,
+            ],
+            line_bytes,
+        )
+    }
+
+    #[test]
+    fn rhs_next_block_matches_per_ref_path_on_rows_wider_than_a_block() {
+        for k in [2usize, 16] {
+            let (m, sell) = wide_views(k);
+            for interleaved in [true, false] {
+                for line_bytes in [64, 24] {
+                    let l = rhs_layout(&m, k, line_bytes);
+                    let geom = RhsGeom::new(k, interleaved, m.num_cols(), m.num_rows());
+                    for rows in [0..9, 1..4, 5..6] {
+                        assert_eq!(
+                            collect_blocks(SpmvCursor::with_rhs(&m, &l, rows.clone(), geom)),
+                            collect(SpmvCursor::with_rhs(&m, &l, rows.clone(), geom)),
+                            "csr k={k} interleaved={interleaved} {line_bytes} B rows {rows:?}"
+                        );
+                    }
+                    let sl = sell_rhs_layout(&sell, k, line_bytes);
+                    let sgeom = RhsGeom::new(k, interleaved, sell.num_cols(), sell.num_rows());
+                    let n = sell.num_chunks();
+                    for chunks in [0..n, 1..n] {
+                        assert_eq!(
+                            collect_blocks(SellCursor::with_rhs(&sell, &sl, chunks.clone(), sgeom)),
+                            collect(SellCursor::with_rhs(&sell, &sl, chunks.clone(), sgeom)),
+                            "sell k={k} interleaved={interleaved} {line_bytes} B {chunks:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Alternates runs of 1..=`k + 4` per-reference pulls with block
+    /// pulls; returns the trace and how many block pulls began inside an
+    /// `x` group (`xj(cursor) != 0`).
+    fn collect_mixed<C: TraceCursor>(
+        mut c: C,
+        k: usize,
+        xj: impl Fn(&C) -> usize,
+    ) -> (Vec<Access>, usize) {
+        let mut got = Vec::new();
+        let mut block = AccessBlock::new();
+        let mut mid_group = 0;
+        for run in (1..=k + 4).cycle() {
+            for _ in 0..run {
+                match c.next_access() {
+                    Some(a) => got.push(a),
+                    None => return (got, mid_group),
+                }
+            }
+            mid_group += usize::from(xj(&c) != 0);
+            block.clear();
+            if c.next_block(&mut block) == 0 {
+                return (got, mid_group);
+            }
+            got.extend(block.refs().iter().map(|p| p.unpack()));
+        }
+        unreachable!("cycle never ends")
+    }
+
+    #[test]
+    fn rhs_next_block_resumes_inside_an_x_group() {
+        for k in [2usize, 16] {
+            let (m, sell) = wide_views(k);
+            for interleaved in [true, false] {
+                let l = rhs_layout(&m, k, 64);
+                let geom = RhsGeom::new(k, interleaved, m.num_cols(), m.num_rows());
+                let (got, mid_group) =
+                    collect_mixed(SpmvCursor::with_rhs(&m, &l, 0..9, geom), k, |c| c.xj);
+                assert_eq!(got, collect(SpmvCursor::with_rhs(&m, &l, 0..9, geom)));
+                assert!(
+                    mid_group > 0,
+                    "csr k={k}: no block pull began inside a group"
+                );
+                let sl = sell_rhs_layout(&sell, k, 64);
+                let sgeom = RhsGeom::new(k, interleaved, sell.num_cols(), sell.num_rows());
+                let n = sell.num_chunks();
+                let (got, mid_group) =
+                    collect_mixed(SellCursor::with_rhs(&sell, &sl, 0..n, sgeom), k, |c| c.xj);
+                assert_eq!(got, collect(SellCursor::with_rhs(&sell, &sl, 0..n, sgeom)));
+                assert!(
+                    mid_group > 0,
+                    "sell k={k}: no block pull began inside a group"
                 );
             }
         }
