@@ -7,10 +7,10 @@
 //! the §4.5.2/§4.5.3 restricted subset (`μ_K ≥ 8`, `CV_K ≤ 1`) for method
 //! (B) without partitioning.
 
-use crate::runner::{machine_for, measure, parallel_map, ExpArgs, SweepPoint};
+use crate::runner::{machine_for, measure, ExpArgs, SweepPoint};
 use locality_core::predict::{Method, SectorSetting};
 use locality_core::ErrorSummary;
-use locality_engine::BatchSpec;
+use locality_engine::{pool::run_indexed, BatchSpec};
 use sparsemat::MatrixStats;
 
 /// Per-matrix accuracy record.
@@ -72,7 +72,7 @@ pub fn run(args: &ExpArgs, threads: usize) {
 
     // The simulator side of the table (the "measurement") stays outside
     // the engine: it is per-setting by nature, nothing to memoize.
-    let measured_all: Vec<Vec<u64>> = parallel_map(&included, |nm| {
+    let measured_all: Vec<Vec<u64>> = run_indexed(0, &included, |_, nm| {
         settings
             .iter()
             .map(|&s| {

@@ -8,7 +8,8 @@
 //!
 //! Run: `cargo run --release -p spmv-bench --bin exp_bandwidth [--count N --scale N --threads N]`
 
-use spmv_bench::runner::{measure, parallel_map, ExpArgs, SweepPoint};
+use locality_engine::pool::run_indexed;
+use spmv_bench::runner::{measure, ExpArgs, SweepPoint};
 
 fn main() {
     let args = ExpArgs::parse(490);
@@ -30,7 +31,7 @@ fn main() {
         demand_reduction_pct: f64,
     }
 
-    let rows: Vec<Row> = parallel_map(&suite, |nm| {
+    let rows: Vec<Row> = run_indexed(0, &suite, |_, nm| {
         let (bsim, bperf) = measure(&nm.matrix, args.scale, args.threads, SweepPoint::BASELINE);
         let (psim, pperf) = measure(&nm.matrix, args.scale, args.threads, point);
         let base_dm = bsim.pmu.l2_demand_misses().max(1) as f64;

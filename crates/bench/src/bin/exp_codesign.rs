@@ -11,8 +11,9 @@
 //! Run: `cargo run --release -p spmv-bench --bin exp_codesign [--count N --scale N --threads N]`
 
 use locality_core::optimize::PartitionOptimizer;
+use locality_engine::pool::run_indexed;
 use memtrace::{Array, ArraySet};
-use spmv_bench::runner::{machine_for, parallel_map, ExpArgs, SweepPoint};
+use spmv_bench::runner::{machine_for, ExpArgs, SweepPoint};
 
 fn main() {
     let args = ExpArgs::parse(40);
@@ -35,7 +36,7 @@ fn main() {
         curve_reusable: Vec<(usize, u64)>,
     }
 
-    let rows = parallel_map(&suite, |nm| {
+    let rows = run_indexed(0, &suite, |_, nm| {
         let opt = PartitionOptimizer::from_spmv(&nm.matrix, &cfg, &groups, args.threads);
         let (alloc, best) = opt.best_allocation();
         Row {

@@ -11,8 +11,9 @@
 //!
 //! Run: `cargo run --release -p spmv-bench --bin exp_fig2 [--count N --scale N --threads N]`
 
+use locality_engine::pool::run_indexed;
 use spmv_bench::boxplot::BoxStats;
-use spmv_bench::runner::{measure, parallel_map, ExpArgs, SweepPoint};
+use spmv_bench::runner::{measure, ExpArgs, SweepPoint};
 
 fn main() {
     let args = ExpArgs::parse(490);
@@ -26,7 +27,7 @@ fn main() {
     let l2_settings = [2usize, 3, 4, 5, 6];
 
     // Per matrix: baseline misses + misses per config.
-    let per_matrix: Vec<(u64, Vec<u64>)> = parallel_map(&suite, |nm| {
+    let per_matrix: Vec<(u64, Vec<u64>)> = run_indexed(0, &suite, |_, nm| {
         let (base, _) = measure(&nm.matrix, args.scale, args.threads, SweepPoint::BASELINE);
         let mut cfgs = Vec::with_capacity(l1_settings.len() * l2_settings.len());
         for &l1 in &l1_settings {

@@ -6,8 +6,9 @@
 //!
 //! Run: `cargo run --release -p spmv-bench --bin exp_fig3 [--count N --scale N --threads N]`
 
+use locality_engine::pool::run_indexed;
 use spmv_bench::boxplot::BoxStats;
-use spmv_bench::runner::{measure, parallel_map, ExpArgs, SweepPoint};
+use spmv_bench::runner::{measure, ExpArgs, SweepPoint};
 
 fn main() {
     let args = ExpArgs::parse(490);
@@ -20,7 +21,7 @@ fn main() {
     let l1_settings = [0usize, 1, 2];
     let l2_settings = [2usize, 3, 4, 5, 6];
 
-    let per_matrix: Vec<(f64, Vec<f64>)> = parallel_map(&suite, |nm| {
+    let per_matrix: Vec<(f64, Vec<f64>)> = run_indexed(0, &suite, |_, nm| {
         let (_, base) = measure(&nm.matrix, args.scale, args.threads, SweepPoint::BASELINE);
         let mut cfgs = Vec::with_capacity(l1_settings.len() * l2_settings.len());
         for &l1 in &l1_settings {

@@ -9,8 +9,9 @@
 //! Run: `cargo run --release -p spmv-bench --bin exp_fig4 [--count N --scale N --threads N]`
 
 use locality_core::classify_for;
+use locality_engine::pool::run_indexed;
 use spmv_bench::boxplot::BoxStats;
-use spmv_bench::runner::{machine_for, measure, parallel_map, ExpArgs, SweepPoint};
+use spmv_bench::runner::{machine_for, measure, ExpArgs, SweepPoint};
 
 fn main() {
     let args = ExpArgs::parse(490);
@@ -25,7 +26,7 @@ fn main() {
     let suite = corpus::corpus(args.count, args.scale, args.seed);
     let class_cfg = machine_for(args.scale, args.threads, point);
 
-    let rows = parallel_map(&suite, |nm| {
+    let rows = run_indexed(0, &suite, |_, nm| {
         let (_, base) = measure(&nm.matrix, args.scale, args.threads, SweepPoint::BASELINE);
         let (_, part) = measure(&nm.matrix, args.scale, args.threads, point);
         let class = classify_for(&nm.matrix, &class_cfg, args.threads);

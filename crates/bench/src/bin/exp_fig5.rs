@@ -9,7 +9,8 @@
 //! Run: `cargo run --release -p spmv-bench --bin exp_fig5 [--count N --scale N --threads N]`
 
 use locality_core::{classify_for, MatrixClass};
-use spmv_bench::runner::{machine_for, measure, parallel_map, ExpArgs, SweepPoint};
+use locality_engine::pool::run_indexed;
+use spmv_bench::runner::{machine_for, measure, ExpArgs, SweepPoint};
 
 fn main() {
     let args = ExpArgs::parse(490);
@@ -25,7 +26,7 @@ fn main() {
     let class_cfg = machine_for(args.scale, args.threads, point);
     let l2_bytes = class_cfg.l2.size_bytes;
 
-    let rows: Vec<Option<(String, MatrixClass, f64, f64)>> = parallel_map(&suite, |nm| {
+    let rows: Vec<Option<(String, MatrixClass, f64, f64)>> = run_indexed(0, &suite, |_, nm| {
         // Fig. 5 uses only working sets exceeding the L2 cache.
         if nm.matrix.working_set_bytes() <= l2_bytes {
             return None;

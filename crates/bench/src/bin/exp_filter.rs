@@ -13,8 +13,9 @@ use a64fx::{simulate_spmv, PrefetchConfig, Replacement};
 use locality_core::predict::{predict, Method, SectorSetting};
 use locality_core::two_level::predict_filtered;
 use locality_core::ErrorSummary;
+use locality_engine::pool::run_indexed;
 use memtrace::ArraySet;
-use spmv_bench::runner::{machine_for, parallel_map, ExpArgs, SweepPoint};
+use spmv_bench::runner::{machine_for, ExpArgs, SweepPoint};
 
 fn main() {
     let args = ExpArgs::parse(60);
@@ -28,7 +29,7 @@ fn main() {
     let suite = corpus::corpus(args.count, args.scale, args.seed);
     let settings = [SectorSetting::Off, SectorSetting::L2Ways(5)];
 
-    let rows: Vec<(Vec<u64>, Vec<u64>, Vec<u64>)> = parallel_map(&suite, |nm| {
+    let rows: Vec<(Vec<u64>, Vec<u64>, Vec<u64>)> = run_indexed(0, &suite, |_, nm| {
         let plain: Vec<u64> = predict(&nm.matrix, &cfg, Method::A, &settings, 1)
             .iter()
             .map(|p| p.l2_misses)

@@ -11,8 +11,8 @@
 
 use locality_core::predict::{Method, SectorSetting};
 use locality_core::ErrorSummary;
-use locality_engine::BatchSpec;
-use spmv_bench::runner::{measure, parallel_map, ExpArgs, SweepPoint};
+use locality_engine::{pool::run_indexed, BatchSpec};
+use spmv_bench::runner::{measure, ExpArgs, SweepPoint};
 
 fn main() {
     let args = ExpArgs::parse(490);
@@ -49,7 +49,7 @@ fn main() {
         .collect();
     let batch = locality_engine::run_on(&spec, &refs);
 
-    let measured: Vec<(u64, u64)> = parallel_map(&suite, |nm| {
+    let measured: Vec<(u64, u64)> = run_indexed(0, &suite, |_, nm| {
         let (m_off, _) = measure(&nm.matrix, args.scale, 1, SweepPoint::BASELINE);
         let (m_5w, _) = measure(
             &nm.matrix,

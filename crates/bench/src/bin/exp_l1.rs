@@ -10,7 +10,8 @@
 use locality_core::l1::predict_l1_misses;
 use locality_core::predict::Method;
 use locality_core::ErrorSummary;
-use spmv_bench::runner::{machine_for, measure, parallel_map, ExpArgs, SweepPoint};
+use locality_engine::pool::run_indexed;
+use spmv_bench::runner::{machine_for, measure, ExpArgs, SweepPoint};
 
 fn main() {
     let args = ExpArgs::parse(490);
@@ -22,7 +23,7 @@ fn main() {
 
     for threads in [1usize, args.threads] {
         let cfg = machine_for(args.scale, threads, SweepPoint::BASELINE);
-        let pairs: Vec<(f64, f64, f64)> = parallel_map(&suite, |nm| {
+        let pairs: Vec<(f64, f64, f64)> = run_indexed(0, &suite, |_, nm| {
             let (sim, _) = measure(&nm.matrix, args.scale, threads, SweepPoint::BASELINE);
             let measured = sim.pmu.l1_misses() as f64;
             let a = predict_l1_misses(&nm.matrix, &cfg, Method::A, threads) as f64;

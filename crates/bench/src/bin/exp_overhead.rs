@@ -8,7 +8,8 @@
 //! Run: `cargo run --release -p spmv-bench --bin exp_overhead [--count N --scale N --threads N]`
 
 use locality_core::predict::{predict, Method, SectorSetting};
-use spmv_bench::runner::{machine_for, parallel_map, ExpArgs, SweepPoint};
+use locality_engine::pool::run_indexed;
+use spmv_bench::runner::{machine_for, ExpArgs, SweepPoint};
 use std::time::Instant;
 
 fn main() {
@@ -22,7 +23,7 @@ fn main() {
 
     for threads in [1usize, args.threads] {
         let cfg = machine_for(args.scale, threads, SweepPoint::BASELINE);
-        let times: Vec<(f64, f64)> = parallel_map(&suite, |nm| {
+        let times: Vec<(f64, f64)> = run_indexed(0, &suite, |_, nm| {
             let t0 = Instant::now();
             let pa = predict(&nm.matrix, &cfg, Method::A, &settings, threads);
             let ta = t0.elapsed().as_secs_f64();

@@ -12,10 +12,9 @@
 //! Run: `cargo run --release -p spmv-bench --bin exp_prefetch [--count N --scale N --threads N]`
 
 use a64fx::PrefetchConfig;
+use locality_engine::pool::run_indexed;
 use spmv_bench::boxplot::BoxStats;
-use spmv_bench::runner::{
-    machine_for, measure, measure_with_prefetch, parallel_map, ExpArgs, SweepPoint,
-};
+use spmv_bench::runner::{machine_for, measure, measure_with_prefetch, ExpArgs, SweepPoint};
 
 fn main() {
     let args = ExpArgs::parse(120);
@@ -76,7 +75,7 @@ fn main() {
     ];
 
     // (miss difference %, premature evictions) per matrix per config.
-    let per_matrix: Vec<Vec<(f64, u64)>> = parallel_map(&suite, |nm| {
+    let per_matrix: Vec<Vec<(f64, u64)>> = run_indexed(0, &suite, |_, nm| {
         let (base, _) = measure(&nm.matrix, args.scale, args.threads, SweepPoint::BASELINE);
         let base_misses = base.pmu.l2_misses() as f64;
         cfgs.iter()

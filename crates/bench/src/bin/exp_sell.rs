@@ -12,8 +12,9 @@
 
 use locality_core::method_a;
 use locality_core::{SectorSetting, SpmvWorkload};
+use locality_engine::pool::run_indexed;
 use sparsemat::SellMatrix;
-use spmv_bench::runner::{machine_for, parallel_map, ExpArgs, SweepPoint};
+use spmv_bench::runner::{machine_for, ExpArgs, SweepPoint};
 
 /// Method (A) predictions of steady-state L2 misses, sequential: sector
 /// cache off, and the Listing-1 split with 5 ways for the matrix stream.
@@ -40,7 +41,7 @@ fn main() {
     );
 
     let suite = corpus::corpus(args.count, args.scale, args.seed);
-    let rows = parallel_map(&suite, |nm| {
+    let rows = run_indexed(0, &suite, |_, nm| {
         let (csr_off, csr_5w) = predict_off_5w(&nm.matrix, &cfg);
         let sell = SellMatrix::from_csr(&nm.matrix, 8, 64);
         let (sell_off, sell_5w) = predict_off_5w(&sell, &cfg);

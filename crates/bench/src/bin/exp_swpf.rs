@@ -10,10 +10,11 @@
 //! Run: `cargo run --release -p spmv-bench --bin exp_swpf [--count N --scale N --threads N]`
 
 use a64fx::{estimate, simulate_spmv_partitioned};
+use locality_engine::pool::run_indexed;
 use memtrace::ArraySet;
 use sparsemat::RowPartition;
 use spmv_bench::boxplot::BoxStats;
-use spmv_bench::runner::{machine_for, measure, parallel_map, ExpArgs, SweepPoint};
+use spmv_bench::runner::{machine_for, measure, ExpArgs, SweepPoint};
 
 fn main() {
     let args = ExpArgs::parse(60);
@@ -31,7 +32,7 @@ fn main() {
         dm_reduction_swpf: f64,
     }
 
-    let rows: Vec<Row> = parallel_map(&suite, |nm| {
+    let rows: Vec<Row> = run_indexed(0, &suite, |_, nm| {
         let (bsim, bperf) = measure(&nm.matrix, args.scale, args.threads, SweepPoint::BASELINE);
         let (_, sperf) = measure(
             &nm.matrix,

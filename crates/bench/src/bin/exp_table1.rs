@@ -11,9 +11,10 @@
 //! Run: `cargo run --release -p spmv-bench --bin exp_table1 [--scale N --threads N]`
 
 use a64fx::{estimate, simulate_spmv_partitioned};
+use locality_engine::pool::run_indexed;
 use memtrace::ArraySet;
 use sparsemat::{reorder::rcm_reorder, RowPartition};
-use spmv_bench::runner::{machine_for, measure, parallel_map, ExpArgs, SweepPoint};
+use spmv_bench::runner::{machine_for, measure, ExpArgs, SweepPoint};
 
 /// Paper Table 1 reference values: (name, Gflop/s ours, Gflop/s \[1\]).
 const PAPER: [(&str, f64, f64); 18] = [
@@ -53,7 +54,7 @@ fn main() {
     );
 
     let suite = corpus::table1_suite(args.scale);
-    let rows = parallel_map(&suite, |nm| {
+    let rows = run_indexed(0, &suite, |_, nm| {
         let (_, perf) = measure(&nm.matrix, args.scale, args.threads, SweepPoint::BASELINE);
 
         // The [1]-style comparator: RCM reordering + nonzero-balanced rows.

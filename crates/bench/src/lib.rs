@@ -21,4 +21,4 @@ pub mod boxplot;
 pub mod runner;
 
 pub use boxplot::BoxStats;
-pub use runner::{machine_for, measure, parallel_map, ExpArgs, SweepPoint};
+pub use runner::{machine_for, measure, ExpArgs, SweepPoint};

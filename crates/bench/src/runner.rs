@@ -125,36 +125,6 @@ pub fn measure_with_prefetch(
     (sim, perf)
 }
 
-/// Maps `f` over `items` using all host cores (order-preserving).
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(items.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results = std::sync::Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                results.lock().expect("results lock").push((i, r));
-            });
-        }
-    });
-    let mut collected = results.into_inner().expect("results lock");
-    collected.sort_by_key(|(i, _)| *i);
-    collected.into_iter().map(|(_, r)| r).collect()
-}
-
 /// Common command-line arguments of the experiment binaries.
 #[derive(Clone, Debug)]
 pub struct ExpArgs {
@@ -263,19 +233,6 @@ mod tests {
         assert_eq!(cfg.num_cores, 48);
         let base = machine_for(16, 1, SweepPoint::BASELINE);
         assert!(!base.l2_sector.enabled());
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(&items, |&x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_empty() {
-        let items: Vec<u64> = vec![];
-        assert!(parallel_map(&items, |&x| x).is_empty());
     }
 
     #[test]

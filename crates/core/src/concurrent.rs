@@ -57,10 +57,8 @@ impl DomainTraces {
 /// blocks, in the same round-robin order [`DomainTraces::feed_domain`]
 /// uses. A replay (e.g. the warm-up and measured iterations of the
 /// locality model) is just another `feed_*_blocks` call: total state is
-/// O(threads in the domain) and no reference is ever buffered. A
-/// per-reference consumer takes the blocks through
-/// [`memtrace::RefSink`]; with `cores_per_domain = 1` every "domain" is
-/// one thread's private stream.
+/// O(threads in the domain) and no reference is ever buffered. With
+/// `cores_per_domain = 1` every "domain" is one thread's private stream.
 ///
 /// Generic over the storage format: the cursors come from the
 /// [`SpmvWorkload`] trait, so the same plumbing serves CSR row blocks and
@@ -119,6 +117,11 @@ impl<'a, W: SpmvWorkload> DomainCursors<'a, W> {
     /// Length of domain `d`'s interleaved method (A) stream.
     pub fn spmv_len(&self, d: usize) -> usize {
         self.spmv_cursors(d).iter().map(|c| c.remaining()).sum()
+    }
+
+    /// Length of domain `d`'s interleaved method (B) stream.
+    pub fn x_len(&self, d: usize) -> usize {
+        self.x_cursors(d).iter().map(|c| c.remaining()).sum()
     }
 
     /// Streams domain `d`'s round-robin interleaved method (A) references

@@ -28,10 +28,10 @@ use memtrace::sink::PackedVecSink;
 use memtrace::spmv_trace::trace_spmv_partitioned;
 use memtrace::xtrace::trace_x_partitioned;
 use memtrace::{
-    Access, AccessBlock, Array, ArraySet, BlockSink, BlockTee, DataLayout, PackedAccess, RefSink,
+    Access, AccessBlock, Array, ArraySet, BlockSink, BlockTee, DataLayout, PackedAccess,
     SpmvWorkload, TraceCursor, TraceSink, BLOCK_REFS,
 };
-use reuse::{ExactStack, FxHashMap, LineTable, MarkerStack, QuantizedCounts, ReuseHistogram};
+use reuse::{ExactStack, FxHashMap, MarkerStack, QuantizedCounts, ReuseHistogram};
 use sparsemat::{CsrMatrix, RowPartition};
 
 /// One NUMA domain's share of the workload (for the analytic terms and
@@ -181,15 +181,16 @@ fn route(order: &[LastAccess], sector1: ArraySet, want1: bool) -> Vec<u64> {
         .collect()
 }
 
-/// Trace sink classifying a two-partition routed stream against fixed
-/// capacity grids with [`MarkerStack`]s — O(#capacities) per reference,
-/// no Fenwick log factor. A stack is only instantiated for a routing that
-/// tracks at least one capacity.
+/// Method (A)'s measured consumer: [`MarkerStack`]s classifying the
+/// unpartitioned stream and both Listing-1 partitions against fixed
+/// capacity grids — O(#capacities) per reference, no Fenwick log factor.
+/// A stack is only instantiated for a routing that tracks at least one
+/// capacity.
 struct MarkerSink {
-    sector1: ArraySet,
-    stack0: Option<MarkerStack>,
-    stack1: Option<MarkerStack>,
-    // Per-block routing scratch, reused across consume_refs() calls.
+    shared: Option<MarkerStack>,
+    part0: Option<MarkerStack>,
+    part1: Option<MarkerStack>,
+    // Per-block routing scratch of the Listing-1 pair.
     buf0: Vec<PackedAccess>,
     buf1: Vec<PackedAccess>,
 }
@@ -201,19 +202,16 @@ impl MarkerSink {
     /// per stack; every paper-scale layout is far below this.
     const DENSE_LINE_LIMIT: usize = 1 << 22;
 
-    /// Creates a routed sink for a layout whose line ids all lie below
-    /// `universe` ([`DataLayout`] numbers lines densely, so
-    /// `layout.total_lines()` is that bound). Small universes get the
-    /// direct-mapped line index — one indexed load per probe; huge ones
-    /// fall back to hash tables pre-sized for the distinct-line bounds
-    /// of the stream each partition will see (`lines0`/`lines1`), so the
-    /// hot loop never rehashes either way.
+    /// Creates the sink over the `(shared, part0, part1)` capacity grids
+    /// for a layout whose line ids all lie below `universe`
+    /// ([`DataLayout`] numbers lines densely, so `layout.total_lines()`
+    /// is that bound). Small universes get the direct-mapped line index —
+    /// one indexed load per probe; huge ones fall back to hash tables
+    /// pre-sized for the distinct-line bounds of the stream each routing
+    /// will see (`lines`), so the hot loop never rehashes either way.
     fn new(
-        sector1: ArraySet,
-        caps0: &[usize],
-        caps1: &[usize],
-        lines0: usize,
-        lines1: usize,
+        grids: (&[usize], &[usize], &[usize]),
+        lines: (usize, usize, usize),
         universe: usize,
     ) -> Self {
         let mk = |caps: &[usize], lines: usize| {
@@ -226,92 +224,108 @@ impl MarkerSink {
             })
         };
         MarkerSink {
-            sector1,
-            stack0: mk(caps0, lines0),
-            stack1: mk(caps1, lines1),
+            shared: mk(grids.0, lines.0),
+            part0: mk(grids.1, lines.1),
+            part1: mk(grids.2, lines.2),
             buf0: Vec::with_capacity(BLOCK_REFS),
             buf1: Vec::with_capacity(BLOCK_REFS),
         }
     }
 
-    /// Quantized counts of the partition-0 stack (`None` when the grid it
-    /// would track is empty).
-    fn counts0(&self) -> Option<QuantizedCounts> {
-        self.stack0.as_ref().map(|s| s.counts())
+    /// The instantiated stacks, in routing order.
+    fn stacks(&self) -> impl Iterator<Item = &MarkerStack> {
+        [&self.shared, &self.part0, &self.part1]
+            .into_iter()
+            .flatten()
     }
 
-    /// Quantized counts of the partition-1 stack.
-    fn counts1(&self) -> Option<QuantizedCounts> {
-        self.stack1.as_ref().map(|s| s.counts())
+    /// The domain's partial: each routing's quantized counts, `None` for
+    /// a routing that tracks no capacity.
+    fn partial(&self) -> DomainPartial {
+        let counts = |s: &Option<MarkerStack>| s.as_ref().map(|s| s.counts());
+        DomainPartial::Trace {
+            shared: counts(&self.shared),
+            part0: counts(&self.part0),
+            part1: counts(&self.part1),
+        }
     }
 
     /// Total line-table rehashes across the instantiated stacks — the
     /// pre-sizing regression tests assert this stays zero.
     #[cfg(test)]
     fn index_rehashes(&self) -> u64 {
-        self.stack0.as_ref().map_or(0, |s| s.index_rehashes())
-            + self.stack1.as_ref().map_or(0, |s| s.index_rehashes())
+        self.stacks().map(|s| s.index_rehashes()).sum()
     }
 
-    /// Seeds both stacks with the warm-up stream's post-replay state from
+    /// Seeds the stacks with the warm-up stream's post-replay state from
     /// its last-access order (most recent first), routing each line to the
-    /// partition its array belongs to. Counters stay zero — equivalent to
-    /// replaying the warm-up and then resetting, per
-    /// [`MarkerStack::seed_lru`]'s exactness argument.
+    /// partition its array belongs to (every line to the unpartitioned
+    /// stack). Counters stay zero — equivalent to replaying the warm-up
+    /// and then resetting, per [`MarkerStack::seed_lru`]'s exactness
+    /// argument.
     fn seed_lru(&mut self, order: &[LastAccess]) {
-        if let Some(s) = &mut self.stack0 {
-            s.seed_lru(&route(order, self.sector1, false));
+        let stream = ArraySet::MATRIX_STREAM;
+        if let Some(s) = &mut self.shared {
+            s.seed_lru(&route(order, ArraySet::EMPTY, false));
         }
-        if let Some(s) = &mut self.stack1 {
-            s.seed_lru(&route(order, self.sector1, true));
+        if let Some(s) = &mut self.part0 {
+            s.seed_lru(&route(order, stream, false));
+        }
+        if let Some(s) = &mut self.part1 {
+            s.seed_lru(&route(order, stream, true));
         }
     }
 
     /// Reports the instantiated stacks' statistics to the telemetry
     /// counters.
     fn flush_obs(&self) {
-        if let Some(s) = &self.stack0 {
-            s.flush_obs();
-        }
-        if let Some(s) = &self.stack1 {
-            s.flush_obs();
-        }
+        self.stacks().for_each(MarkerStack::flush_obs);
+    }
+}
+
+/// The consumer of a domain's measured pass ([`ProfileBuilder`]'s
+/// per-domain driver): a regenerated stream arrives a block at a time
+/// through [`BlockSink`], a buffered one whole, with its buffer.
+trait MeasuredSink: BlockSink {
+    /// Consumes the buffered stream, in order.
+    fn replay(&mut self, refs: Vec<PackedAccess>);
+}
+
+impl MeasuredSink for MarkerSink {
+    fn replay(&mut self, refs: Vec<PackedAccess>) {
+        self.consume_refs(&refs);
     }
 }
 
 impl MarkerSink {
-    /// Routes a run of packed references into the partition stacks.
-    /// An unpartitioned sink takes a run of any length; a partitioned one
-    /// copies the run into its routing scratch, so callers hand it at
-    /// most a block at a time.
+    /// Consumes a run of the stream of any length. The unpartitioned
+    /// stack takes the whole run as-is; the Listing-1 pair splits it by
+    /// routing a block at a time, so its scratch stays block-sized.
     fn consume_refs(&mut self, refs: &[PackedAccess]) {
-        // Unpartitioned routing: the whole run goes to stack 0 as-is —
-        // no per-reference routing work at all.
-        if self.sector1.is_empty() {
-            if let Some(s) = &mut self.stack0 {
-                s.access_block(refs);
-            }
+        if let Some(s) = &mut self.shared {
+            s.access_block(refs);
+        }
+        if self.part0.is_none() && self.part1.is_none() {
             return;
         }
-        if self.stack0.is_none() && self.stack1.is_none() {
-            return;
-        }
-        // Split the run by routing. The two stacks are independent, so
-        // feeding each its subsequence preserves the per-ref semantics.
-        self.buf0.clear();
-        self.buf1.clear();
-        for &p in refs {
-            if self.sector1.contains(p.array()) {
-                self.buf1.push(p);
-            } else {
-                self.buf0.push(p);
+        // The two partition stacks are independent, so feeding each its
+        // subsequence preserves the per-ref semantics.
+        for block in refs.chunks(BLOCK_REFS) {
+            self.buf0.clear();
+            self.buf1.clear();
+            for &p in block {
+                if ArraySet::MATRIX_STREAM.contains(p.array()) {
+                    self.buf1.push(p);
+                } else {
+                    self.buf0.push(p);
+                }
             }
-        }
-        if let Some(s) = &mut self.stack0 {
-            s.access_block(&self.buf0);
-        }
-        if let Some(s) = &mut self.stack1 {
-            s.access_block(&self.buf1);
+            if let Some(s) = &mut self.part0 {
+                s.access_block(&self.buf0);
+            }
+            if let Some(s) = &mut self.part1 {
+                s.access_block(&self.buf1);
+            }
         }
     }
 }
@@ -326,8 +340,6 @@ impl BlockSink for MarkerSink {
 /// A line's last access in a scanned stream.
 struct LastAccess {
     line: u64,
-    /// 0-based stream position of the access.
-    pos: u64,
     array: Array,
 }
 
@@ -365,23 +377,34 @@ impl LastPosSink {
             .into_iter()
             .map(|(v, line)| LastAccess {
                 line,
-                pos: (v >> 3) - 1,
                 array: Array::ALL[(v & 7) as usize],
             })
             .collect()
+    }
+
+    /// Records `p` as the next stream position and returns the gap, in
+    /// positions, since its line's previous access (`None` on the line's
+    /// first access).
+    #[inline]
+    fn advance(&mut self, p: PackedAccess) -> Option<u64> {
+        self.pos += 1;
+        let prev = std::mem::replace(
+            &mut self.last[p.line() as usize],
+            (self.pos << 3) | p.array() as u64,
+        );
+        (prev != 0).then(|| self.pos - (prev >> 3))
     }
 }
 
 impl BlockSink for LastPosSink {
     fn consume(&mut self, block: &AccessBlock) {
         for &p in block.refs() {
-            self.pos += 1;
-            self.last[p.line() as usize] = (self.pos << 3) | p.array() as u64;
+            self.advance(p);
         }
     }
 }
 
-/// Trace sink distilling the measured iteration of the method (B)
+/// Block sink distilling the measured iteration of the method (B)
 /// `x`-stream into `(RD, gap)` pair counts on the fly — the streaming
 /// replacement for the materialise-then-replay loop.
 ///
@@ -391,27 +414,27 @@ impl BlockSink for LastPosSink {
 /// below the sink's total time, which [`Self::seeded`] bounds by 2³².
 struct XPairSink {
     stack: ExactStack,
-    last_seen: LineTable,
+    /// The warm-up scan, continued as the gap clock: it holds each line's
+    /// last position, so measured reference `i` is position `len + i`.
+    clock: LastPosSink,
     keys: Vec<u64>,
     cold: u64,
-    now: u32,
 }
 
 impl XPairSink {
-    /// Creates a sink in the state a replay of the `len`-reference
-    /// warm-up iteration with last-access order `order` leaves behind:
-    /// the reuse stack is seeded ([`ExactStack::seed_lru`]) and the gap
-    /// table holds each line's warm-up position, so the clock keeps the
-    /// replay's numbering (measured reference `i` is time `len + i`).
-    /// Sized for a measured iteration of the same `len` references and
-    /// the bound on distinct `x` lines the domain can touch, so no table
-    /// rehashes mid-trace.
+    /// Creates a sink in the state a replay of the warm-up iteration that
+    /// `clock` scanned, with last-access order `order`, leaves behind: the
+    /// reuse stack is seeded ([`ExactStack::seed_lru`]) and the clock
+    /// keeps the replay's numbering. The stack is sized for the bound on
+    /// distinct `x` lines the domain can touch, so no table rehashes
+    /// mid-trace.
     ///
     /// # Panics
     ///
-    /// Panics if `2 * len` reaches `u32::MAX` (the clock's and the packed
-    /// keys' range).
-    fn seeded(order: &[LastAccess], len: usize, distinct_lines: usize) -> Self {
+    /// Panics if twice the warm-up's length reaches `u32::MAX` (the
+    /// packed keys' range).
+    fn seeded(order: &[LastAccess], clock: LastPosSink, distinct_lines: usize) -> Self {
+        let len = clock.pos as usize;
         assert!(
             2 * len < u32::MAX as usize,
             "x trace exceeds u32 timestamp range"
@@ -419,16 +442,30 @@ impl XPairSink {
         let lines: Vec<u64> = order.iter().map(|a| a.line).collect();
         let mut stack = ExactStack::with_line_capacity(distinct_lines);
         stack.seed_lru(&lines);
-        let mut last_seen = LineTable::with_capacity(distinct_lines);
-        for a in order {
-            last_seen.insert(a.line, a.pos as u32);
-        }
         XPairSink {
             stack,
-            last_seen,
-            keys: Vec::with_capacity(len),
+            clock,
+            keys: Vec::new(),
             cold: 0,
-            now: len as u32,
+        }
+    }
+
+    /// Steps the reuse stack and the gap clock for one measured
+    /// reference: the packed key of a warm `(RD, gap)` pair, or `None`
+    /// for a cold access (counted).
+    #[inline]
+    fn record(&mut self, p: PackedAccess) -> Option<u64> {
+        // `seeded` bounds the total time below u32::MAX, so the packed key
+        // cannot overflow.
+        match (self.stack.access(p.line()), self.clock.advance(p)) {
+            (Some(rd), Some(gap)) => {
+                debug_assert!(rd < 1 << 32, "reuse distance exceeds the packed key");
+                Some(rd << 32 | gap)
+            }
+            _ => {
+                self.cold += 1;
+                None
+            }
         }
     }
 
@@ -446,39 +483,29 @@ impl XPairSink {
         obs::observe("core.xpair.distinct_pairs", pairs.len() as u64);
         pairs
     }
+}
 
-    /// Reports the reuse stack's and the gap table's statistics to the
-    /// telemetry counters.
-    fn flush_obs(&self) {
-        self.stack.flush_obs();
-        if obs::enabled() {
-            let probes = self.last_seen.probe_stats();
-            obs::add("reuse.linetable.entries", probes.entries);
-            obs::add(
-                "reuse.linetable.displacement_total",
-                probes.total_displacement,
-            );
-            obs::gauge_max("reuse.linetable.displacement_max", probes.max_displacement);
-            obs::gauge_max("reuse.linetable.slots_max", probes.slots);
-            obs::add("reuse.linetable.rehashes", self.last_seen.rehashes());
-        }
+impl MeasuredSink for XPairSink {
+    fn replay(&mut self, refs: Vec<PackedAccess>) {
+        // A reference yields at most one key of the same size, so the
+        // keys are collected into the buffer's own allocation (std
+        // collects a `vec::IntoIter` adapter in place): the replay needs
+        // no second stream-sized array.
+        self.keys = refs.into_iter().filter_map(|p| self.record(p)).collect();
     }
 }
 
-impl TraceSink for XPairSink {
-    fn access(&mut self, access: Access) {
-        // `seeded` bounds the total time below u32::MAX, so neither the
-        // clock nor the packed key can overflow.
-        let rd = self.stack.access(access.line);
-        let t = self.now;
-        self.now += 1;
-        let gap = self.last_seen.insert(access.line, t).map(|prev| t - prev);
-        match (rd, gap) {
-            (Some(rd), Some(g)) => {
-                debug_assert!(rd < 1 << 32, "reuse distance exceeds the packed key");
-                self.keys.push(rd << 32 | u64::from(g));
+impl BlockSink for XPairSink {
+    fn consume(&mut self, block: &AccessBlock) {
+        if self.keys.capacity() == 0 {
+            // First block of a regenerated pass: the clock still reads the
+            // warm-up's length, the measured pass's too.
+            self.keys.reserve_exact(self.clock.pos as usize);
+        }
+        for &p in block.refs() {
+            if let Some(key) = self.record(p) {
+                self.keys.push(key);
             }
-            _ => self.cold += 1,
         }
     }
 }
@@ -716,9 +743,10 @@ impl DomainPartial {
 /// Construction does the cheap shared setup (layout, work partition,
 /// domain shares); [`domain_shard_partial`](Self::domain_shard_partial)
 /// is a pure function of `&self`, the domain index and the capacity shard
-/// — it streams the domain's interleaved references from cursors (no
-/// trace is materialised), feeding both routings of one replay through a
-/// single generation pass via a tee sink. [`finish`](Self::finish)
+/// — it streams the domain's interleaved references from cursors through
+/// one scan → seed → measured-pass driver for both methods, buffering the
+/// stream between the two passes when it fits a fixed budget and
+/// generating it twice otherwise. [`finish`](Self::finish)
 /// merges the partials in domain order and distils their counters into
 /// histograms, so any parallel schedule produces the byte-identical
 /// profile.
@@ -737,6 +765,9 @@ pub struct ProfileBuilder<'m, W: SpmvWorkload = CsrMatrix> {
     domains: Vec<DomainShare>,
     /// The marker stacks' capacity grids: `Some` exactly for method (A).
     tracked: Option<TrackedCaps>,
+    /// [`Self::REPLAY_REFS_MAX`]; tests lower it to force the driver's
+    /// regenerated branch.
+    replay_refs_max: usize,
 }
 
 impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
@@ -793,6 +824,7 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
             partition,
             domains,
             tracked,
+            replay_refs_max: Self::REPLAY_REFS_MAX,
         }
     }
 
@@ -862,82 +894,72 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
         )
     }
 
-    /// Runs the tracked (marker-stack) pipeline for domain `d` over the
-    /// given capacity grids and returns the warmed, measured sinks. The
-    /// block-batched fast path of method (A).
-    ///
-    /// The warm-up iteration is not replayed through the stacks: a marker
-    /// stack's post-warm-up state is a pure function of the warm-up
-    /// stream's last-access order (see [`MarkerStack::seed_lru`]), so one
-    /// cheap last-position scan of the stream seeds all three stacks
-    /// byte-identically at O(1) per reference — roughly halving the
-    /// pipeline's stack work.
-    fn run_tracked_domain(
+    /// The per-domain driver of both methods. It scans domain `d`'s
+    /// stream (every array for method (A), `x` only for method (B)) with a
+    /// [`LastPosSink`] in place of the warm-up replay, hands the scan's
+    /// last-access order — and the scan itself — to `seed`, which builds
+    /// the measured consumer in its post-warm-up state, then runs the
+    /// measured pass. A stream of at most `replay_refs_max` references is
+    /// recorded by the scan and replayed from that buffer as one run;
+    /// a longer one is generated a second time.
+    fn run_domain<S: MeasuredSink>(
         &self,
         d: usize,
-        grids: (&[usize], &[usize], &[usize]),
-    ) -> (MarkerSink, MarkerSink) {
-        let (g_shared, g_part0, g_part1) = grids;
+        seed: impl FnOnce(&[LastAccess], LastPosSink) -> S,
+    ) -> S {
         let cursors = DomainCursors::new(
             self.workload,
             &self.layout,
             &self.partition,
             self.cores_per_domain,
         );
-        let (b_shared, b0, b1) = self.domain_line_bounds(d);
-        let universe = self.layout.total_lines() as usize;
-        let mut shared = MarkerSink::new(ArraySet::EMPTY, g_shared, &[], b_shared, 16, universe);
-        let mut routed =
-            MarkerSink::new(ArraySet::MATRIX_STREAM, g_part0, g_part1, b0, b1, universe);
-        // Warm-up: one last-position scan stands in for the full replay.
-        // When the domain's stream fits the replay budget, the same pass
-        // also records the packed references, and the measured iteration
-        // replays the buffer instead of regenerating the stream — the
-        // buffer IS the stream, so the counters are unchanged and one of
-        // the two generation passes disappears. Oversized streams fall
-        // back to generating twice (the fully streaming shape).
-        let mut lastpos = LastPosSink::new(self.layout.total_lines());
-        let len = cursors.spmv_len(d);
-        if len <= Self::REPLAY_REFS_MAX {
-            let mut buf = PackedVecSink {
-                trace: Vec::with_capacity(len),
-            };
-            cursors.feed_spmv_blocks(
+        let len = match self.method {
+            Method::A => cursors.spmv_len(d),
+            Method::B => cursors.x_len(d),
+        };
+        let mut scan = LastPosSink::new(self.layout.total_lines());
+        if len <= self.replay_refs_max {
+            let mut buf = PackedVecSink::with_capacity(len);
+            self.feed(
+                &cursors,
                 d,
                 &mut BlockTee {
-                    first: &mut lastpos,
+                    first: &mut scan,
                     second: &mut buf,
                 },
             );
-            let order = lastpos.lru_order();
-            shared.seed_lru(&order);
-            routed.seed_lru(&order);
-            // Measured iteration: replay. The sinks are independent, so
-            // the unrouted stack takes the whole buffer in one run; the
-            // routed sink takes it a block at a time, so its routing
-            // scratch stays block-sized instead of copying the trace.
-            shared.consume_refs(&buf.trace);
-            for block in buf.trace.chunks(BLOCK_REFS) {
-                routed.consume_refs(block);
-            }
+            let mut sink = seed(&scan.lru_order(), scan);
+            sink.replay(buf.trace);
+            sink
         } else {
-            cursors.feed_spmv_blocks(d, &mut lastpos);
-            let order = lastpos.lru_order();
-            shared.seed_lru(&order);
-            routed.seed_lru(&order);
-            // Measured iteration.
-            cursors.feed_spmv_blocks(
-                d,
-                &mut BlockTee {
-                    first: &mut shared,
-                    second: &mut routed,
-                },
-            );
+            self.feed(&cursors, d, &mut scan);
+            let mut sink = seed(&scan.lru_order(), scan);
+            self.feed(&cursors, d, &mut sink);
+            sink
         }
-        (shared, routed)
     }
 
-    /// Longest per-domain stream the tracked pipeline will buffer for
+    /// Streams domain `d`'s references for the builder's method.
+    fn feed<S: BlockSink>(&self, cursors: &DomainCursors<'_, W>, d: usize, sink: &mut S) {
+        match self.method {
+            Method::A => cursors.feed_spmv_blocks(d, sink),
+            Method::B => cursors.feed_x_blocks(d, sink),
+        }
+    }
+
+    /// Runs the tracked (marker-stack) pipeline for domain `d` over the
+    /// given capacity grids and returns the warmed, measured sink.
+    fn run_tracked_domain(&self, d: usize, grids: (&[usize], &[usize], &[usize])) -> MarkerSink {
+        let universe = self.layout.total_lines() as usize;
+        let lines = self.domain_line_bounds(d);
+        self.run_domain(d, |order, _| {
+            let mut sink = MarkerSink::new(grids, lines, universe);
+            sink.seed_lru(order);
+            sink
+        })
+    }
+
+    /// Longest per-domain stream the driver will buffer for
     /// warm-up/measured single-generation replay: 4M packed references
     /// = 32 MiB. Beyond this the pipeline stays fully streaming and
     /// generates the stream twice instead.
@@ -964,35 +986,18 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
         let _span = obs::span("profile.domain");
         match &self.tracked {
             Some(t) => {
-                let (shared, routed) =
-                    self.run_tracked_domain(d, Self::shard_grids(t, shard, shards));
+                let sink = self.run_tracked_domain(d, Self::shard_grids(t, shard, shards));
                 let _extract = obs::span("reuse_stack.extract");
-                shared.flush_obs();
-                routed.flush_obs();
-                DomainPartial::Trace {
-                    shared: shared.counts0(),
-                    part0: routed.counts0(),
-                    part1: routed.counts1(),
-                }
+                sink.flush_obs();
+                sink.partial()
             }
             None => {
                 assert_eq!(shards, 1, "method (B) builders run one shard per domain");
-                let cursors = DomainCursors::new(
-                    self.workload,
-                    &self.layout,
-                    &self.partition,
-                    self.cores_per_domain,
-                );
-                // Warm-up: a last-position scan seeds the reuse stack and
-                // the gap table instead of a replay through them.
-                let mut lastpos = LastPosSink::new(self.layout.total_lines());
-                cursors.feed_x_blocks(d, &mut lastpos);
-                let len = lastpos.pos as usize;
-                let mut sink = XPairSink::seeded(&lastpos.lru_order(), len, self.domain_x_lines(d));
-                drop(lastpos);
-                cursors.feed_x_blocks(d, &mut RefSink(&mut sink)); // measured
+                let x_lines = self.domain_x_lines(d);
+                let sink =
+                    self.run_domain(d, |order, scan| XPairSink::seeded(order, scan, x_lines));
                 let _extract = obs::span("reuse_stack.extract");
-                sink.flush_obs();
+                sink.stack.flush_obs();
                 let cold = sink.cold;
                 DomainPartial::XTrace {
                     pairs: sink.pairs(),
@@ -1730,6 +1735,40 @@ mod tests {
         assert_sharding_is_exact(&sell, 5, 2);
     }
 
+    /// Both branches of the per-domain driver — the measured pass
+    /// replaying the scan's buffer, and the stream generated a second
+    /// time — must give the same partial, for both methods.
+    fn assert_replay_branches_agree<W: SpmvWorkload>(workload: &W) {
+        let mut cfg = MachineConfig::a64fx_scaled(64);
+        cfg.cores_per_domain = 2;
+        let settings = SectorSetting::paper_sweep();
+        for method in [Method::A, Method::B] {
+            let mut builder = ProfileBuilder::for_sweep(workload, &cfg, method, 5, &settings);
+            assert!(builder.num_domains() > 1, "test needs several domains");
+            for d in 0..builder.num_domains() {
+                builder.replay_refs_max = usize::MAX;
+                let buffered = builder.domain_shard_partial(d, 0, 1);
+                builder.replay_refs_max = 0;
+                let regenerated = builder.domain_shard_partial(d, 0, 1);
+                assert_eq!(buffered, regenerated, "{method:?} domain {d}");
+                if let DomainPartial::XTrace { pairs, .. } = &buffered {
+                    assert!(!pairs.is_empty(), "domain {d} has warm x reuse");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn buffered_and_regenerated_csr_domains_agree() {
+        assert_replay_branches_agree(&random_matrix(1200, 9, 71));
+    }
+
+    #[test]
+    fn buffered_and_regenerated_sell_domains_agree() {
+        let m = random_matrix(1024, 8, 73);
+        assert_replay_branches_agree(&sparsemat::SellMatrix::from_csr(&m, 8, 32));
+    }
+
     #[test]
     #[should_panic(expected = "method (B) partials are not sharded")]
     fn merge_shards_rejects_method_b_shards() {
@@ -1751,10 +1790,9 @@ mod tests {
             let builder = ProfileBuilder::for_sweep(&named.matrix, &cfg, Method::A, 8, &settings);
             let t = builder.tracked.as_ref().unwrap();
             for d in 0..builder.num_domains() {
-                let (shared, routed) =
-                    builder.run_tracked_domain(d, (&t.shared, &t.part0, &t.part1));
+                let sink = builder.run_tracked_domain(d, (&t.shared, &t.part0, &t.part1));
                 assert_eq!(
-                    shared.index_rehashes() + routed.index_rehashes(),
+                    sink.index_rehashes(),
                     0,
                     "{} domain {d} rehashed",
                     named.name

@@ -25,9 +25,9 @@
 //!   independent reference: the cursor tests pin every cursor to them, and
 //!   the materialised validation oracle replays them.
 //!
-//! Consumers implement [`sink::BlockSink`] (or a per-reference
-//! [`sink::TraceSink`] behind [`RefSink`]), so references are processed
-//! on the fly without materialising multi-gigabyte traces.
+//! Consumers implement [`sink::BlockSink`], so references are processed
+//! on the fly without materialising multi-gigabyte traces; the
+//! generators push into the per-reference [`sink::TraceSink`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -46,8 +46,7 @@ pub mod xtrace;
 pub use cursor::{RhsGeom, TraceCursor, CG_SWEEP_REFS_PER_ROW};
 pub use layout::{Array, DataLayout, A64FX_LINE_BYTES};
 pub use sink::{
-    AccessBlock, BlockSink, BlockTee, CountSink, PackedVecSink, RefSink, TraceSink, VecSink,
-    BLOCK_REFS,
+    AccessBlock, BlockSink, BlockTee, CountSink, PackedVecSink, TraceSink, VecSink, BLOCK_REFS,
 };
 pub use workload::{
     CgWorkload, FormatSpec, ReorderSpec, RhsLayout, ScenarioSpec, SpmmWorkload, SpmvWorkload,

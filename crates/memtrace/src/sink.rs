@@ -9,8 +9,7 @@
 //! The production feed is block-batched: cursors and the round-robin
 //! merge hand [`AccessBlock`]s to a [`BlockSink`]. The per-reference
 //! [`TraceSink`] is what the reference generators (`spmv_trace`,
-//! `xtrace`) push into, and [`RefSink`] adapts a per-reference consumer
-//! to the block feed.
+//! `xtrace`) push into, for the materialised oracles.
 
 use crate::{Access, PackedAccess};
 
@@ -115,23 +114,6 @@ impl AccessBlock {
 pub trait BlockSink {
     /// Consumes one block of references.
     fn consume(&mut self, block: &AccessBlock);
-}
-
-/// Drives a per-reference [`TraceSink`] from block input — the shim that
-/// lets per-reference consumers (the exact-stack histogram and `(RD, gap)`
-/// sinks, the oracles) read the block feed without a bulk path of their
-/// own.
-pub struct RefSink<'a, S: TraceSink>(
-    /// The wrapped per-reference sink.
-    pub &'a mut S,
-);
-
-impl<S: TraceSink> BlockSink for RefSink<'_, S> {
-    fn consume(&mut self, block: &AccessBlock) {
-        for &p in block.refs() {
-            self.0.access(p.unpack());
-        }
-    }
 }
 
 /// Adapts two block sinks to receive the same stream.
@@ -307,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn ref_sink_shim_and_block_tee_match_per_ref_path() {
+    fn block_tee_feeds_both_sinks_the_same_stream() {
         let trace: Vec<Access> = (0..600).map(|i| Access::load(i as u64, Array::A)).collect();
         let mut blocks: Vec<AccessBlock> = Vec::new();
         let mut cur = AccessBlock::new();
@@ -321,18 +303,16 @@ mod tests {
         blocks.push(cur);
 
         let mut v = VecSink::new();
-        let mut c = CountSink::new();
-        {
-            let mut counted = RefSink(&mut c);
-            let mut tee = BlockTee {
-                first: &mut v,
-                second: &mut counted,
-            };
-            for b in &blocks {
-                tee.consume(b);
-            }
+        let mut packed = PackedVecSink::new();
+        let mut tee = BlockTee {
+            first: &mut v,
+            second: &mut packed,
+        };
+        for b in &blocks {
+            tee.consume(b);
         }
         assert_eq!(v.trace, trace);
-        assert_eq!(c.total(), trace.len() as u64);
+        let unpacked: Vec<Access> = packed.trace.iter().map(|p| p.unpack()).collect();
+        assert_eq!(unpacked, trace);
     }
 }

@@ -213,11 +213,6 @@ impl MarkerStack {
         self.cold.iter().sum()
     }
 
-    /// Cold accesses of one array since the last counter reset.
-    pub fn cold_by_array(&self, array: Array) -> u64 {
-        self.cold[array as usize]
-    }
-
     /// Accesses of one array since the last counter reset.
     pub fn accesses_by_array(&self, array: Array) -> u64 {
         self.accesses_by_array[array as usize]
@@ -769,8 +764,6 @@ mod tests {
         ms.access(0, Array::X); // distance 2 -> miss at cap 2
         assert_eq!(ms.misses_by_array(0, Array::X), 2);
         assert_eq!(ms.misses_by_array(0, Array::A), 2);
-        assert_eq!(ms.cold_by_array(Array::X), 1);
-        assert_eq!(ms.cold_by_array(Array::A), 2);
     }
 
     #[test]

@@ -137,12 +137,11 @@ pub struct CheckPlan {
     /// only in their metadata stream, so the band is tight.
     pub cross_format_tol: Tolerance,
     /// The machine the invariants run against (default: the a64fx
-    /// preset, byte-identical to the pre-refactor harness).
+    /// preset, byte-identical to the pre-refactor harness). Only the
+    /// a64fx preset runs the simulator cross-checks (5–6): their bands
+    /// were calibrated against the A64FX simulator, so other hierarchies
+    /// get a model-only pass.
     pub machine_spec: MachineSpec,
-    /// Run the simulator cross-checks (5–6)? Off for non-a64fx machines:
-    /// the tolerance bands were calibrated against the A64FX simulator,
-    /// so other hierarchies get a model-only pass.
-    pub simulate: bool,
 }
 
 impl CheckPlan {
@@ -227,7 +226,6 @@ impl CheckPlan {
                 floor: 96.0,
             },
             machine_spec: MachineSpec::A64fx,
-            simulate: true,
         }
     }
 
@@ -240,7 +238,6 @@ impl CheckPlan {
     pub fn with_machine(mut self, spec: &MachineSpec) -> Self {
         self.machine_spec = spec.clone();
         if !spec.is_default() {
-            self.simulate = false;
             for tol in &mut self.envelope_tol {
                 tol.rel = tol.rel.max(0.45);
             }
@@ -911,7 +908,8 @@ pub fn run_case(spec: &CaseSpec, plan: &CheckPlan, harness_seed: u64) -> CaseRes
         // Simulator cross-check: method (A) vs PMU-style counters, plus
         // PMU self-consistency on every snapshot. Skipped on non-a64fx
         // machines (model-only pass — see `CheckPlan::with_machine`).
-        for &setting in plan.check_settings.iter().filter(|_| plan.simulate) {
+        let simulate = plan.machine_spec.is_default();
+        for &setting in plan.check_settings.iter().filter(|_| simulate) {
             let t = Instant::now();
             let sim = match setting {
                 SectorSetting::Off => simulate_spmv(&matrix, &cfg, ArraySet::EMPTY, threads, 1),

@@ -237,7 +237,10 @@ mod tests {
         let x86 = checks::CheckPlan::new(true).with_machine(&MachineSpec::GenericX86);
         let (divergences, checks_run) = checks::machine_identity(&x86, 2023);
         assert!(divergences.is_empty() && checks_run == 0);
-        assert!(!x86.simulate, "non-a64fx machines run model-only");
+        assert!(
+            !x86.machine_spec.is_default(),
+            "non-a64fx machines run model-only"
+        );
     }
 
     #[test]

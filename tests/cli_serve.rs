@@ -19,10 +19,11 @@ const BIN: &str = env!("CARGO_BIN_EXE_spmv-locality");
 const SPEC: &str =
     "corpus count=2 scale=64 seed=7\nmethods A,B\nsettings off,5\nthreads 1\nscale 64\nworkers 1\n";
 
-/// A spec whose single profile takes seconds to compute (scale-8 machine,
-/// scale-8 corpus matrix): deadline and drain tests need in-flight time.
+/// A spec whose single profile takes a large fraction of a second to
+/// compute even in an optimized build (scale-2 machine, scale-2 corpus
+/// matrix): deadline and drain tests need in-flight time.
 const HEAVY_SPEC: &str =
-    "corpus count=1 scale=8 seed=3\nsettings paper\nmethods B\nthreads 4\nscale 8\nworkers 2\n";
+    "corpus count=1 scale=2 seed=3\nsettings paper\nmethods B\nthreads 4\nscale 2\nworkers 2\n";
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("spmv-serve-{name}-{}", std::process::id()));
