@@ -88,9 +88,9 @@ struct CountingStack {
 }
 
 impl CountingStack {
-    fn new(distinct_lines: usize) -> Self {
+    fn new(total_lines: usize) -> Self {
         CountingStack {
-            stack: ExactStack::with_line_capacity(distinct_lines),
+            stack: ExactStack::with_line_universe(total_lines),
             finite: Default::default(),
             cold: [0; 5],
         }
@@ -139,16 +139,15 @@ struct HistogramSink {
 }
 
 impl HistogramSink {
-    /// Creates the sink with each stack pre-sized for the lines of the
-    /// arrays it can hold.
+    /// Creates the sink with each stack pre-sized for the layout's line
+    /// ids. Partition 0's ids span the whole layout, because `rowptr`
+    /// comes last.
     fn new(layout: &DataLayout) -> Self {
         let total = layout.total_lines() as usize;
-        // Partition 1 holds the matrix stream, `a` and `colidx`.
-        let stream = (layout.array_lines(Array::A) + layout.array_lines(Array::ColIdx)) as usize;
         HistogramSink {
             shared: CountingStack::new(total),
-            part0: CountingStack::new(total - stream),
-            part1: CountingStack::new(stream),
+            part0: CountingStack::new(total),
+            part1: CountingStack::new(total),
             measuring: false,
         }
     }
@@ -196,37 +195,18 @@ struct MarkerSink {
 }
 
 impl MarkerSink {
-    /// Line-universe bound above which stacks fall back from the
-    /// direct-mapped line index (4 bytes per line of the whole layout,
-    /// touched or not) to the pre-sized hash table. 4M lines = 16 MiB
-    /// per stack; every paper-scale layout is far below this.
-    const DENSE_LINE_LIMIT: usize = 1 << 22;
-
     /// Creates the sink over the `(shared, part0, part1)` capacity grids
     /// for a layout whose line ids all lie below `universe`
     /// ([`DataLayout`] numbers lines densely, so `layout.total_lines()`
-    /// is that bound). Small universes get the direct-mapped line index —
-    /// one indexed load per probe; huge ones fall back to hash tables
-    /// pre-sized for the distinct-line bounds of the stream each routing
-    /// will see (`lines`), so the hot loop never rehashes either way.
-    fn new(
-        grids: (&[usize], &[usize], &[usize]),
-        lines: (usize, usize, usize),
-        universe: usize,
-    ) -> Self {
-        let mk = |caps: &[usize], lines: usize| {
-            (!caps.is_empty()).then(|| {
-                if universe <= Self::DENSE_LINE_LIMIT {
-                    MarkerStack::with_line_universe(caps, universe)
-                } else {
-                    MarkerStack::with_line_capacity(caps, lines)
-                }
-            })
+    /// is that bound): each stack's line index is pre-sized for it.
+    fn new(grids: (&[usize], &[usize], &[usize]), universe: usize) -> Self {
+        let mk = |caps: &[usize]| {
+            (!caps.is_empty()).then(|| MarkerStack::with_line_universe(caps, universe))
         };
         MarkerSink {
-            shared: mk(grids.0, lines.0),
-            part0: mk(grids.1, lines.1),
-            part1: mk(grids.2, lines.2),
+            shared: mk(grids.0),
+            part0: mk(grids.1),
+            part1: mk(grids.2),
             buf0: Vec::with_capacity(BLOCK_REFS),
             buf1: Vec::with_capacity(BLOCK_REFS),
         }
@@ -248,13 +228,6 @@ impl MarkerSink {
             part0: counts(&self.part0),
             part1: counts(&self.part1),
         }
-    }
-
-    /// Total line-table rehashes across the instantiated stacks — the
-    /// pre-sizing regression tests assert this stays zero.
-    #[cfg(test)]
-    fn index_rehashes(&self) -> u64 {
-        self.stacks().map(|s| s.index_rehashes()).sum()
     }
 
     /// Seeds the stacks with the warm-up stream's post-replay state from
@@ -425,22 +398,21 @@ impl XPairSink {
     /// Creates a sink in the state a replay of the warm-up iteration that
     /// `clock` scanned, with last-access order `order`, leaves behind: the
     /// reuse stack is seeded ([`ExactStack::seed_lru`]) and the clock
-    /// keeps the replay's numbering. The stack is sized for the bound on
-    /// distinct `x` lines the domain can touch, so no table rehashes
-    /// mid-trace.
+    /// keeps the replay's numbering. The stack's line index is pre-sized
+    /// for the layout's `x` lines, which come first in a [`DataLayout`].
     ///
     /// # Panics
     ///
     /// Panics if twice the warm-up's length reaches `u32::MAX` (the
     /// packed keys' range).
-    fn seeded(order: &[LastAccess], clock: LastPosSink, distinct_lines: usize) -> Self {
+    fn seeded(order: &[LastAccess], clock: LastPosSink, x_lines: usize) -> Self {
         let len = clock.pos as usize;
         assert!(
             2 * len < u32::MAX as usize,
             "x trace exceeds u32 timestamp range"
         );
         let lines: Vec<u64> = order.iter().map(|a| a.line).collect();
-        let mut stack = ExactStack::with_line_capacity(distinct_lines);
+        let mut stack = ExactStack::with_line_universe(x_lines);
         stack.seed_lru(&lines);
         XPairSink {
             stack,
@@ -844,37 +816,6 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
         })
     }
 
-    /// Upper bounds on the distinct cache lines domain `d`'s stream can
-    /// touch, per routing: `(shared, part0, part1)`. Each sequential
-    /// stream of `n` elements spans at most `n/epl + 1` lines; the `x`
-    /// gather is bounded by both the whole `x` array and the domain's
-    /// reference count. Used to pre-size line tables so the hot loops
-    /// never rehash.
-    fn domain_line_bounds(&self, d: usize) -> (usize, usize, usize) {
-        let share = &self.domains[d];
-        let l = &self.layout;
-        let seq = |array: Array, n: usize| n.div_ceil(l.elements_per_line(array)) + 1;
-        let a = seq(Array::A, share.x_refs);
-        let colidx = seq(Array::ColIdx, share.x_refs);
-        let rowptr = seq(Array::RowPtr, share.meta_elems);
-        let y = seq(Array::Y, share.rows * (self.workload.y_row_bytes() / 8));
-        let x = self.domain_x_lines(d);
-        (x + y + rowptr + a + colidx, x + y + rowptr, a + colidx)
-    }
-
-    /// Upper bound on the distinct `x` lines domain `d` can gather. A
-    /// multi-vector view gathers `k` consecutive right-hand-side elements
-    /// per stored entry, so the reference-count bound scales by the
-    /// gathers-per-entry factor.
-    fn domain_x_lines(&self, d: usize) -> usize {
-        let gathers_per_entry = self
-            .workload
-            .x_refs()
-            .checked_div(self.workload.stream_entries())
-            .unwrap_or(1);
-        (self.layout.array_lines(Array::X) as usize).min(self.domains[d].x_refs * gathers_per_entry)
-    }
-
     /// The slice of each routing's capacity grid that shard `shard` of
     /// `shards` owns: the grids are flattened `[shared, part0, part1]`
     /// and split into `shards` contiguous near-equal ranges.
@@ -951,9 +892,8 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
     /// given capacity grids and returns the warmed, measured sink.
     fn run_tracked_domain(&self, d: usize, grids: (&[usize], &[usize], &[usize])) -> MarkerSink {
         let universe = self.layout.total_lines() as usize;
-        let lines = self.domain_line_bounds(d);
         self.run_domain(d, |order, _| {
-            let mut sink = MarkerSink::new(grids, lines, universe);
+            let mut sink = MarkerSink::new(grids, universe);
             sink.seed_lru(order);
             sink
         })
@@ -993,7 +933,7 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
             }
             None => {
                 assert_eq!(shards, 1, "method (B) builders run one shard per domain");
-                let x_lines = self.domain_x_lines(d);
+                let x_lines = self.layout.array_lines(Array::X) as usize;
                 let sink =
                     self.run_domain(d, |order, scan| XPairSink::seeded(order, scan, x_lines));
                 let _extract = obs::span("reuse_stack.extract");
@@ -1270,7 +1210,7 @@ impl LocalityProfile {
                     domains.feed_domain(d, &mut interleaved);
                     let trace = &interleaved.trace;
                     let mut stack =
-                        ExactStack::with_line_capacity(layout.array_lines(Array::X) as usize);
+                        ExactStack::with_line_universe(layout.array_lines(Array::X) as usize);
                     // Each line's last access time, dense over the layout's
                     // line ids: `time + 1`, 0 = not yet seen.
                     let mut last_seen = vec![0u64; layout.total_lines() as usize];
@@ -1777,28 +1717,6 @@ mod tests {
             cold: 0,
         };
         DomainPartial::merge_shards(vec![x(), x()]);
-    }
-
-    /// Satellite regression: on the PR-2 benchmark spec (corpus count 4,
-    /// scale 64, seed 2023, 8 threads, paper sweep) the pre-sized marker
-    /// pipeline must never rehash a line table mid-trace.
-    #[test]
-    fn pr2_spec_tracked_pipeline_triggers_zero_rehashes() {
-        let cfg = MachineConfig::a64fx_scaled(64);
-        let settings = SectorSetting::paper_sweep();
-        for named in corpus::corpus(4, 64, 2023) {
-            let builder = ProfileBuilder::for_sweep(&named.matrix, &cfg, Method::A, 8, &settings);
-            let t = builder.tracked.as_ref().unwrap();
-            for d in 0..builder.num_domains() {
-                let sink = builder.run_tracked_domain(d, (&t.shared, &t.part0, &t.part1));
-                assert_eq!(
-                    sink.index_rehashes(),
-                    0,
-                    "{} domain {d} rehashed",
-                    named.name
-                );
-            }
-        }
     }
 
     #[test]

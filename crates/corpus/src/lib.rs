@@ -25,4 +25,6 @@ pub mod random;
 pub mod stencil;
 pub mod suite;
 
-pub use suite::{corpus, corpus_member, table1_member, table1_suite, NamedMatrix, TABLE1_LEN};
+pub use suite::{
+    corpus, corpus_member, table1_max_scale, table1_member, table1_suite, NamedMatrix, TABLE1_LEN,
+};

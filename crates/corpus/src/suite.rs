@@ -31,6 +31,19 @@ pub struct NamedMatrix {
 /// [`table1_member`] accepts indices below it.
 pub const TABLE1_LEN: usize = 18;
 
+/// Row counts of the Table 1 originals, in table order; analogue `i` at
+/// scale `s` starts from `TABLE1_ROWS[i] / s` rows.
+const TABLE1_ROWS: [usize; TABLE1_LEN] = [
+    36_000, 1_447_000, 1_585_000, 141_000, 218_000, 2_063_000, 186_000, 513_000, 416_000, 639_000,
+    1_508_000, 1_391_000, 987_000, 944_000, 4_802_000, 3_542_000, 16_777_000, 1_504_000,
+];
+
+/// The largest scale [`table1_suite`] accepts: the smallest original's
+/// row count, so every analogue keeps at least one row.
+pub fn table1_max_scale() -> usize {
+    *TABLE1_ROWS.iter().min().expect("Table 1 is not empty")
+}
+
 /// Builds the 18 Table 1 analogues at `1/scale` of the original sizes.
 ///
 /// Row counts and nonzeros-per-row follow the paper's Table 1; the
@@ -39,7 +52,7 @@ pub const TABLE1_LEN: usize = 18;
 ///
 /// # Panics
 ///
-/// Panics if `scale` is zero.
+/// Panics if `scale` is zero or above [`table1_max_scale`].
 pub fn table1_suite(scale: usize) -> Vec<NamedMatrix> {
     (0..TABLE1_LEN).map(|i| table1_member(scale, i)).collect()
 }
@@ -50,10 +63,19 @@ pub fn table1_suite(scale: usize) -> Vec<NamedMatrix> {
 ///
 /// # Panics
 ///
-/// Panics if `scale` is zero or `index >= TABLE1_LEN`.
+/// Panics if `scale` is zero or above [`table1_max_scale`], or if
+/// `index >= TABLE1_LEN`.
 pub fn table1_member(scale: usize, index: usize) -> NamedMatrix {
-    assert!(scale > 0, "scale must be positive");
-    let s = scale;
+    assert!(
+        (1..=table1_max_scale()).contains(&scale),
+        "Table 1 scale {scale} outside 1..={}",
+        table1_max_scale()
+    );
+    assert!(
+        index < TABLE1_LEN,
+        "Table 1 has {TABLE1_LEN} rows, no index {index}"
+    );
+    let rows = TABLE1_ROWS[index] / scale;
     let grid2 = |rows: usize| {
         let side = (rows as f64).sqrt().round() as usize;
         laplacian_2d(side.max(2), side.max(2))
@@ -73,49 +95,34 @@ pub fn table1_member(scale: usize, index: usize) -> NamedMatrix {
     };
     // (name, family, generator) per Table 1 row.
     let (name, family, matrix) = match index {
-        0 => ("pdb1HYS", "block-banded", blockb(36_000 / s, 6, 120, 101)),
-        1 => (
-            "Hamrle3",
-            "circuit",
-            tridiag_plus_random(1_447_000 / s, 1, 102),
-        ),
-        2 => ("G3_circuit", "grid-2d", grid2(1_585_000 / s)),
-        3 => ("shipsec1", "block-banded", blockb(141_000 / s, 6, 55, 103)),
-        4 => ("pwtk", "block-banded", blockb(218_000 / s, 6, 53, 104)),
-        5 => (
-            "kkt_power",
-            "power-law",
-            power_law(2_063_000 / s, 7, 0.8, 105),
-        ),
+        0 => ("pdb1HYS", "block-banded", blockb(rows, 6, 120, 101)),
+        1 => ("Hamrle3", "circuit", tridiag_plus_random(rows, 1, 102)),
+        2 => ("G3_circuit", "grid-2d", grid2(rows)),
+        3 => ("shipsec1", "block-banded", blockb(rows, 6, 55, 103)),
+        4 => ("pwtk", "block-banded", blockb(rows, 6, 53, 104)),
+        5 => ("kkt_power", "power-law", power_law(rows, 7, 0.8, 105)),
         6 => (
             "Si41Ge41H72",
             "banded",
-            random_banded(186_000 / s, (186_000 / s) / 8, 80, 106),
+            random_banded(rows, rows / 8, 80, 106),
         ),
         // Border sized so the average row length lands near the original's
-        // ~39 nonzeros/row: nnz ~ n * (block + border).
-        7 => ("bundle_adj", "arrow", arrow(513_000 / s, 9, 30, 107)),
-        8 => ("msdoor", "block-banded", blockb(416_000 / s, 6, 49, 108)),
-        9 => ("Fault_639", "block-banded", blockb(639_000 / s, 6, 45, 109)),
-        10 => (
-            "af_shell10",
-            "block-banded",
-            blockb(1_508_000 / s, 5, 35, 110),
-        ),
-        11 => ("Serena", "block-banded", blockb(1_391_000 / s, 6, 46, 111)),
-        12 => ("bone010", "grid-27pt", grid27(987_000 / s)),
-        13 => ("audikw_1", "block-banded", blockb(944_000 / s, 9, 82, 112)),
+        // ~39 nonzeros/row: nnz ~ n * (block + border). It shrinks only
+        // where the scaled matrix has no more rows than the border.
+        7 => ("bundle_adj", "arrow", arrow(rows, 9, 30.min(rows - 1), 107)),
+        8 => ("msdoor", "block-banded", blockb(rows, 6, 49, 108)),
+        9 => ("Fault_639", "block-banded", blockb(rows, 6, 45, 109)),
+        10 => ("af_shell10", "block-banded", blockb(rows, 5, 35, 110)),
+        11 => ("Serena", "block-banded", blockb(rows, 6, 46, 111)),
+        12 => ("bone010", "grid-27pt", grid27(rows)),
+        13 => ("audikw_1", "block-banded", blockb(rows, 9, 82, 112)),
         // channel-500 is a 3-D mesh graph; the 7-point grid is the closest
         // structural family (the analogue ends up slightly sparser per row).
-        14 => ("channel-500x100x100-b050", "grid-3d", grid3(4_802_000 / s)),
-        15 => ("nlpkkt120", "grid-27pt", grid27(3_542_000 / s)),
-        16 => (
-            "delaunay_n24",
-            "random",
-            uniform_random(16_777_000 / s, 6, 114),
-        ),
-        17 => ("ML_Geer", "block-banded", blockb(1_504_000 / s, 6, 74, 115)),
-        _ => panic!("Table 1 has {TABLE1_LEN} rows, no index {index}"),
+        14 => ("channel-500x100x100-b050", "grid-3d", grid3(rows)),
+        15 => ("nlpkkt120", "grid-27pt", grid27(rows)),
+        16 => ("delaunay_n24", "random", uniform_random(rows, 6, 114)),
+        17 => ("ML_Geer", "block-banded", blockb(rows, 6, 74, 115)),
+        _ => unreachable!("index checked above"),
     };
     NamedMatrix {
         name: name.to_string(),
@@ -266,6 +273,21 @@ fn build_family(family: usize, target_bytes: usize, seed: u64, index: usize) -> 
 mod tests {
     use super::*;
     use sparsemat::MatrixStats;
+
+    #[test]
+    fn table1_builds_every_member_at_the_largest_scale() {
+        let scale = table1_max_scale();
+        assert_eq!(scale, 36_000, "pdb1HYS has the fewest rows");
+        for (i, m) in table1_suite(scale).iter().enumerate() {
+            assert!(m.matrix.num_rows() > 0 && m.matrix.nnz() > 0, "member {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=36000")]
+    fn table1_rejects_a_scale_past_the_largest() {
+        table1_member(table1_max_scale() + 1, 0);
+    }
 
     #[test]
     fn table1_matches_paper_shapes() {

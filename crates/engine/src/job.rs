@@ -192,6 +192,9 @@ impl BatchSpec {
                     if count == 0 {
                         return Err(err(line_no, "corpus count must be at least 1"));
                     }
+                    if scale == 0 {
+                        return Err(err(line_no, "corpus scale must be at least 1"));
+                    }
                     spec.sources.push(MatrixSource::Corpus {
                         count,
                         scale: scale as usize,
@@ -202,6 +205,13 @@ impl BatchSpec {
                     let mut scale = spec.scale as u64;
                     for (_, v) in parse_kv(line_no, &mut words, &["scale"])? {
                         scale = v;
+                    }
+                    let max = corpus::table1_max_scale();
+                    if !(1..=max as u64).contains(&scale) {
+                        return Err(err(
+                            line_no,
+                            format!("table1 scale must be 1..={max} (got {scale})"),
+                        ));
                     }
                     spec.sources.push(MatrixSource::Table1 {
                         scale: scale as usize,
@@ -653,6 +663,23 @@ mod tests {
         assert_eq!(spec.deadline_ms, Some(2500));
         assert!(BatchSpec::parse("corpus count=1\ndeadline_ms 0\n").is_err());
         assert!(BatchSpec::parse("corpus count=1\ndeadline_ms soon\n").is_err());
+    }
+
+    #[test]
+    fn source_scales_out_of_range_are_spec_errors() {
+        let max = corpus::table1_max_scale();
+        for (text, line) in [
+            ("corpus count=1 scale=0 seed=1\n", 1),
+            ("methods A\ntable1 scale=0\n", 2),
+            ("table1 scale=18446744073709551615\n", 1),
+            (&format!("table1 scale={}\n", max + 1), 1),
+        ] {
+            let err = BatchSpec::parse(text).unwrap_err();
+            assert_eq!(err.line, line, "{text:?}: {err}");
+            assert!(err.message.contains("scale"), "{err}");
+        }
+        let spec = BatchSpec::parse(&format!("table1 scale={max}\n")).unwrap();
+        assert_eq!(spec.sources, [MatrixSource::Table1 { scale: max }]);
     }
 
     #[test]

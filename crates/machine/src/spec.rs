@@ -342,11 +342,12 @@ fn parse_size(field: &str, value: &str) -> Result<usize, MachineParseError> {
         Some(b'g') | Some(b'G') => (&value[..value.len() - 1], 1usize << 30),
         _ => (value, 1usize),
     };
-    let n: usize = digits.parse().map_err(|_| MachineParseError::BadNumber {
+    let bad = || MachineParseError::BadNumber {
         field: field.to_string(),
         value: value.to_string(),
-    })?;
-    Ok(n * mult)
+    };
+    let n: usize = digits.parse().map_err(|_| bad())?;
+    n.checked_mul(mult).ok_or_else(bad)
 }
 
 /// Decimal-suffixed rate (bytes/s or Hz): `50g` = 50e9.
@@ -357,17 +358,15 @@ fn parse_rate(field: &str, value: &str) -> Result<f64, MachineParseError> {
         Some(b'g') | Some(b'G') => (&value[..value.len() - 1], 1.0e9),
         _ => (value, 1.0),
     };
-    let n: f64 = digits.parse().map_err(|_| MachineParseError::BadNumber {
+    let bad = || MachineParseError::BadNumber {
         field: field.to_string(),
         value: value.to_string(),
-    })?;
-    if !(n.is_finite() && n > 0.0) {
-        return Err(MachineParseError::BadNumber {
-            field: field.to_string(),
-            value: value.to_string(),
-        });
+    };
+    let rate = digits.parse::<f64>().map_err(|_| bad())? * mult;
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(bad());
     }
-    Ok(n * mult)
+    Ok(rate)
 }
 
 #[cfg(test)]
@@ -503,6 +502,24 @@ mod tests {
             MachineSpec::parse("custom:l1=32k,8,64,fancy;l2=1m,16,64"),
             Err(MachineParseError::BadLevel { .. })
         ));
+    }
+
+    #[test]
+    fn overflowing_sizes_and_rates_are_bad_numbers() {
+        // Found by the parser proptests: the `k` suffix multiplied past
+        // `usize::MAX` and panicked.
+        for spec in [
+            "custom:l1=18446744073709551615k,8,64",
+            "custom:l1=32k,8,64;mem=1e308g",
+        ] {
+            assert!(
+                matches!(
+                    MachineSpec::parse(spec),
+                    Err(MachineParseError::BadNumber { .. })
+                ),
+                "{spec}"
+            );
+        }
     }
 
     #[test]

@@ -153,7 +153,7 @@ pub trait SpmvWorkload: Sync {
 
     /// Checks that [`layout`](Self::layout) at `line_bytes` stays below
     /// `u32::MAX` cache lines, with checked arithmetic, before anything
-    /// is sized by it. Marker-stack nodes, line tables and exact-stack
+    /// is sized by it. Marker-stack nodes, line indexes and exact-stack
     /// slots index lines with 32-bit handles, so a larger layout (say, an
     /// SpMM view with a huge RHS count) is an error, not an allocation.
     fn check_line_range(&self, line_bytes: usize) -> Result<(), String> {

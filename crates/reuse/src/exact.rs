@@ -1,21 +1,21 @@
 //! Exact stack-distance processor (Bennett–Kruskal / Olken style).
 //!
 //! Computes the exact reuse distance of every reference in O(log lines)
-//! per reference using a hash map of last-access slots plus a [`Fenwick`]
-//! tree over a time window (a bitmap with counts per word) in which slot
-//! `t` is set while the access stamped `t` is the most recent access to
-//! its line. Every held line has
+//! per reference using a dense line → last-access-slot index plus a
+//! [`Fenwick`] tree over a time window (a bitmap with counts per word) in
+//! which slot `t` is set while the access stamped `t` is the most recent
+//! access to its line. Every held line has
 //! exactly one live slot and all of them lie below the next stamp, so the
 //! reuse distance of a reference to a line last stamped `t0` — the number
 //! of live slots after `t0` — is `held lines − prefix_sum(t0)`: one
 //! prefix sum per access.
 //!
 //! The window is compacting: when its slots run out, the held lines are
-//! renumbered `0..k` in last-access order in one linear pass (distances
-//! depend only on that order — the argument behind
-//! [`ExactStack::seed_lru`]), and the window doubles only when more than
-//! a quarter of it is live. The tree is therefore O(distinct lines), not
-//! O(trace length).
+//! renumbered `0..k` in last-access order in one linear pass over the
+//! window and the index (distances depend only on that order — the
+//! argument behind [`ExactStack::seed_lru`]), and the window doubles only
+//! when more than a quarter of it is live or it is shorter than the
+//! index. The tree is therefore O(line ids), not O(trace length).
 //!
 //! This is the precise reference implementation; the production path for
 //! the way-sweep experiments is the locality-independent
@@ -23,22 +23,24 @@
 //! processor validates.
 
 use crate::fenwick::Fenwick;
-use crate::fxhash::LineTable;
+use crate::slots::{LineSlots, ABSENT};
 
 /// Smallest time window a processor starts with.
 const MIN_WINDOW: usize = 64;
 
 /// Exact reuse-distance processor over a stream of cache-line numbers.
 ///
-/// The last-access map is an open-addressing [`LineTable`] (`u64 → u32`)
-/// rather than the default SipHash `HashMap`: one insert-or-update per
-/// reference is the processor's hot path, and the offline trace data needs
-/// no DoS-resistant hashing. Its `u32` slot stamps cap a single processor
-/// below `u32::MAX` distinct lines, checked with an assertion; the number
-/// of references is unbounded.
+/// The last-access map is indexed by line id directly: one
+/// insert-or-update per reference is the processor's hot path, and a
+/// [`memtrace::DataLayout`] numbers lines densely. Its `u32` slot stamps
+/// cap a single processor's line ids and held lines below `u32::MAX`,
+/// checked with assertions; the number of references is unbounded.
 #[derive(Clone, Debug)]
 pub struct ExactStack {
-    last: LineTable,
+    /// Each held line's live slot.
+    last: LineSlots,
+    /// Lines held: the index's non-absent slots.
+    held: usize,
     live: Fenwick,
     /// The next slot to stamp; every live slot lies below it.
     now: usize,
@@ -59,27 +61,32 @@ impl Default for ExactStack {
 /// Largest window: its slots must fit the `u32` stamps.
 const MAX_WINDOW: usize = u32::MAX as usize;
 
-/// The window a processor expecting `lines` distinct lines starts with:
-/// a quarter of it live, so it compacts rather than doubles.
+/// The window a processor over `lines` line ids starts with: a quarter
+/// of it live once every line is held, so it compacts rather than
+/// doubles.
 fn window_for(lines: usize) -> usize {
     let slots = lines.saturating_mul(4).clamp(MIN_WINDOW, MAX_WINDOW);
     slots.next_power_of_two().min(MAX_WINDOW)
 }
 
 impl ExactStack {
-    /// Creates a processor with the minimum time window; it grows with
-    /// the number of distinct lines it holds.
+    /// Creates a processor with the minimum time window and an empty
+    /// index; both grow with the lines it holds.
     pub fn new() -> Self {
-        Self::with_line_capacity(0)
+        Self::with_line_universe(0)
     }
 
-    /// Creates a processor pre-sized for an expected number of distinct
-    /// lines, so neither the last-access map nor the window regrows while
-    /// it holds at most that many.
-    pub fn with_line_capacity(distinct_lines: usize) -> Self {
+    /// Creates a processor pre-sized for line ids below `total_lines`
+    /// (a [`memtrace::DataLayout`] numbers lines densely as
+    /// `0..total_lines`), so neither the last-access index nor the window
+    /// regrows while every line lies in that range. A line beyond it
+    /// still works: the index grows. Memory is 4 bytes per line id of the
+    /// range, touched or not.
+    pub fn with_line_universe(total_lines: usize) -> Self {
         ExactStack {
-            last: LineTable::with_capacity(distinct_lines),
-            live: Fenwick::new(window_for(distinct_lines)),
+            last: LineSlots::with_universe(total_lines),
+            held: 0,
+            live: Fenwick::new(window_for(total_lines)),
             now: 0,
             accesses: 0,
             seeded: 0,
@@ -113,9 +120,10 @@ impl ExactStack {
         }
         self.live.set_prefix_ones(n);
         for (i, &line) in lines_most_recent_first.iter().enumerate() {
-            let previous = self.last.insert(line, (n - 1 - i) as u32);
-            debug_assert!(previous.is_none(), "seed line {line} repeated");
+            let previous = self.last.replace(line, (n - 1 - i) as u32);
+            debug_assert_eq!(previous, ABSENT, "seed line {line} repeated");
         }
+        self.held = n;
         self.now = n;
         self.seeded = n;
     }
@@ -125,18 +133,19 @@ impl ExactStack {
     ///
     /// # Panics
     ///
-    /// Panics once the processor holds `u32::MAX` distinct lines (the
-    /// last-access table stores 32-bit slot stamps).
+    /// Panics on a line id of `u32::MAX` or more (the last-access index
+    /// stores 32-bit slot stamps).
     pub fn access(&mut self, line: u64) -> Option<u64> {
         let t = self.stamp();
-        let distance = match self.last.insert(line, t as u32) {
-            Some(t0) => {
-                let t0 = t0 as usize;
-                let d = self.last.len() as u64 - self.live.prefix_sum(t0);
-                self.live.clear(t0);
-                Some(d)
-            }
-            None => None,
+        let t0 = self.last.replace(line, t as u32);
+        let distance = if t0 == ABSENT {
+            self.held += 1;
+            None
+        } else {
+            let t0 = t0 as usize;
+            let d = self.held as u64 - self.live.prefix_sum(t0);
+            self.live.clear(t0);
+            Some(d)
         };
         self.live.set(t);
         distance
@@ -147,7 +156,10 @@ impl ExactStack {
     /// [`access`](Self::access) would, without the prefix sum.
     pub fn touch(&mut self, line: u64) {
         let t = self.stamp();
-        if let Some(t0) = self.last.insert(line, t as u32) {
+        let t0 = self.last.replace(line, t as u32);
+        if t0 == ABSENT {
+            self.held += 1;
+        } else {
             self.live.clear(t0 as usize);
         }
         self.live.set(t);
@@ -165,15 +177,17 @@ impl ExactStack {
     }
 
     /// Renumbers the held lines `0..k` in last-access order, in one pass
-    /// over the window's words and one over the last-access map, then
+    /// over the window's words and one over the last-access index, then
     /// refills the tree with `k` leading ones. Doubles the window when
-    /// more than a quarter of it stays live.
+    /// more than a quarter of it stays live, and keeps it at least as
+    /// long as the index, so the index pass costs O(1) per stamp even
+    /// when few of its lines are held.
     ///
     /// # Panics
     ///
     /// Panics if the processor holds `u32::MAX` distinct lines or more.
     fn compact(&mut self) {
-        let held = self.last.len();
+        let held = self.held;
         assert!(
             held < u32::MAX as usize,
             "exact stack exceeds the u32 line range"
@@ -181,12 +195,19 @@ impl ExactStack {
         // A live stamp's new value is the number of live stamps below it.
         {
             let rank = self.live.ranks();
-            for t in self.last.values_mut() {
+            for t in self.last.held_mut() {
                 *t = rank(*t as usize);
             }
         }
-        if held > self.live.len() / 4 {
-            self.live = Fenwick::new((self.live.len() * 2).min(MAX_WINDOW));
+        let mut window = self.live.len();
+        if held > window / 4 {
+            window *= 2;
+        }
+        let window = window
+            .max(self.last.len().next_power_of_two())
+            .min(MAX_WINDOW);
+        if window != self.live.len() {
+            self.live = Fenwick::new(window);
         }
         self.live.set_prefix_ones(held);
         self.now = held;
@@ -194,7 +215,7 @@ impl ExactStack {
 
     /// Number of distinct lines seen so far, seeded lines included.
     pub fn distinct_lines(&self) -> usize {
-        self.last.len()
+        self.held
     }
 
     /// Number of accesses processed so far, [`touch`](Self::touch)es
@@ -205,7 +226,7 @@ impl ExactStack {
     }
 
     /// Reports this processor's accumulated statistics to the telemetry
-    /// counters (`reuse.exact.*`, `reuse.linetable.*`). No-op when
+    /// counters (`reuse.exact.*`). No-op when
     /// telemetry is disabled; the per-reference path never touches obs —
     /// everything reported here is state the processor tracks anyway.
     ///
@@ -221,20 +242,11 @@ impl ExactStack {
             return;
         }
         let accesses = self.accesses() as u64;
-        let cold = (self.last.len() - self.seeded) as u64;
+        let cold = (self.held - self.seeded) as u64;
         obs::add("reuse.exact.accesses", accesses);
         obs::add("reuse.exact.cold", cold);
         obs::add("reuse.exact.warm_accesses", accesses - cold);
-        obs::observe("reuse.exact.distinct_lines", self.last.len() as u64);
-        let probes = self.last.probe_stats();
-        obs::add("reuse.linetable.entries", probes.entries);
-        obs::add(
-            "reuse.linetable.displacement_total",
-            probes.total_displacement,
-        );
-        obs::gauge_max("reuse.linetable.displacement_max", probes.max_displacement);
-        obs::gauge_max("reuse.linetable.slots_max", probes.slots);
-        obs::add("reuse.linetable.rehashes", self.last.rehashes());
+        obs::observe("reuse.exact.distinct_lines", self.held as u64);
     }
 }
 
@@ -351,7 +363,7 @@ mod tests {
             )
         };
         let (acc, lines, counters, distinct, compacted) =
-            run(ExactStack::with_line_capacity(1 << 12));
+            run(ExactStack::with_line_universe(1 << 12));
         assert!(!compacted, "the pre-sized window must not compact here");
         let (acc_c, lines_c, counters_c, distinct_c, compacted_c) = run(ExactStack::new());
         assert!(compacted_c, "the minimum window must compact here");

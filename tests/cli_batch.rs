@@ -180,6 +180,32 @@ fn batch_bad_spec_reports_line_number() {
 }
 
 #[test]
+fn source_scales_out_of_range_are_spec_errors_not_panics() {
+    // A zero or oversized source scale is refused while the spec is
+    // parsed, naming its line, before any generator runs.
+    let dir = scratch("source-scale");
+    let spec = dir.join("jobs.spec");
+    for text in [
+        "corpus count=1 scale=0 seed=1\n",
+        "table1 scale=0\n",
+        "table1 scale=18446744073709551615\n",
+    ] {
+        std::fs::write(&spec, format!("settings off\n{text}")).unwrap();
+        let out = Command::new(BIN)
+            .args(["batch", spec.to_str().unwrap()])
+            .output()
+            .expect("spawn spmv-locality");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{text:?} stderr: {stderr}");
+        assert!(
+            stderr.contains("spec line 2") && stderr.contains("scale"),
+            "{text:?} stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{text:?} stderr: {stderr}");
+    }
+}
+
+#[test]
 fn batch_scale_that_splits_cache_sets_is_a_spec_error() {
     let dir = scratch("ragged-scale");
     let spec = dir.join("jobs.spec");

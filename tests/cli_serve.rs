@@ -555,6 +555,28 @@ fn serve_rhs_beyond_the_line_id_range_is_a_typed_error_not_an_abort() {
 }
 
 #[test]
+fn serve_source_scale_out_of_range_is_a_typed_error_not_a_crash() {
+    // `table1 scale=0` once panicked in the generator; now the request
+    // gets bad_request and the daemon keeps answering.
+    let daemon = Daemon::start("source-scale", &[]);
+    let mut client = daemon.connect();
+    client.predict("z", "table1 scale=0\nsettings off\n", None);
+    let error = client.recv();
+    assert_eq!(error.get("id").and_then(Json::as_str), Some("z"));
+    assert_eq!(error_code(&error), "bad_request");
+
+    client.send(r#"{"id":"s","status":true}"#);
+    assert!(
+        client.recv().get("status").is_some(),
+        "daemon should answer"
+    );
+    client.send(r#"{"id":"q","shutdown":true}"#);
+    client.recv();
+    let (code, stderr) = daemon.wait();
+    assert_eq!(code, 0, "stderr: {stderr}");
+}
+
+#[test]
 fn serve_deadline_exceeded_is_a_typed_error_not_a_hang() {
     let daemon = Daemon::start("deadline", &[]);
     let mut client = daemon.connect();
