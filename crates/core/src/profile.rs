@@ -377,14 +377,156 @@ impl BlockSink for LastPosSink {
     }
 }
 
+/// Method (B)'s `(RD, gap)` pair counts: the distinct pairs as sorted
+/// packed `rd << 32 | gap` keys, with a parallel array of their counts.
+///
+/// The packing is lossless and ordered like `(rd, gap)` for values below
+/// `u32::MAX` (`XPairSink::seeded` bounds both by the domain's total
+/// time), so no key reaches `u64::MAX`.
+/// A finished profile stores exactly 16 B per distinct pair; a domain's
+/// partial may still hold its key buffer's slack until
+/// [`ProfileBuilder::finish`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PairCounts {
+    keys: Vec<u64>,
+    counts: Vec<u64>,
+}
+
+impl PairCounts {
+    /// Past every key: marks an exhausted run in [`Self::merge_walk`].
+    const END: u64 = u64::MAX;
+
+    /// Packs an `(rd, gap)` pair into its key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either value reaches `u32::MAX`.
+    fn pack(rd: u64, gap: u64) -> u64 {
+        assert!(
+            rd < u64::from(u32::MAX) && gap < u64::from(u32::MAX),
+            "(rd, gap) = ({rd}, {gap}) exceeds the packed key"
+        );
+        rd << 32 | gap
+    }
+
+    /// Counts a buffer of packed keys, one per warm reference, in place:
+    /// the keys are sorted and run-length encoded inside `keys`' own
+    /// allocation. Only the counts array is allocated, at the distinct
+    /// count; the buffer keeps its slack until [`Self::merge`].
+    fn from_keys(mut keys: Vec<u64>) -> Self {
+        keys.sort_unstable();
+        let mut counts = Vec::with_capacity(keys.chunk_by(|a, b| a == b).count());
+        counts.extend(keys.chunk_by(|a, b| a == b).map(|run| run.len() as u64));
+        keys.dedup();
+        PairCounts { keys, counts }
+    }
+
+    /// Sums several pair counts into one, exactly sized: a k-way merge
+    /// of the sorted keys, run twice — once to count the distinct union,
+    /// once to fill arrays of that size. A single non-empty input passes
+    /// through with its key buffer's slack released.
+    //
+    // The partials keep their slack until here on purpose: shrinking
+    // each domain's buffer as it finishes left holes in the allocator's
+    // heap that raised `validate`'s peak RSS by about 5 MB.
+    fn merge(parts: Vec<PairCounts>) -> Self {
+        let mut parts: Vec<PairCounts> = parts.into_iter().filter(|p| !p.is_empty()).collect();
+        if parts.len() <= 1 {
+            let mut only = parts.pop().unwrap_or_default();
+            only.keys.shrink_to_fit();
+            return only;
+        }
+        let mut distinct = 0;
+        Self::merge_walk(&parts, |_, _| distinct += 1);
+        let mut merged = PairCounts {
+            keys: Vec::with_capacity(distinct),
+            counts: Vec::with_capacity(distinct),
+        };
+        Self::merge_walk(&parts, |key, count| {
+            merged.keys.push(key);
+            merged.counts.push(count);
+        });
+        merged
+    }
+
+    /// Visits the union of `parts`' keys in order, each with its summed
+    /// count.
+    fn merge_walk(parts: &[PairCounts], mut emit: impl FnMut(u64, u64)) {
+        let head = |p: &PairCounts, i: usize| p.keys.get(i).copied().unwrap_or(Self::END);
+        let mut pos = vec![0usize; parts.len()];
+        let mut heads: Vec<u64> = parts.iter().map(|p| head(p, 0)).collect();
+        loop {
+            let key = heads.iter().copied().min().unwrap_or(Self::END);
+            if key == Self::END {
+                return;
+            }
+            let mut count = 0;
+            for ((p, i), h) in parts.iter().zip(&mut pos).zip(&mut heads) {
+                // Branch-free: which runs hold `key` is unpredictable.
+                let hit = *h == key;
+                count += p.counts.get(*i).copied().unwrap_or(0) * u64::from(hit);
+                *i += usize::from(hit);
+                *h = head(p, *i);
+            }
+            emit(key, count);
+        }
+    }
+
+    /// Number of distinct pairs.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether no pair was counted.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The pairs in `(rd, gap)` order, as `(rd, gap, count)`.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        self.keys
+            .iter()
+            .zip(&self.counts)
+            .map(|(&key, &count)| (key >> 32, key & u64::from(u32::MAX), count))
+    }
+
+    /// Bytes the two arrays hold allocated, by capacity.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        (self.keys.capacity() + self.counts.capacity()) * std::mem::size_of::<u64>()
+    }
+
+    /// Collects distinct `((rd, gap), count)` pairs in any order, as a
+    /// hash map yields them: packs and sorts them, then splits keys from
+    /// counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value reaches `u32::MAX` (see [`Self::pack`]); a
+    /// repeated pair is a debug assertion.
+    fn from_distinct(pairs: impl IntoIterator<Item = ((u64, u64), u64)>) -> Self {
+        let mut packed: Vec<(u64, u64)> = pairs
+            .into_iter()
+            .map(|((rd, gap), count)| (Self::pack(rd, gap), count))
+            .collect();
+        packed.sort_unstable_by_key(|&(key, _)| key);
+        debug_assert!(packed.windows(2).all(|w| w[0].0 < w[1].0), "repeated pair");
+        PairCounts {
+            keys: packed.iter().map(|&(key, _)| key).collect(),
+            counts: packed.iter().map(|&(_, count)| count).collect(),
+        }
+    }
+}
+
 /// Block sink distilling the measured iteration of the method (B)
 /// `x`-stream into `(RD, gap)` pair counts on the fly — the streaming
 /// replacement for the materialise-then-replay loop.
 ///
-/// Each warm pair is buffered as one packed `rd << 32 | gap` key; sorting
-/// the keys and counting runs replaces a hash-map insert per reference.
-/// The packing is lossless and ordered like `(rd, gap)`: both values are
-/// below the sink's total time, which [`Self::seeded`] bounds by 2³².
+/// Each warm pair is buffered as one packed [`PairCounts`] key; sorting
+/// the keys and counting runs in place ([`PairCounts::from_keys`])
+/// replaces a hash-map insert per reference. The buffer is 8 B per
+/// measured reference — the replay buffer's own allocation when the
+/// stream was buffered — and the profile keeps 16 B per distinct pair.
 struct XPairSink {
     stack: ExactStack,
     /// The warm-up scan, continued as the gap clock: it holds each line's
@@ -431,7 +573,10 @@ impl XPairSink {
         // cannot overflow.
         match (self.stack.access(p.line()), self.clock.advance(p)) {
             (Some(rd), Some(gap)) => {
-                debug_assert!(rd < 1 << 32, "reuse distance exceeds the packed key");
+                debug_assert!(
+                    rd < u64::from(u32::MAX),
+                    "reuse distance exceeds the packed key"
+                );
                 Some(rd << 32 | gap)
             }
             _ => {
@@ -441,17 +586,14 @@ impl XPairSink {
         }
     }
 
-    /// The measured iteration's pair counts, sorted by `(rd, gap)`.
-    fn pairs(mut self) -> Vec<((u64, u64), u64)> {
-        self.keys.sort_unstable();
-        let mut pairs: Vec<((u64, u64), u64)> = Vec::new();
-        for &key in &self.keys {
-            let pair = (key >> 32, key & u64::from(u32::MAX));
-            match pairs.last_mut() {
-                Some((last, count)) if *last == pair => *count += 1,
-                _ => pairs.push((pair, 1)),
-            }
-        }
+    /// The measured iteration's pair counts, counted in place in the key
+    /// buffer once the stack and the clock are released.
+    fn pairs(self) -> PairCounts {
+        let XPairSink {
+            stack, clock, keys, ..
+        } = self;
+        drop((stack, clock));
+        let pairs = PairCounts::from_keys(keys);
         obs::observe("core.xpair.distinct_pairs", pairs.len() as u64);
         pairs
     }
@@ -480,33 +622,6 @@ impl BlockSink for XPairSink {
             }
         }
     }
-}
-
-/// Merges two pair-count vectors sorted by key into one, summing the
-/// counts of keys both hold — linear in the total length.
-fn merge_sorted_pairs(
-    a: Vec<((u64, u64), u64)>,
-    b: Vec<((u64, u64), u64)>,
-) -> Vec<((u64, u64), u64)> {
-    if a.is_empty() {
-        return b;
-    }
-    let mut merged = Vec::with_capacity(a.len() + b.len());
-    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
-    while let (Some(&(ka, ca)), Some(&(kb, cb))) = (a.peek(), b.peek()) {
-        match ka.cmp(&kb) {
-            std::cmp::Ordering::Less => merged.push(a.next().unwrap()),
-            std::cmp::Ordering::Greater => merged.push(b.next().unwrap()),
-            std::cmp::Ordering::Equal => {
-                merged.push((ka, ca + cb));
-                a.next();
-                b.next();
-            }
-        }
-    }
-    merged.extend(a);
-    merged.extend(b);
-    merged
 }
 
 /// The capacity grids a method-(A) (marker-quantized) profile is exact at.
@@ -585,8 +700,8 @@ pub struct TraceProfile {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct XProfile {
     /// `(line reuse distance, access-count gap) -> occurrences`, summed
-    /// over domains.
-    pub pairs: Vec<((u64, u64), u64)>,
+    /// over domains by [`ProfileBuilder::finish`]: 16 B per distinct pair.
+    pub pairs: PairCounts,
     /// Accesses cold in the measured iteration (counted as misses at
     /// every setting; cannot happen after a full warm-up, kept for
     /// fidelity with the streaming evaluation).
@@ -654,11 +769,12 @@ pub enum DomainPartial {
         /// Listing-1 partition-1 counts.
         part1: Option<QuantizedCounts>,
     },
-    /// Method (B): one domain's `(RD, gap)` pair counts (sorted) and cold
-    /// tail.
+    /// Method (B): one domain's `(RD, gap)` pair counts and cold tail.
     XTrace {
-        /// Sorted pair counts of this domain's measured iteration.
-        pairs: Vec<((u64, u64), u64)>,
+        /// Pair counts of this domain's measured iteration, run-length
+        /// encoded in the buffer of its packed keys, whose slack
+        /// [`ProfileBuilder::finish`] releases.
+        pairs: PairCounts,
         /// Cold accesses of this domain's measured iteration.
         cold: u64,
     },
@@ -987,15 +1103,12 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
                 })
             }
             Method::B => {
-                let mut pairs: Vec<((u64, u64), u64)> = Vec::new();
+                let mut runs = Vec::with_capacity(partials.len());
                 let mut cold = 0u64;
                 for partial in partials {
                     match partial {
-                        DomainPartial::XTrace {
-                            pairs: run,
-                            cold: c,
-                        } => {
-                            pairs = merge_sorted_pairs(pairs, run);
+                        DomainPartial::XTrace { pairs, cold: c } => {
+                            runs.push(pairs);
                             cold += c;
                         }
                         DomainPartial::Trace { .. } => {
@@ -1003,7 +1116,10 @@ impl<'m, W: SpmvWorkload> ProfileBuilder<'m, W> {
                         }
                     }
                 }
-                ProfileKind::XTrace(XProfile { pairs, cold })
+                ProfileKind::XTrace(XProfile {
+                    pairs: PairCounts::merge(runs),
+                    cold,
+                })
             }
         };
         LocalityProfile {
@@ -1159,7 +1275,7 @@ impl LocalityProfile {
             domains: Vec::new(),
             tracked: None,
             kind: ProfileKind::XTrace(XProfile {
-                pairs: Vec::new(),
+                pairs: PairCounts::default(),
                 cold: 0,
             }),
         };
@@ -1231,9 +1347,12 @@ impl LocalityProfile {
                         }
                     }
                 }
-                let mut pairs: Vec<((u64, u64), u64)> = pairs.into_iter().collect();
-                pairs.sort_unstable();
-                profile.kind = ProfileKind::XTrace(XProfile { pairs, cold });
+                // Counted by hashing, not by the streaming path's sorted
+                // runs; only the result takes the shared container.
+                profile.kind = ProfileKind::XTrace(XProfile {
+                    pairs: PairCounts::from_distinct(pairs),
+                    cold,
+                });
             }
         }
         profile
@@ -1388,7 +1507,7 @@ impl LocalityProfile {
             .collect();
 
         let mut x_misses = vec![x.cold; settings.len()];
-        for &((rd, g), count) in &x.pairs {
+        for (rd, g, count) in x.pairs.iter() {
             for (i, &(companion, cap0)) in params.iter().enumerate() {
                 if rd as f64 + g as f64 * companion >= cap0 {
                     x_misses[i] += count;
@@ -1713,10 +1832,136 @@ mod tests {
     #[should_panic(expected = "method (B) partials are not sharded")]
     fn merge_shards_rejects_method_b_shards() {
         let x = || DomainPartial::XTrace {
-            pairs: Vec::new(),
+            pairs: PairCounts::default(),
             cold: 0,
         };
         DomainPartial::merge_shards(vec![x(), x()]);
+    }
+
+    /// `n` packed keys from a fixed LCG, a third of them with `rd` or
+    /// `gap` at the packing edges (0 and `u32::MAX - 1`).
+    fn edge_keys(n: usize, seed: u64) -> Vec<u64> {
+        let edge = u64::from(u32::MAX) - 1;
+        let mut state = seed | 1;
+        (0..n)
+            .map(|i| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(13);
+                let (rd, gap) = ((state >> 40) % 50, (state >> 20) % 30);
+                match i % 6 {
+                    0 => PairCounts::pack(edge, gap),
+                    1 => PairCounts::pack(rd, edge),
+                    2 => PairCounts::pack(edge, edge - (state >> 62)),
+                    3 => PairCounts::pack(0, gap),
+                    _ => PairCounts::pack(rd, gap),
+                }
+            })
+            .collect()
+    }
+
+    /// `keys` counted by a `BTreeMap`, as `(rd, gap, count)` in order.
+    fn reference_counts<'k>(keys: impl IntoIterator<Item = &'k u64>) -> Vec<(u64, u64, u64)> {
+        let mut map = std::collections::BTreeMap::new();
+        for &key in keys {
+            *map.entry((key >> 32, key & u64::from(u32::MAX)))
+                .or_insert(0) += 1;
+        }
+        map.into_iter().map(|((rd, gap), n)| (rd, gap, n)).collect()
+    }
+
+    #[test]
+    fn pair_counts_run_length_encode_like_a_btreemap() {
+        for (n, seed) in [(0, 1), (1, 2), (7, 3), (5000, 4)] {
+            let keys = edge_keys(n, seed);
+            let expected = reference_counts(&keys);
+            let pairs = PairCounts::from_keys(keys);
+            assert_eq!(pairs.iter().collect::<Vec<_>>(), expected, "n={n}");
+            assert_eq!(pairs.len(), expected.len());
+            // Merging releases the key buffer's slack.
+            let pairs = PairCounts::merge(vec![pairs]);
+            assert_eq!(pairs.iter().collect::<Vec<_>>(), expected, "n={n}");
+            assert_eq!(pairs.heap_bytes(), 16 * pairs.len(), "n={n}: slack kept");
+        }
+        let edge = u64::from(u32::MAX) - 1;
+        let pairs = PairCounts::from_keys(vec![PairCounts::pack(edge, edge); 3]);
+        assert_eq!(pairs.iter().collect::<Vec<_>>(), [(edge, edge, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the packed key")]
+    fn pair_counts_reject_values_beyond_the_packing() {
+        PairCounts::pack(0, u64::from(u32::MAX));
+    }
+
+    #[test]
+    fn pair_counts_merge_in_any_grouping() {
+        let runs: Vec<Vec<u64>> = vec![
+            edge_keys(3000, 5),
+            Vec::new(),
+            edge_keys(1, 6),
+            edge_keys(2000, 7),
+            Vec::new(),
+            edge_keys(900, 8),
+        ];
+        let expected = reference_counts(runs.iter().flatten());
+        let part = |i: usize| PairCounts::from_keys(runs[i].clone());
+        let groupings: Vec<PairCounts> = vec![
+            PairCounts::merge((0..runs.len()).map(part).collect()),
+            PairCounts::merge((0..runs.len()).rev().map(part).collect()),
+            PairCounts::merge(vec![
+                PairCounts::merge(vec![part(0), part(1)]),
+                PairCounts::merge(vec![part(2)]),
+                PairCounts::merge(vec![part(3), part(4), part(5)]),
+            ]),
+            PairCounts::merge(vec![
+                part(4),
+                PairCounts::merge(vec![part(5), PairCounts::merge(vec![part(3), part(0)])]),
+                part(2),
+                part(1),
+            ]),
+        ];
+        for (g, merged) in groupings.iter().enumerate() {
+            assert_eq!(merged.iter().collect::<Vec<_>>(), expected, "grouping {g}");
+            assert_eq!(merged.heap_bytes(), 16 * merged.len(), "grouping {g}");
+        }
+        // The oracle's route: distinct pairs in hash order, collected.
+        let collected =
+            PairCounts::from_distinct(expected.iter().rev().map(|&(rd, gap, n)| ((rd, gap), n)));
+        assert_eq!(collected, groupings[0]);
+        assert!(PairCounts::merge(vec![part(1), part(4)]).is_empty());
+        assert!(PairCounts::merge(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn method_b_pairs_are_stored_at_16_bytes_per_distinct_pair() {
+        // Capacity, not length: a return to push-doubling growth (or to
+        // a 24-byte tuple) keeps slack that this bound catches.
+        let m = random_matrix(1500, 9, 13);
+        let settings = SectorSetting::paper_sweep();
+        for (threads, cpd) in [(1, 12), (8, 2)] {
+            let mut cfg = MachineConfig::a64fx_scaled(64);
+            cfg.cores_per_domain = cpd;
+            // Both branches of the driver: keys collected in the replay
+            // buffer, and keys pushed from a regenerated stream.
+            for budget in [usize::MAX, 0] {
+                let mut builder =
+                    ProfileBuilder::for_sweep(&m, &cfg, Method::B, threads, &settings);
+                builder.replay_refs_max = budget;
+                let partials = (0..builder.num_domains())
+                    .map(|d| builder.domain_shard_partial(d, 0, 1))
+                    .collect();
+                let profile = builder.finish(partials);
+                let ProfileKind::XTrace(x) = profile.kind() else {
+                    unreachable!("method (B) profile")
+                };
+                assert!(x.pairs.len() > 1000, "threads={threads}: {}", x.pairs.len());
+                assert!(
+                    x.pairs.heap_bytes() <= 16 * x.pairs.len(),
+                    "threads={threads} budget={budget}: {} B for {} pairs",
+                    x.pairs.heap_bytes(),
+                    x.pairs.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -95,6 +95,11 @@ assert doc["counters"]["memtrace.cursor.refs"] > 0, doc["counters"]
 assert doc["gauges"].get("engine.profile.shards", 0) >= 2, doc["gauges"]
 # The marker stacks ran and reported their accesses.
 assert doc["counters"]["reuse.marker.accesses"] > 0, doc["counters"]
+# So did method (B)'s exact stack, and its distinct-pair count — the
+# measure of the pair storage — was observed once per profile domain.
+assert doc["counters"]["reuse.exact.accesses"] > 0, doc["counters"]
+pairs = doc["histograms"].get("core.xpair.distinct_pairs")
+assert pairs and pairs["count"] > 0 and pairs["sum"] > 0, doc["histograms"].keys()
 assert doc["histograms"], "no histograms recorded"
 assert doc["rss_checkpoints"], "no RSS checkpoints recorded"
 print(f"telemetry smoke ok: {len(names)} span names, "

@@ -134,8 +134,8 @@ fn deterministic_aggregate_is_worker_count_invariant() {
     // capacity-shard fan-out sizes itself to the pool width, the *work
     // volume* of the tracked pipeline: every shard replays the domain
     // stream against its slice of the capacity grid, so cursor feeds and
-    // references, marker-stack traffic, line-index telemetry and the
-    // per-shard `profile.domain` spans all grow with worker count.
+    // references, marker-stack traffic and the per-shard
+    // `profile.domain` spans all grow with worker count.
     // Everything that describes the *model's results* — cache and batch
     // accounting, profile builds, exact-stack totals, the derived
     // histograms, the `cache.lookup`/`profile.build` span counts — must
@@ -148,10 +148,6 @@ fn deterministic_aggregate_is_worker_count_invariant() {
             "memtrace.cursor.refs",
             "reuse.marker.accesses",
             "reuse.marker.warm_accesses",
-            "reuse.linetable.block_probe_refs",
-            "reuse.linetable.block_probe_steps",
-            "reuse.linetable.entries",
-            "reuse.linetable.displacement_total",
         ] {
             agg.counters.remove(work);
         }
