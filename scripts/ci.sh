@@ -421,6 +421,17 @@ echo "== SpMM pin: k > 1 streaming profiles, byte for byte =="
 # rendering to rhs_profiles.actual under target/ for a diff.
 cargo test --release --offline -q --test rhs_golden
 
+echo "== generator pin: every corpus generator's matrices, byte for byte =="
+# The oracle files above cover only a few generated matrices, so one
+# line per matrix (rows, cols, nnz and the structural fingerprint) is
+# pinned in tests/golden/generator_fingerprints.txt for the Table-1 suite
+# at scales 32 and 64, two evaluation-corpus seeds, the stratified
+# validation corpus, small arrow matrices and three RCM reorderings. Any
+# change to a generator's draws, row assembly or deduplication fails
+# here; on a drift the test writes generator_fingerprints.actual under
+# target/ for a diff.
+cargo test --release --offline -q --test generator_golden
+
 echo "== scenario smoke: SpMM k-sweep and CG batches =="
 # The kernel-scenario axis end to end: --rhs 1 must be byte-identical to
 # the plain run (shared cache keys, shared bytes), --rhs 4 must tag its
