@@ -8,23 +8,24 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sparsemat::{CooMatrix, CsrMatrix};
+use sparsemat::{CsrBuilder, CsrMatrix};
 
 /// Random banded matrix: each row has a diagonal entry plus
 /// `nnz_per_row` entries uniform within `±half_band` of the diagonal.
 pub fn random_banded(n: usize, half_band: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix {
     assert!(n > 0, "matrix must be non-empty");
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut coo = CooMatrix::with_capacity(n, n, n * (nnz_per_row + 1));
+    let mut b = CsrBuilder::with_capacity(n, n, n * (nnz_per_row + 1));
     for r in 0..n {
-        coo.push(r, r);
+        b.push(r);
         let lo = r.saturating_sub(half_band);
         let hi = (r + half_band).min(n - 1);
         for _ in 0..nnz_per_row {
-            coo.push(r, rng.gen_range(lo..=hi));
+            b.push(rng.gen_range(lo..=hi));
         }
+        b.end_row();
     }
-    coo.to_csr()
+    b.finish()
 }
 
 /// Block-banded FEM-like matrix of `n / block` dense `block`×`block`
@@ -43,7 +44,7 @@ pub fn block_banded(
     );
     let nb = n / block;
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut coo = CooMatrix::with_capacity(n, n, n * block * blocks_per_row);
+    let mut b = CsrBuilder::with_capacity(n, n, n * block * blocks_per_row);
     for brow in 0..nb {
         // Self block plus distinct random neighbours.
         let mut cols = vec![brow];
@@ -54,15 +55,17 @@ pub fn block_banded(
         }
         cols.sort_unstable();
         cols.dedup();
-        for &bcol in &cols {
-            for i in 0..block {
+        // Each of the block's rows crosses the sorted block columns.
+        for _ in 0..block {
+            for &bcol in &cols {
                 for j in 0..block {
-                    coo.push(brow * block + i, bcol * block + j);
+                    b.push(bcol * block + j);
                 }
             }
+            b.end_row();
         }
     }
-    coo.to_csr()
+    b.finish()
 }
 
 /// Nearly tridiagonal matrix with `extras_per_row` additional uniformly
@@ -70,20 +73,21 @@ pub fn block_banded(
 pub fn tridiag_plus_random(n: usize, extras_per_row: usize, seed: u64) -> CsrMatrix {
     assert!(n > 0, "matrix must be non-empty");
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut coo = CooMatrix::with_capacity(n, n, n * (3 + extras_per_row));
+    let mut b = CsrBuilder::with_capacity(n, n, n * (3 + extras_per_row));
     for r in 0..n {
-        coo.push(r, r);
+        b.push(r);
         if r > 0 {
-            coo.push(r, r - 1);
+            b.push(r - 1);
         }
         if r + 1 < n {
-            coo.push(r, r + 1);
+            b.push(r + 1);
         }
         for _ in 0..extras_per_row {
-            coo.push(r, rng.gen_range(0..n));
+            b.push(rng.gen_range(0..n));
         }
+        b.end_row();
     }
-    coo.to_csr()
+    b.finish()
 }
 
 /// Arrow matrix: block diagonal of dense `block`×`block` blocks plus a
@@ -93,29 +97,39 @@ pub fn arrow(n: usize, block: usize, border: usize, seed: u64) -> CsrMatrix {
     assert!(border < n, "border must be smaller than the matrix");
     let body = n - border;
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut coo = CooMatrix::with_capacity(n, n, body * block + 2 * border * n);
-    // Dense diagonal blocks over the body.
-    let mut r = 0;
-    while r < body {
-        let b = block.min(body - r);
-        for i in 0..b {
-            for j in 0..b {
-                coo.push(r + i, r + j);
+    // Border couplings (sampled at 50% density to vary row lengths):
+    // `coupled[k * body + c]` links border row/column `body + k` with
+    // body row/column `c`, drawn border row by border row.
+    let coupled: Vec<bool> = (0..border * body).map(|_| rng.gen_bool(0.5)).collect();
+    let mut b = CsrBuilder::with_capacity(n, n, body * block + 2 * border * n);
+    // Body rows: a dense diagonal block, then the coupled border columns.
+    let mut start = 0;
+    while start < body {
+        let width = block.min(body - start);
+        for r in start..start + width {
+            for c in start..start + width {
+                b.push(c);
             }
+            for k in 0..border {
+                if coupled[k * body + r] {
+                    b.push(body + k);
+                }
+            }
+            b.end_row();
         }
-        r += b;
+        start += width;
     }
-    // Border rows and columns (sampled at 50% density to vary row lengths).
-    for br in body..n {
-        coo.push(br, br);
+    // Border rows: the coupled body columns, then the diagonal.
+    for k in 0..border {
         for c in 0..body {
-            if rng.gen_bool(0.5) {
-                coo.push(br, c);
-                coo.push(c, br);
+            if coupled[k * body + c] {
+                b.push(c);
             }
         }
+        b.push(body + k);
+        b.end_row();
     }
-    coo.to_csr()
+    b.finish()
 }
 
 #[cfg(test)]

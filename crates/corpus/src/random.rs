@@ -9,7 +9,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sparsemat::{CooMatrix, CsrMatrix};
+use sparsemat::{CsrBuilder, CsrMatrix};
 
 /// Uniform random square matrix: each row draws `nnz_per_row` columns
 /// uniformly (duplicates merged, so rows may end up slightly shorter).
@@ -17,14 +17,15 @@ use sparsemat::{CooMatrix, CsrMatrix};
 /// nonsingular.
 pub fn uniform_random(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut coo = CooMatrix::with_capacity(n, n, n * (nnz_per_row + 1));
+    let mut b = CsrBuilder::with_capacity(n, n, n * (nnz_per_row + 1));
     for r in 0..n {
-        coo.push(r, r);
+        b.push(r);
         for _ in 0..nnz_per_row {
-            coo.push(r, rng.gen_range(0..n));
+            b.push(rng.gen_range(0..n));
         }
+        b.end_row();
     }
-    coo.to_csr()
+    b.finish()
 }
 
 /// Power-law matrix: row lengths follow a truncated Pareto distribution
@@ -41,9 +42,9 @@ pub fn power_law(n: usize, mean_nnz_per_row: usize, alpha: f64, seed: u64) -> Cs
         let j = rng.gen_range(0..=i);
         perm.swap(i, j);
     }
-    let mut coo = CooMatrix::with_capacity(n, n, n * (mean_nnz_per_row + 1));
+    let mut b = CsrBuilder::with_capacity(n, n, n * (mean_nnz_per_row + 1));
     for r in 0..n {
-        coo.push(r, r);
+        b.push(r);
         // Pareto-ish row length with mean `mean_nnz_per_row`: draw from a
         // geometric-like heavy tail, capped at 16x the mean.
         let u: f64 = rng.gen_range(1e-6..1.0f64);
@@ -51,10 +52,11 @@ pub fn power_law(n: usize, mean_nnz_per_row: usize, alpha: f64, seed: u64) -> Cs
             .min(16.0 * mean_nnz_per_row as f64) as usize;
         for _ in 0..len {
             let c = zipf_like(&mut rng, n, alpha);
-            coo.push(r, perm[c] as usize);
+            b.push(perm[c] as usize);
         }
+        b.end_row();
     }
-    coo.to_csr()
+    b.finish()
 }
 
 /// Draws an index in `0..n` with probability ∝ `1/(i+1)^alpha` using

@@ -5,78 +5,79 @@
 //! rows), standing in for the PDE-derived part of SuiteSparse
 //! (`G3_circuit`-like grids, `nlpkkt`-like structured KKT systems).
 
-use sparsemat::{CooMatrix, CsrMatrix};
+use sparsemat::{CsrBuilder, CsrMatrix};
 
 /// 5-point Laplacian on an `nx`-by-`ny` grid (matrix order `nx*ny`).
 pub fn laplacian_2d(nx: usize, ny: usize) -> CsrMatrix {
     let n = nx * ny;
-    let mut coo = CooMatrix::with_capacity(n, n, 5 * n);
+    let mut b = CsrBuilder::with_capacity(n, n, 5 * n);
     let idx = |i: usize, j: usize| i * ny + j;
     for i in 0..nx {
         for j in 0..ny {
             let r = idx(i, j);
-            coo.push(r, r);
+            b.push(r);
             if i > 0 {
-                coo.push(r, idx(i - 1, j));
+                b.push(idx(i - 1, j));
             }
             if i + 1 < nx {
-                coo.push(r, idx(i + 1, j));
+                b.push(idx(i + 1, j));
             }
             if j > 0 {
-                coo.push(r, idx(i, j - 1));
+                b.push(idx(i, j - 1));
             }
             if j + 1 < ny {
-                coo.push(r, idx(i, j + 1));
+                b.push(idx(i, j + 1));
             }
+            b.end_row();
         }
     }
-    coo.to_csr()
+    b.finish()
 }
 
 /// 7-point Laplacian on an `nx`-by-`ny`-by-`nz` grid.
 pub fn laplacian_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
     let n = nx * ny * nz;
-    let mut coo = CooMatrix::with_capacity(n, n, 7 * n);
+    let mut b = CsrBuilder::with_capacity(n, n, 7 * n);
     let idx = |i: usize, j: usize, k: usize| (i * ny + j) * nz + k;
     for i in 0..nx {
         for j in 0..ny {
             for k in 0..nz {
                 let r = idx(i, j, k);
-                coo.push(r, r);
+                b.push(r);
                 if i > 0 {
-                    coo.push(r, idx(i - 1, j, k));
+                    b.push(idx(i - 1, j, k));
                 }
                 if i + 1 < nx {
-                    coo.push(r, idx(i + 1, j, k));
+                    b.push(idx(i + 1, j, k));
                 }
                 if j > 0 {
-                    coo.push(r, idx(i, j - 1, k));
+                    b.push(idx(i, j - 1, k));
                 }
                 if j + 1 < ny {
-                    coo.push(r, idx(i, j + 1, k));
+                    b.push(idx(i, j + 1, k));
                 }
                 if k > 0 {
-                    coo.push(r, idx(i, j, k - 1));
+                    b.push(idx(i, j, k - 1));
                 }
                 if k + 1 < nz {
-                    coo.push(r, idx(i, j, k + 1));
+                    b.push(idx(i, j, k + 1));
                 }
+                b.end_row();
             }
         }
     }
-    coo.to_csr()
+    b.finish()
 }
 
 /// 27-point stencil on an `nx`-by-`ny`-by-`nz` grid (dense 3×3×3
 /// neighbourhood), a `bone010`/`audikw`-like heavy FEM pattern.
 pub fn stencil_3d_27pt(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
     let n = nx * ny * nz;
-    let mut coo = CooMatrix::with_capacity(n, n, 27 * n);
+    let mut b = CsrBuilder::with_capacity(n, n, 27 * n);
     let idx = |i: usize, j: usize, k: usize| (i * ny + j) * nz + k;
     for i in 0..nx {
         for j in 0..ny {
             for k in 0..nz {
-                let r = idx(i, j, k);
                 for di in -1i64..=1 {
                     for dj in -1i64..=1 {
                         for dk in -1i64..=1 {
@@ -88,16 +89,16 @@ pub fn stencil_3d_27pt(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
                                 && (jj as usize) < ny
                                 && (kk as usize) < nz
                             {
-                                let c = idx(ii as usize, jj as usize, kk as usize);
-                                coo.push(r, c);
+                                b.push(idx(ii as usize, jj as usize, kk as usize));
                             }
                         }
                     }
                 }
+                b.end_row();
             }
         }
     }
-    coo.to_csr()
+    b.finish()
 }
 
 #[cfg(test)]

@@ -1,7 +1,10 @@
 //! Coordinate (row, column pair) sparsity-pattern format.
 //!
-//! COO is the assembly format: entries can be pushed in any order and
-//! duplicates are allowed until conversion. Only positions are stored —
+//! COO is the assembly format for Matrix Market input ([`crate::mm`]),
+//! whose entries arrive in any order: entries can be pushed in any order
+//! and duplicates are allowed until conversion. Sources that emit their
+//! entries row by row assemble with [`crate::CsrBuilder`] instead, without
+//! the 12 bytes per entry and the sorting copy. Only positions are stored —
 //! the matrix values are modelled, not kept (see [`crate::csr`]) — so
 //! [`CooMatrix::to_csr`] sorts and collapses each duplicate position to a
 //! single nonzero, producing a canonical [`CsrMatrix`].

@@ -9,7 +9,6 @@
 //! The closed-form traffic terms
 //! (`⌈8K/L⌉ + ⌈4K/L⌉ + ⌈8(M+1)/L⌉ + ⌈8M/L⌉`) depend on these sizes.
 
-use crate::coo::CooMatrix;
 use crate::{COLIDX_BYTES, ROWPTR_BYTES, VALUE_BYTES, VECTOR_BYTES};
 
 /// The sparsity pattern of a matrix in CSR format.
@@ -21,8 +20,9 @@ use crate::{COLIDX_BYTES, ROWPTR_BYTES, VALUE_BYTES, VECTOR_BYTES};
 /// * every column index is `< num_cols`.
 ///
 /// Column indices within a row are *not* required to be sorted (CSR from
-/// arbitrary sources may be unsorted); [`CooMatrix::to_csr`] produces sorted
-/// rows and [`CsrMatrix::has_sorted_rows`] reports the property.
+/// arbitrary sources may be unsorted); [`CsrBuilder`](crate::CsrBuilder)
+/// and [`CooMatrix::to_csr`](crate::CooMatrix::to_csr) produce sorted rows
+/// and [`CsrMatrix::has_sorted_rows`] reports the property.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CsrMatrix {
     num_rows: usize,
@@ -140,17 +140,6 @@ impl CsrMatrix {
             let range = self.row_range(r);
             self.colidx[range].windows(2).all(|w| w[0] < w[1])
         })
-    }
-
-    /// Converts back to COO (entries in row-major order).
-    pub fn to_coo(&self) -> CooMatrix {
-        let mut coo = CooMatrix::with_capacity(self.num_rows, self.num_cols, self.nnz());
-        for r in 0..self.num_rows {
-            for c in self.row(r) {
-                coo.push(r, c);
-            }
-        }
-        coo
     }
 
     /// Returns the transpose as a new CSR matrix.
@@ -303,8 +292,13 @@ mod tests {
     #[test]
     fn coo_roundtrip() {
         let a = example();
-        let b = a.to_coo().to_csr();
-        assert_eq!(a, b);
+        let mut coo = crate::CooMatrix::new(a.num_rows(), a.num_cols());
+        for r in 0..a.num_rows() {
+            for c in a.row(r) {
+                coo.push(r, c);
+            }
+        }
+        assert_eq!(a, coo.to_csr());
     }
 
     #[test]

@@ -5,8 +5,13 @@
 //! pattern and the dimensions, so the matrix types store no values: the
 //! `f64` array `a` is modelled ([`VALUE_BYTES`] per nonzero), not kept.
 //!
-//! * [`coo::CooMatrix`] — coordinate (pair) format used as an assembly
-//!   and interchange format; duplicate positions collapse on conversion.
+//! * [`builder::CsrBuilder`] — row-ordered assembly straight into CSR,
+//!   for every source that emits its entries row by row (the corpus
+//!   generators, RCM's symmetrised adjacency); repeated columns within a
+//!   row collapse when the row is ended.
+//! * [`coo::CooMatrix`] — coordinate (pair) format, the assembly format
+//!   for Matrix Market input, whose entries arrive in any order; duplicate
+//!   positions collapse on conversion.
 //! * [`csr::CsrMatrix`] — Compressed Sparse Row, the storage format studied
 //!   by the paper (Listing 1). Index types and the modelled value size match
 //!   the paper's accounting exactly: `f64` nonzero values (8 bytes), `u32`
@@ -28,14 +33,16 @@
 //! # Quick example
 //!
 //! ```
-//! use sparsemat::coo::CooMatrix;
+//! use sparsemat::CsrBuilder;
 //!
-//! let mut coo = CooMatrix::new(2, 2);
-//! coo.push(0, 0);
-//! coo.push(1, 1);
-//! coo.push(1, 0);
-//! coo.push(1, 0); // a repeated position collapses to one nonzero
-//! let a = coo.to_csr();
+//! let mut b = CsrBuilder::with_capacity(2, 2, 4);
+//! b.push(0);
+//! b.end_row();
+//! b.push(1);
+//! b.push(0);
+//! b.push(0); // a repeated column collapses to one nonzero
+//! b.end_row();
+//! let a = b.finish();
 //!
 //! assert_eq!(a.nnz(), 3);
 //! assert_eq!(a.row(1).collect::<Vec<_>>(), vec![0, 1]);
@@ -46,6 +53,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod builder;
 pub mod coo;
 pub mod csr;
 mod fingerprint;
@@ -56,6 +64,7 @@ pub mod sell;
 pub mod stats;
 pub mod thread;
 
+pub use builder::CsrBuilder;
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use partition::RowPartition;

@@ -6,7 +6,7 @@
 //! Table 1 comparator applies this reordering; it is also exposed publicly
 //! as a locality optimisation users can combine with the sector cache.
 
-use crate::coo::CooMatrix;
+use crate::builder::CsrBuilder;
 use crate::csr::CsrMatrix;
 
 /// Computes the Cuthill–McKee ordering of a square matrix's symmetrised
@@ -75,13 +75,15 @@ pub fn rcm_reorder(matrix: &CsrMatrix) -> CsrMatrix {
 /// undirected adjacency used for BFS orderings.
 fn symmetrized_adjacency(matrix: &CsrMatrix) -> CsrMatrix {
     let n = matrix.num_rows();
-    let mut coo = CooMatrix::with_capacity(n, n, matrix.nnz() * 2);
+    let transpose = matrix.transpose();
+    let mut b = CsrBuilder::with_capacity(n, n, matrix.nnz() * 2);
     for r in 0..n {
-        for c in matrix.row(r).filter(|&c| c != r) {
-            coo.push_symmetric(r, c);
+        for c in matrix.row(r).chain(transpose.row(r)).filter(|&c| c != r) {
+            b.push(c);
         }
+        b.end_row();
     }
-    coo.to_csr()
+    b.finish()
 }
 
 /// Finds a pseudo-peripheral vertex of the component containing `start`
@@ -141,6 +143,7 @@ pub fn permuted_bandwidth(matrix: &CsrMatrix, perm: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coo::CooMatrix;
     use crate::stats::MatrixStats;
 
     /// Path graph 0-1-2-...-(n-1) but with shuffled labels.

@@ -2,7 +2,7 @@
 //! and permutations preserve the pattern, and partitions cover every row.
 
 use proptest::prelude::*;
-use sparsemat::{reorder, CooMatrix, CsrMatrix, RowPartition};
+use sparsemat::{reorder, CooMatrix, CsrBuilder, CsrMatrix, RowPartition};
 
 /// Arbitrary sparse matrix as (rows, cols, entries).
 fn arb_matrix() -> impl Strategy<Value = CsrMatrix> {
@@ -18,6 +18,15 @@ fn arb_matrix() -> impl Strategy<Value = CsrMatrix> {
             }
             coo.to_csr()
         })
+}
+
+/// Arbitrary rows of column indices, as (cols, rows): 0 to 19 rows of 0
+/// to 7 columns each, drawn from so few columns that repeats are common.
+fn arb_rows() -> impl Strategy<Value = (usize, Vec<Vec<usize>>)> {
+    (1usize..6, 0usize..20).prop_flat_map(|(cols, rows)| {
+        let row = prop::collection::vec(0..cols, 0..8);
+        (Just(cols), prop::collection::vec(row, rows..rows + 1))
+    })
 }
 
 /// Arbitrary square symmetric-pattern matrix (for RCM).
@@ -45,8 +54,30 @@ proptest! {
     /// COO -> CSR -> COO -> CSR is a fixed point.
     #[test]
     fn format_roundtrip(a in arb_matrix()) {
-        let b = a.to_coo().to_csr();
-        prop_assert_eq!(a, b);
+        let mut coo = CooMatrix::new(a.num_rows(), a.num_cols());
+        for r in 0..a.num_rows() {
+            for c in a.row(r) {
+                coo.push(r, c);
+            }
+        }
+        prop_assert_eq!(a, coo.to_csr());
+    }
+
+    /// Row-ordered assembly equals COO assembly of the same entries:
+    /// unsorted columns, repeats, empty rows and zero-row matrices alike.
+    #[test]
+    fn builder_matches_coo(m in arb_rows()) {
+        let (cols, rows) = m;
+        let mut b = CsrBuilder::with_capacity(rows.len(), cols, 0);
+        let mut coo = CooMatrix::new(rows.len(), cols);
+        for (r, row) in rows.iter().enumerate() {
+            for &c in row {
+                b.push(c);
+                coo.push(r, c);
+            }
+            b.end_row();
+        }
+        prop_assert_eq!(b.finish(), coo.to_csr());
     }
 
     /// Transpose is an involution and preserves nnz.
