@@ -44,7 +44,7 @@ fn render() -> String {
         ArraySet::of(&[Array::Y, Array::RowPtr]),
         ArraySet::MATRIX_STREAM,
     ];
-    let settings = [SectorSetting::Off, SectorSetting::L2Ways(5)];
+    let settings = SectorSetting::paper_sweep();
     let mut out = String::new();
     for nm in &suite {
         let m = &nm.matrix;
