@@ -10,8 +10,8 @@
 //!
 //! Run: `cargo run --release -p spmv-bench --bin exp_sell [--count N --scale N]`
 
-use locality_core::method_a;
-use locality_core::{SectorSetting, SpmvWorkload};
+use locality_core::predict::predict;
+use locality_core::{Method, SectorSetting, SpmvWorkload};
 use locality_engine::pool::run_indexed;
 use sparsemat::SellMatrix;
 use spmv_bench::runner::{machine_for, ExpArgs, SweepPoint};
@@ -19,9 +19,10 @@ use spmv_bench::runner::{machine_for, ExpArgs, SweepPoint};
 /// Method (A) predictions of steady-state L2 misses, sequential: sector
 /// cache off, and the Listing-1 split with 5 ways for the matrix stream.
 fn predict_off_5w<W: SpmvWorkload>(workload: &W, cfg: &a64fx::MachineConfig) -> (u64, u64) {
-    let preds = method_a::predict(
+    let preds = predict(
         workload,
         cfg,
+        Method::A,
         &[SectorSetting::Off, SectorSetting::L2Ways(5)],
         1,
     );

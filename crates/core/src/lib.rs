@@ -11,11 +11,11 @@
 //!   3a, 3b) that predicts when partitioning helps.
 //! * [`analytic`] — closed-form streaming-miss terms and the method (B)
 //!   scaling factors `s1`, `s2`.
-//! * [`method_a`] — full-trace stack processing (§3.2.1).
-//! * [`method_b`] — the single-pass `x`-trace approximation (§3.2.2).
 //! * [`concurrent`] — per-domain trace grouping and interleaving for the
 //!   multi-threaded shared-cache analysis.
-//! * [`predict`] — the unified API ([`predict::predict`]) and the
+//! * [`predict`] — the prediction API ([`predict::predict`]) over
+//!   method (A), full-trace stack processing (§3.2.1), and method (B),
+//!   the single-pass `x`-trace approximation (§3.2.2), and the
 //!   [`predict::SectorSetting`] sweep type.
 //! * [`profile`] — [`LocalityProfile`]s: the expensive trace analysis
 //!   distilled into per-capacity miss counts (method A) or `(RD, gap)`
@@ -51,8 +51,6 @@ pub mod classify;
 pub mod concurrent;
 pub mod error;
 pub mod l1;
-pub mod method_a;
-pub mod method_b;
 pub mod optimize;
 pub mod predict;
 pub mod profile;

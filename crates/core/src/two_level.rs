@@ -11,10 +11,11 @@
 //! reach the shared-L2 analysis.
 
 use crate::concurrent::{thread_partition, DomainTraces};
-use crate::predict::{Prediction, SectorSetting};
+use crate::predict::{Method, Prediction, SectorSetting};
+use crate::profile::ProfileBuilder;
 use a64fx::MachineConfig;
-use memtrace::{Access, Array, ArraySet, SpmvWorkload, TraceCursor, VecSink};
-use reuse::{ExactStack, PartitionedStack};
+use memtrace::{Access, PackedAccess, SpmvWorkload, TraceCursor, VecSink};
+use reuse::ExactStack;
 use sparsemat::CsrMatrix;
 
 /// Filters a per-thread trace through a private fully associative LRU of
@@ -43,18 +44,28 @@ pub fn l1_filter(trace: &[Access], l1_lines: usize) -> Vec<Access> {
 }
 
 /// Method (A) with per-thread L1 filtering before the shared-L2 analysis.
+///
+/// Each domain's round-robin interleaving of its threads' filtered
+/// traces is recorded once and profiled by the marker pass of
+/// [`ProfileBuilder`]'s buffered branch over every capacity `settings`
+/// query, so Eq. (2) is evaluated by the same
+/// [`LocalityProfile`](crate::profile::LocalityProfile) code as
+/// the unfiltered model.
+///
+/// # Panics
+///
+/// Panics if `threads` is zero.
 pub fn predict_filtered(
     matrix: &CsrMatrix,
     cfg: &MachineConfig,
     settings: &[SectorSetting],
     threads: usize,
 ) -> Vec<Prediction> {
-    assert!(threads >= 1, "need at least one thread");
+    let builder = ProfileBuilder::for_sweep(matrix, cfg, Method::A, threads, settings);
     let layout = matrix.layout(cfg.l2.line_bytes);
-    let partition = thread_partition(matrix, threads);
     // The L1-filtered stream is inherently buffered: each thread's trace
-    // is drained from its cursor, filtered, and grouped for replay.
-    let per_thread: Vec<Vec<Access>> = partition
+    // is drained from its cursor and filtered before the interleaving.
+    let per_thread: Vec<Vec<Access>> = thread_partition(matrix, threads)
         .iter()
         .map(|rows| {
             let mut cursor = matrix.trace_cursor(&layout, rows);
@@ -64,44 +75,21 @@ pub fn predict_filtered(
         })
         .collect();
     let domains = DomainTraces::group(per_thread, cfg.cores_per_domain);
-
-    let sets = cfg.l2.num_sets();
-    settings
-        .iter()
-        .map(|&setting| {
-            let (sector1, cap0, cap1) = match setting {
-                SectorSetting::Off => (ArraySet::EMPTY, cfg.l2.total_lines(), 1),
-                SectorSetting::L2Ways(w) => {
-                    (ArraySet::MATRIX_STREAM, sets * (cfg.l2.ways - w), sets * w)
-                }
-            };
-            let mut total = 0u64;
-            let mut by_array = [0u64; 5];
-            for d in 0..domains.num_domains() {
-                let mut stack = PartitionedStack::new(sector1, &[cap0], &[cap1]);
-                domains.feed_domain(d, &mut stack);
-                stack.reset_counters();
-                domains.feed_domain(d, &mut stack);
-                total += stack.total_misses(0, 0);
-                for a in Array::ALL {
-                    by_array[a as usize] += stack.partition0().misses_by_array(0, a)
-                        + stack.partition1().misses_by_array(0, a);
-                }
-            }
-            Prediction {
-                setting,
-                l2_misses: total,
-                by_array,
-            }
+    let partials = (0..domains.num_domains())
+        .map(|d| {
+            let mut stream = Vec::new();
+            domains.feed_domain(d, &mut stream);
+            builder.buffered_partial(stream.into_iter().map(PackedAccess::pack).collect())
         })
-        .collect()
+        .collect();
+    builder.finish(partials).evaluate(cfg, settings)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::method_a;
-    use crate::predict::Method;
+    use crate::predict::predict;
+    use memtrace::{Array, ArraySet};
     use sparsemat::CooMatrix;
 
     fn random_matrix(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix {
@@ -162,7 +150,7 @@ mod tests {
         let m = random_matrix(4096, 12, 9);
         let cfg = MachineConfig::a64fx_scaled(64);
         let settings = [SectorSetting::Off, SectorSetting::L2Ways(5)];
-        let plain = method_a::predict(&m, &cfg, &settings, 1);
+        let plain = predict(&m, &cfg, Method::A, &settings, 1);
         let filtered = predict_filtered(&m, &cfg, &settings, 1);
         for (p, f) in plain.iter().zip(&filtered) {
             let rel = (p.l2_misses as f64 - f.l2_misses as f64).abs() / p.l2_misses.max(1) as f64;
@@ -174,7 +162,6 @@ mod tests {
                 f.l2_misses
             );
         }
-        let _ = Method::A;
     }
 
     #[test]

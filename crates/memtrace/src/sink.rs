@@ -116,22 +116,6 @@ pub trait BlockSink {
     fn consume(&mut self, block: &AccessBlock);
 }
 
-/// Adapts two block sinks to receive the same stream.
-pub struct BlockTee<'a, A: BlockSink, B: BlockSink> {
-    /// First sink.
-    pub first: &'a mut A,
-    /// Second sink.
-    pub second: &'a mut B,
-}
-
-impl<A: BlockSink, B: BlockSink> BlockSink for BlockTee<'_, A, B> {
-    #[inline]
-    fn consume(&mut self, block: &AccessBlock) {
-        self.first.consume(block);
-        self.second.consume(block);
-    }
-}
-
 impl BlockSink for PackedVecSink {
     #[inline]
     fn consume(&mut self, block: &AccessBlock) {
@@ -286,33 +270,5 @@ mod tests {
         assert_eq!(b.refs()[1].unpack(), Access::store(1, Array::Y));
         b.clear();
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn block_tee_feeds_both_sinks_the_same_stream() {
-        let trace: Vec<Access> = (0..600).map(|i| Access::load(i as u64, Array::A)).collect();
-        let mut blocks: Vec<AccessBlock> = Vec::new();
-        let mut cur = AccessBlock::new();
-        for &a in &trace {
-            if cur.is_full() {
-                blocks.push(cur.clone());
-                cur.clear();
-            }
-            cur.push(PackedAccess::pack(a));
-        }
-        blocks.push(cur);
-
-        let mut v = VecSink::new();
-        let mut packed = PackedVecSink::new();
-        let mut tee = BlockTee {
-            first: &mut v,
-            second: &mut packed,
-        };
-        for b in &blocks {
-            tee.consume(b);
-        }
-        assert_eq!(v.trace, trace);
-        let unpacked: Vec<Access> = packed.trace.iter().map(|p| p.unpack()).collect();
-        assert_eq!(unpacked, trace);
     }
 }

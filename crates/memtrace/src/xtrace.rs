@@ -10,7 +10,7 @@
 //! implied by `colidx` (one per nonzero, in row-major order). The influence
 //! of the other four arrays is reintroduced analytically by the model via
 //! the scaling factors `s1`/`s2` and closed-form streaming-miss terms
-//! (see `locality_core::method_b`).
+//! (see method (B) in `locality_core::predict`).
 
 use crate::layout::{Array, DataLayout};
 use crate::sink::TraceSink;

@@ -15,8 +15,6 @@
 //!   kept per capacity and per SpMV array.
 //! * [`histogram::ReuseHistogram`] — distance histogram with `misses(n)`
 //!   queries.
-//! * [`partitioned::PartitionedStack`] — Eq. (2): two marker stacks with
-//!   array-based routing, modelling a way-partitioned (sector) cache.
 //!
 //! Both stacks map a line to its slot through one dense index over line
 //! ids (a [`memtrace::DataLayout`] numbers lines `0..total_lines`): one
@@ -30,11 +28,9 @@ pub mod fenwick;
 pub mod fxhash;
 pub mod histogram;
 pub mod markers;
-pub mod partitioned;
 mod slots;
 
 pub use exact::ExactStack;
 pub use fxhash::FxHashMap;
 pub use histogram::ReuseHistogram;
 pub use markers::{MarkerStack, QuantizedCounts};
-pub use partitioned::PartitionedStack;

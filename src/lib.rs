@@ -78,7 +78,7 @@ pub mod prelude {
     };
     pub use machine::{HierarchyConfig, MachineParseError, MachineSpec};
     pub use memtrace::{Access, Array, ArraySet, DataLayout};
-    pub use reuse::{ExactStack, MarkerStack, PartitionedStack, ReuseHistogram};
+    pub use reuse::{ExactStack, MarkerStack, ReuseHistogram};
     pub use sparsemat::{CooMatrix, CsrMatrix, MatrixStats, RowPartition};
     pub use valid::{run_validation, ValidationConfig, ValidationReport};
 }

@@ -1,15 +1,14 @@
 //! Property-based tests of the reuse-distance engines: the marker stack
 //! (production path) must agree exactly with the Fenwick-based exact
-//! processor and the naive LRU-stack oracle on arbitrary traces, and the
-//! partitioned accounting must decompose into independent caches.
+//! processor and the naive LRU-stack oracle on arbitrary traces.
 
 mod common;
 
 use common::{exact_histogram, lru_misses, reuse_distances, round_robin};
 use memtrace::interleave::domain_groups;
-use memtrace::{Access, Array, ArraySet};
+use memtrace::{Access, Array};
 use proptest::prelude::*;
-use reuse::{ExactStack, MarkerStack, PartitionedStack, ReuseHistogram};
+use reuse::{ExactStack, MarkerStack, ReuseHistogram};
 
 fn arb_trace(max_len: usize, universe: u64) -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0..universe, 0..max_len)
@@ -170,37 +169,6 @@ proptest! {
         }
         prop_assert_eq!(ms.accesses(), measured.len() as u64);
         ms.check_invariants();
-    }
-
-    /// Partitioned accounting (Eq. 2) equals two independent caches fed
-    /// with the routed sub-traces.
-    #[test]
-    fn partitioned_decomposes(trace in prop::collection::vec((0u64..64, 0u8..5), 0..400)) {
-        let accesses: Vec<Access> = trace
-            .iter()
-            .map(|&(l, a)| {
-                let array = [Array::X, Array::Y, Array::A, Array::ColIdx, Array::RowPtr]
-                    [a as usize];
-                // Keep the line spaces of the partitions disjoint, as real
-                // array layouts are.
-                Access::load(l + a as u64 * 1000, array)
-            })
-            .collect();
-        let sector1 = ArraySet::MATRIX_STREAM;
-        let mut ps = PartitionedStack::new(sector1, &[16], &[4]);
-        let mut solo0 = MarkerStack::new(&[16]);
-        let mut solo1 = MarkerStack::new(&[4]);
-        for acc in &accesses {
-            ps.access(acc.line, acc.array);
-            if sector1.contains(acc.array) {
-                solo1.access(acc.line, acc.array);
-            } else {
-                solo0.access(acc.line, acc.array);
-            }
-        }
-        prop_assert_eq!(ps.partition0().misses(0), solo0.misses(0));
-        prop_assert_eq!(ps.partition1().misses(0), solo1.misses(0));
-        prop_assert_eq!(ps.total_misses(0, 0), solo0.misses(0) + solo1.misses(0));
     }
 
     /// Exact-stack histogram miss counts equal the naive oracle's LRU
