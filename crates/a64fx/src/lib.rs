@@ -27,7 +27,6 @@
 pub mod cache;
 pub mod config;
 pub mod counters;
-pub mod directives;
 pub mod hierarchy;
 pub mod prefetch;
 pub mod sim_spmv;

@@ -50,17 +50,6 @@ pub fn stream_misses_y(num_rows: usize, line_bytes: usize) -> u64 {
     (8 * num_rows).div_ceil(line_bytes) as u64
 }
 
-/// Method (B) scaling factor with partitioning (`x` shares partition 0
-/// with `rowptr` and `y`): `s1 = (16·M/K + 8)/8`.
-///
-/// # Panics
-///
-/// Panics if the matrix has no nonzeros.
-pub fn scale_s1(num_rows: usize, nnz: usize) -> f64 {
-    assert!(nnz > 0, "scaling factor undefined for an empty matrix");
-    (16.0 * num_rows as f64 / nnz as f64 + 8.0) / 8.0
-}
-
 /// Method (B) scaling factor without partitioning (`x` additionally shares
 /// the cache with `a` and `colidx`): `s2 = (16·M/K + 20)/8`.
 ///
@@ -72,11 +61,11 @@ pub fn scale_s2(num_rows: usize, nnz: usize) -> f64 {
     (16.0 * num_rows as f64 / nnz as f64 + 20.0) / 8.0
 }
 
-/// Format-generic `s1`: partition-0 companion bytes per `x` reference
-/// relative to the 8-byte `x` element, `(c/K + 8)/8` for `c` companion
-/// bytes over `K` `x` references. With CSR's `c = 16·M` this is
-/// bit-identical to [`scale_s1`] (the integer `16·M` converts to the same
-/// `f64` as `16.0 · M` for any matrix that fits in memory).
+/// Method (B) scaling factor with partitioning (`x` shares partition 0
+/// with `rowptr` and `y`), format-generic: partition-0 companion bytes
+/// per `x` reference relative to the 8-byte `x` element, `(c/K + 8)/8`
+/// for `c` companion bytes over `K` `x` references. With CSR's `c = 16·M`
+/// this is the paper's `s1 = (16·M/K + 8)/8`.
 ///
 /// # Panics
 ///
@@ -157,19 +146,21 @@ mod tests {
 
     #[test]
     fn scaling_factors() {
+        // CSR's partition-0 companions: 16 bytes (`y` + `rowptr`) per row.
+        let s1 = |rows: usize, nnz: usize| scale_part0(16 * rows, nnz);
         // M/K = 1: s1 = 24/8 = 3, s2 = 36/8 = 4.5.
-        assert_eq!(scale_s1(100, 100), 3.0);
+        assert_eq!(s1(100, 100), 3.0);
         assert_eq!(scale_s2(100, 100), 4.5);
         // Dense-ish rows (K >> M): s1 -> 1, s2 -> 2.5.
-        assert!((scale_s1(10, 100_000) - 1.0).abs() < 0.01);
+        assert!((s1(10, 100_000) - 1.0).abs() < 0.01);
         assert!((scale_s2(10, 100_000) - 2.5).abs() < 0.01);
         // s2 > s1 always.
-        assert!(scale_s2(7, 13) > scale_s1(7, 13));
+        assert!(scale_s2(7, 13) > s1(7, 13));
     }
 
     #[test]
     #[should_panic(expected = "empty matrix")]
     fn empty_matrix_scaling_rejected() {
-        scale_s1(10, 0);
+        scale_s2(10, 0);
     }
 }

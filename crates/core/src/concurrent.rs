@@ -6,11 +6,9 @@
 //! feeds their interleaved references into arbitrary sinks.
 //!
 //! The interleaving used for *prediction* is the deterministic round-robin
-//! order (equal thread progress) — the order the FIFO-fair MCS collation
-//! approximates; `memtrace::interleave::mcs_interleave` provides the real
-//! concurrent variant for validation.
+//! order (equal thread progress) — the order the paper's FIFO-fair MCS
+//! collation approximates (see `memtrace::interleave`).
 
-use a64fx::MachineConfig;
 use memtrace::cursor::TraceCursor;
 use memtrace::interleave::{domain_groups, round_robin_cursors_blocks, round_robin_into};
 use memtrace::{Access, BlockSink, DataLayout, SpmvWorkload, TraceSink};
@@ -148,11 +146,6 @@ pub fn thread_partition<W: SpmvWorkload>(workload: &W, threads: usize) -> RowPar
     RowPartition::static_rows(workload.num_work_items(), threads)
 }
 
-/// Convenience: domain count for a thread count under `cfg`.
-pub fn num_domains(cfg: &MachineConfig, threads: usize) -> usize {
-    threads.div_ceil(cfg.cores_per_domain).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,14 +219,5 @@ mod tests {
             cursors.feed_x_blocks(d, &mut got);
             assert_eq!(got.trace, want.trace, "x domain {d}");
         }
-    }
-
-    #[test]
-    fn domain_count_helper() {
-        let cfg = a64fx::MachineConfig::a64fx();
-        assert_eq!(num_domains(&cfg, 1), 1);
-        assert_eq!(num_domains(&cfg, 12), 1);
-        assert_eq!(num_domains(&cfg, 13), 2);
-        assert_eq!(num_domains(&cfg, 48), 4);
     }
 }

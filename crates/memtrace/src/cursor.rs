@@ -606,13 +606,15 @@ impl TraceCursor for XCursor<'_> {
     }
 }
 
-/// A cursor over an already-materialised trace slice (tests and adapters).
+/// A cursor over an already-materialised trace slice.
+#[cfg(test)]
 #[derive(Clone, Debug)]
 pub struct SliceCursor<'a> {
     trace: &'a [Access],
     pos: usize,
 }
 
+#[cfg(test)]
 impl<'a> SliceCursor<'a> {
     /// Creates a cursor yielding `trace` in order.
     pub fn new(trace: &'a [Access]) -> Self {
@@ -620,6 +622,7 @@ impl<'a> SliceCursor<'a> {
     }
 }
 
+#[cfg(test)]
 impl TraceCursor for SliceCursor<'_> {
     fn next_access(&mut self) -> Option<Access> {
         let a = self.trace.get(self.pos).copied();

@@ -2,25 +2,21 @@
 //!
 //! The cache behaviour of a shared cache depends on the order in which the
 //! sharing threads' references reach it (concurrent reuse distance, Schuff
-//! et al.). Two collation strategies are provided:
-//!
-//! * round-robin — deterministic: threads submit fixed-size chunks in
-//!   cyclic order. This models threads progressing at identical rates and
-//!   is the order every prediction uses. [`round_robin_cursors_blocks`]
-//!   merges per-thread *cursors* one reference per thread per turn and is
-//!   the production feed; [`round_robin_into`] merges materialised traces
-//!   for the reference oracle.
-//! * [`mcs_interleave`] — concurrent: real threads submit chunks guarded by
-//!   the FIFO-fair [`McsLock`], as in the paper's
-//!   §3.2.1. The resulting order depends on actual scheduling; over equal-
-//!   rate threads it statistically approximates round-robin.
+//! et al.). Every prediction uses the deterministic round-robin order:
+//! threads submit fixed-size chunks in cyclic order, which models threads
+//! progressing at identical rates. [`round_robin_cursors_blocks`] merges
+//! per-thread *cursors* one reference per thread per turn and is the
+//! production feed; [`round_robin_into`] merges materialised traces for
+//! the reference oracle. The paper collates with an MCS lock instead
+//! (§3.2.1), whose order depends on scheduling; over equal-rate threads it
+//! statistically approximates round-robin, which the integration tests
+//! check against a test-only MCS collation.
 //!
 //! [`domain_groups`] maps a flat thread list onto the A64FX topology (12
 //! cores per L2/NUMA domain) so each shared L2 can be analysed with only
 //! its own threads' references.
 
 use crate::cursor::TraceCursor;
-use crate::mcs::McsLock;
 use crate::sink::{AccessBlock, BlockSink, TraceSink};
 use crate::Access;
 use std::ops::Range;
@@ -139,49 +135,6 @@ pub fn round_robin_cursors_blocks<C: TraceCursor, S: BlockSink>(cursors: &mut [C
     }
 }
 
-/// Interleaves per-thread traces by actually running one thread per trace,
-/// each submitting chunks of `chunk` references under an MCS lock.
-///
-/// The MCS lock's FIFO ordering guarantees starvation freedom: a thread
-/// that requests the collation queue is served before any thread that
-/// requests it later. The exact global order depends on OS scheduling and
-/// is therefore not deterministic; every reference appears exactly once and
-/// per-thread subsequences preserve program order.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero.
-pub fn mcs_interleave(traces: &[Vec<Access>], chunk: usize) -> Vec<Access> {
-    assert!(chunk > 0, "chunk size must be positive");
-    if traces.is_empty() {
-        return Vec::new();
-    }
-    let total: usize = traces.iter().map(|t| t.len()).sum();
-    let lock = McsLock::new(traces.len());
-    // The MCS lock serialises writers; the Mutex only provides the safe
-    // `&mut` projection (it is always uncontended because acquisition order
-    // is decided by the MCS queue).
-    let out = std::sync::Mutex::new(Vec::with_capacity(total));
-    std::thread::scope(|scope| {
-        for (slot, trace) in traces.iter().enumerate() {
-            let lock = &lock;
-            let out = &out;
-            scope.spawn(move || {
-                let mut cursor = 0;
-                while cursor < trace.len() {
-                    let end = (cursor + chunk).min(trace.len());
-                    let _g = lock.lock(slot);
-                    out.lock()
-                        .expect("collation buffer poisoned")
-                        .extend_from_slice(&trace[cursor..end]);
-                    cursor = end;
-                }
-            });
-        }
-    });
-    out.into_inner().expect("collation buffer poisoned")
-}
-
 /// Splits `num_threads` thread indices into groups of `threads_per_group`,
 /// mirroring the A64FX topology where consecutive cores share an L2.
 ///
@@ -278,44 +231,6 @@ mod tests {
         assert!(round_robin(&[], 1).is_empty());
         let traces = traces_of(&[0, 0]);
         assert!(round_robin(&traces, 3).is_empty());
-    }
-
-    fn assert_valid_interleaving(traces: &[Vec<Access>], out: &[Access]) {
-        // Every reference exactly once and per-thread order preserved.
-        let total: usize = traces.iter().map(|t| t.len()).sum();
-        assert_eq!(out.len(), total);
-        let mut cursors = vec![0usize; traces.len()];
-        for a in out {
-            let t = (a.line / 1000) as usize;
-            let i = a.line % 1000;
-            assert_eq!(i, cursors[t] as u64, "thread {t} out of order");
-            cursors[t] += 1;
-        }
-        for (t, (&c, tr)) in cursors.iter().zip(traces).enumerate() {
-            assert_eq!(c, tr.len(), "thread {t} incomplete");
-        }
-    }
-
-    #[test]
-    fn mcs_interleave_is_a_valid_interleaving() {
-        let traces = traces_of(&[50, 70, 30, 60]);
-        let out = mcs_interleave(&traces, 4);
-        assert_valid_interleaving(&traces, &out);
-    }
-
-    #[test]
-    fn mcs_interleave_chunk1() {
-        let traces = traces_of(&[25, 25]);
-        let out = mcs_interleave(&traces, 1);
-        assert_valid_interleaving(&traces, &out);
-    }
-
-    #[test]
-    fn mcs_interleave_single_thread_preserves_order() {
-        let traces = traces_of(&[10]);
-        let out = mcs_interleave(&traces, 3);
-        let lines: Vec<u64> = out.iter().map(|a| a.line).collect();
-        assert_eq!(lines, (0..10).collect::<Vec<u64>>());
     }
 
     #[test]

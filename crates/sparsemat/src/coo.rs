@@ -53,26 +53,6 @@ impl CooMatrix {
         m
     }
 
-    /// Number of rows.
-    pub fn num_rows(&self) -> usize {
-        self.num_rows
-    }
-
-    /// Number of columns.
-    pub fn num_cols(&self) -> usize {
-        self.num_cols
-    }
-
-    /// Number of stored entries, including any duplicates not yet collapsed.
-    pub fn nnz(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Returns `true` if no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
-    }
-
     /// Appends the entry `(row, col)`.
     ///
     /// # Panics
@@ -104,14 +84,6 @@ impl CooMatrix {
         }
     }
 
-    /// Iterates over stored entries as `(row, col)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.rows
-            .iter()
-            .zip(&self.cols)
-            .map(|(&r, &c)| (r, c as usize))
-    }
-
     /// Converts to CSR, sorting entries and collapsing duplicates.
     ///
     /// Sorting is done with a counting pass over rows (O(nnz + rows)), then
@@ -128,7 +100,7 @@ impl CooMatrix {
             next[i + 1] += next[i];
         }
         let rowptr_raw = next.clone();
-        let mut cols = vec![0u32; self.nnz()];
+        let mut cols = vec![0u32; self.cols.len()];
         for (&r, &c) in self.rows.iter().zip(&self.cols) {
             cols[next[r] as usize] = c;
             next[r] += 1;
@@ -163,9 +135,7 @@ mod tests {
 
     #[test]
     fn empty_matrix_roundtrip() {
-        let coo = CooMatrix::new(3, 4);
-        assert!(coo.is_empty());
-        let csr = coo.to_csr();
+        let csr = CooMatrix::new(3, 4).to_csr();
         assert_eq!(csr.num_rows(), 3);
         assert_eq!(csr.num_cols(), 4);
         assert_eq!(csr.nnz(), 0);
@@ -221,14 +191,5 @@ mod tests {
     fn col_bounds_checked() {
         let mut coo = CooMatrix::new(2, 2);
         coo.push(1, 7);
-    }
-
-    #[test]
-    fn iter_yields_insertion_order() {
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(1, 1);
-        coo.push(0, 0);
-        let got: Vec<_> = coo.iter().collect();
-        assert_eq!(got, vec![(1, 1), (0, 0)]);
     }
 }

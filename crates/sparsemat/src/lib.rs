@@ -28,7 +28,6 @@
 //!   optimisation the paper cites from Alappat et al.
 //! * [`sell`] — the SELL-C-σ sliced-ELLPACK format the paper's related
 //!   work highlights as the faster A64FX alternative to CSR.
-//! * [`join_propagating`] — scoped fork-join that re-raises worker panics.
 //!
 //! # Quick example
 //!
@@ -62,7 +61,6 @@ pub mod partition;
 pub mod reorder;
 pub mod sell;
 pub mod stats;
-pub mod thread;
 
 pub use builder::CsrBuilder;
 pub use coo::CooMatrix;
@@ -70,7 +68,6 @@ pub use csr::CsrMatrix;
 pub use partition::RowPartition;
 pub use sell::SellMatrix;
 pub use stats::MatrixStats;
-pub use thread::join_propagating;
 
 /// Size in bytes of a modelled nonzero matrix value (`f64`), as in the
 /// paper. No values are stored; layouts and byte counts still include them.

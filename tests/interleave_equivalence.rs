@@ -4,9 +4,11 @@
 //! shared-cache miss counts.
 
 mod common;
+#[path = "common/mcs.rs"]
+mod mcs;
 
 use common::round_robin;
-use memtrace::interleave::mcs_interleave;
+use mcs::mcs_interleave;
 use memtrace::{Access, Array};
 use reuse::MarkerStack;
 
