@@ -196,6 +196,7 @@ impl DataLayout {
 
     /// Which array a global line number belongs to, or `None` if the line is
     /// beyond the layout.
+    #[cfg(test)]
     pub fn array_of_line(&self, line: u64) -> Option<Array> {
         for (i, &array) in Array::ALL.iter().enumerate() {
             if line >= self.base[i] && line < self.base[i] + self.lines[i] {

@@ -113,35 +113,6 @@ impl Aggregate {
         }
         self.checkpoints.extend(other.checkpoints.iter().cloned());
     }
-
-    /// The aggregate with wall-clock and schedule-dependent data removed:
-    /// span `wall_ns` zeroed and gauges/checkpoints cleared. Two runs of
-    /// the same deterministic workload must produce equal stripped
-    /// aggregates regardless of worker count — tests assert exactly that.
-    pub fn deterministic_view(&self) -> Aggregate {
-        fn strip(span: &SpanStats) -> SpanStats {
-            SpanStats {
-                count: span.count,
-                wall_ns: 0,
-                children: span
-                    .children
-                    .iter()
-                    .map(|(k, v)| (k.clone(), strip(v)))
-                    .collect(),
-            }
-        }
-        Aggregate {
-            counters: self.counters.clone(),
-            gauges: BTreeMap::new(),
-            histograms: self.histograms.clone(),
-            roots: self
-                .roots
-                .iter()
-                .map(|(k, v)| (k.clone(), strip(v)))
-                .collect(),
-            checkpoints: Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -180,20 +151,5 @@ mod tests {
         assert_eq!(acc.roots["root"].count, 2);
         assert_eq!(acc.roots["root"].wall_ns, 700);
         assert_eq!(acc.roots["root"].children["child"].count, 7);
-    }
-
-    #[test]
-    fn deterministic_view_strips_time_and_schedule_data() {
-        let mut a = sample(3);
-        a.checkpoints.push(Checkpoint {
-            label: "start".into(),
-            vm_hwm_kb: Some(123),
-        });
-        let mut b = sample(3);
-        b.roots.get_mut("root").unwrap().wall_ns = 999_999;
-        b.gauges.insert("g".into(), 7777);
-        assert_ne!(a, b);
-        assert_eq!(a.deterministic_view(), b.deterministic_view());
-        assert!(a.deterministic_view().checkpoints.is_empty());
     }
 }

@@ -126,11 +126,6 @@ impl MarkerStack {
         self.misses[j].iter().sum()
     }
 
-    /// Misses at capacity index `j` attributable to `array`.
-    pub fn misses_by_array(&self, j: usize, array: Array) -> u64 {
-        self.misses[j][array as usize]
-    }
-
     /// Number of distinct lines currently in the stack.
     pub fn depth(&self) -> usize {
         self.len
@@ -587,8 +582,8 @@ mod tests {
         ms.access(100, Array::A); // cold
         ms.access(200, Array::A); // cold
         ms.access(0, Array::X); // distance 2 -> miss at cap 2
-        assert_eq!(ms.misses_by_array(0, Array::X), 2);
-        assert_eq!(ms.misses_by_array(0, Array::A), 2);
+        assert_eq!(ms.misses[0][Array::X as usize], 2);
+        assert_eq!(ms.misses[0][Array::A as usize], 2);
     }
 
     #[test]
@@ -715,15 +710,7 @@ mod tests {
         blocked.check_invariants();
         assert_eq!(blocked.accesses(), per_ref.accesses());
         assert_eq!(blocked.cold_total(), per_ref.cold_total());
-        for (j, &cap) in caps.iter().enumerate() {
-            for &a in &arrays {
-                assert_eq!(
-                    blocked.misses_by_array(j, a),
-                    per_ref.misses_by_array(j, a),
-                    "cap {cap} array {a:?}"
-                );
-            }
-        }
+        assert_eq!(blocked.misses, per_ref.misses);
         assert_eq!(blocked.counts(), per_ref.counts());
     }
 

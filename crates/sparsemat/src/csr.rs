@@ -21,8 +21,7 @@ use crate::{COLIDX_BYTES, ROWPTR_BYTES, VALUE_BYTES, VECTOR_BYTES};
 ///
 /// Column indices within a row are *not* required to be sorted (CSR from
 /// arbitrary sources may be unsorted); [`CsrBuilder`](crate::CsrBuilder)
-/// and [`CooMatrix::to_csr`](crate::CooMatrix::to_csr) produce sorted rows
-/// and [`CsrMatrix::has_sorted_rows`] reports the property.
+/// and [`CooMatrix::to_csr`](crate::CooMatrix::to_csr) produce sorted rows.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CsrMatrix {
     num_rows: usize,
@@ -132,14 +131,6 @@ impl CsrMatrix {
     /// Linear scan over the row; intended for tests and small matrices.
     pub fn contains(&self, row: usize, col: usize) -> bool {
         self.row(row).any(|c| c == col)
-    }
-
-    /// Returns `true` if every row has strictly increasing column indices.
-    pub fn has_sorted_rows(&self) -> bool {
-        (0..self.num_rows).all(|r| {
-            let range = self.row_range(r);
-            self.colidx[range].windows(2).all(|w| w[0] < w[1])
-        })
     }
 
     /// Returns the transpose as a new CSR matrix.
@@ -257,7 +248,7 @@ mod tests {
         assert_eq!(a.row_nnz(0), 2);
         assert_eq!(a.row_nnz(1), 1);
         assert_eq!(a.row_range(2), 3..5);
-        assert!(a.has_sorted_rows());
+        assert!(a.colidx()[a.row_range(0)].is_sorted());
         assert!(a.contains(3, 1));
         assert!(!a.contains(3, 0));
         assert_eq!(a.row(2).collect::<Vec<_>>(), vec![2, 3]);
@@ -317,7 +308,7 @@ mod tests {
         assert!(p.contains(0, 2));
         // Old (1,0) maps to new (2,3).
         assert!(p.contains(2, 3));
-        assert!(p.has_sorted_rows());
+        assert!((0..4).all(|r| p.colidx()[p.row_range(r)].is_sorted()));
         // Applying the inverse (same reversal) restores the matrix.
         assert_eq!(p.permute_symmetric(&perm), a);
     }

@@ -13,14 +13,44 @@
 //! Telemetry state is process-global, so every test serialises on one
 //! mutex and leaves the sink disabled.
 
-use a64fx_spmv::obs;
+use a64fx_spmv::obs::{self, Aggregate, SpanStats};
 use a64fx_spmv::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Serialises tests that touch the global telemetry state.
 fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The aggregate with wall-clock and schedule-dependent data removed:
+/// span `wall_ns` zeroed and gauges/checkpoints cleared. Two runs of the
+/// same deterministic workload must produce equal stripped aggregates
+/// regardless of worker count.
+fn deterministic_view(agg: &Aggregate) -> Aggregate {
+    fn strip(span: &SpanStats) -> SpanStats {
+        SpanStats {
+            count: span.count,
+            wall_ns: 0,
+            children: span
+                .children
+                .iter()
+                .map(|(k, v)| (k.clone(), strip(v)))
+                .collect(),
+        }
+    }
+    Aggregate {
+        counters: agg.counters.clone(),
+        gauges: BTreeMap::new(),
+        histograms: agg.histograms.clone(),
+        roots: agg
+            .roots
+            .iter()
+            .map(|(k, v)| (k.clone(), strip(v)))
+            .collect(),
+        checkpoints: Vec::new(),
+    }
 }
 
 const SPEC: &str = "corpus count=6 scale=64 seed=11\n\
@@ -127,8 +157,8 @@ fn deterministic_aggregate_is_worker_count_invariant() {
     let base = snap(1);
     let wide = snap(4);
 
-    let mut det1 = base.deterministic_view();
-    let mut det4 = wide.deterministic_view();
+    let mut det1 = deterministic_view(&base);
+    let mut det4 = deterministic_view(&wide);
     // Schedule-dependent by design: who stole what, how jobs spread over
     // workers, how many worker spans the pools opened — and, since the
     // capacity-shard fan-out sizes itself to the pool width, the *work
