@@ -53,10 +53,12 @@
 //! other sector at least one way, so it ranges over 1 to ways − 1 of the
 //! selected machine; `simulate` also takes 0 for "sector cache off". A
 //! value outside that range is a bad flag value (exit 2), and so is the
-//! flag on `tune`, which sweeps every split. `--threads` and `--rhs`
-//! take positive counts; 0 is a bad flag value too, and so is a
-//! `--threads` above the selected machine's core count, which is also
-//! the default (48 on the a64fx).
+//! flag on `tune`, which sweeps every split. `--threads`, `--rhs`,
+//! `--deadline-ms`, `validate --matrices` and `serve --executors`,
+//! `--cache` and `--max-line` take positive counts; 0 is a bad flag
+//! value too, and so is a `--threads` above the selected machine's core
+//! count, which is also the default (48 on the a64fx). `serve --queue 0`,
+//! `--sample-ms 0` and `--trace-buffer 0` mean "off".
 //!
 //! `--rhs K` traces a `K`-right-hand-side SpMM instead of the single
 //! vector SpMV (`--rhs-layout` picks row-major interleaved RHS, the
@@ -196,6 +198,27 @@ fn metrics_write(path: &Option<String>, command: &str) {
     }
 }
 
+/// Parses the value of a count flag, exiting 2 when it is missing or not
+/// a number.
+fn count_value(value: Option<String>, what: &str) -> usize {
+    value.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("spmv-locality: expected a number after {what}");
+        std::process::exit(2);
+    })
+}
+
+/// Parses the value of a count flag that has no meaning at 0, exiting 2
+/// on 0 as on a missing or non-numeric value.
+fn positive_value(value: Option<String>, what: &str) -> usize {
+    match count_value(value, what) {
+        0 => {
+            eprintln!("spmv-locality: expected a positive count after {what}");
+            std::process::exit(2);
+        }
+        n => n,
+    }
+}
+
 /// Parses the value of a `--format` flag, exiting with the parse error.
 fn parse_format(value: Option<String>) -> FormatSpec {
     FormatSpec::parse(value.as_deref().unwrap_or("")).unwrap_or_else(|e| {
@@ -257,16 +280,10 @@ fn run_validate_command(args: impl Iterator<Item = String>) -> ! {
     let mut metrics = None;
     let mut args = args.peekable();
     while let Some(flag) = args.next() {
-        let mut value = |what: &str| -> usize {
-            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("spmv-locality: expected a number after {what}");
-                std::process::exit(2);
-            })
-        };
         match flag.as_str() {
-            "--matrices" => config.matrices = value("--matrices").max(1),
-            "--seed" => config.seed = value("--seed") as u64,
-            "--workers" => config.workers = value("--workers"),
+            "--matrices" => config.matrices = positive_value(args.next(), "--matrices"),
+            "--seed" => config.seed = count_value(args.next(), "--seed") as u64,
+            "--workers" => config.workers = count_value(args.next(), "--workers"),
             "--smoke" => config.smoke = true,
             "--format" => {
                 config.sell_formats = Some(match parse_format(args.next()) {
@@ -306,34 +323,29 @@ fn run_serve_command(args: impl Iterator<Item = String>) -> ! {
     let mut metrics = None;
     let mut args = args.peekable();
     while let Some(flag) = args.next() {
-        let mut value = |what: &str| -> usize {
-            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("spmv-locality: expected a number after {what}");
-                std::process::exit(2);
-            })
-        };
         match flag.as_str() {
             "--unix" => {
                 config.unix = Some(args.next().unwrap_or_else(|| usage()).into());
             }
             "--tcp" => config.tcp = Some(args.next().unwrap_or_else(|| usage())),
-            "--executors" => config.executors = value("--executors").max(1),
-            "--queue" => config.queue = value("--queue"),
-            "--cache" => config.cache = value("--cache").max(1),
-            "--max-line" => config.max_line = value("--max-line").max(1),
+            "--executors" => config.executors = positive_value(args.next(), "--executors"),
+            "--queue" => config.queue = count_value(args.next(), "--queue"),
+            "--cache" => config.cache = positive_value(args.next(), "--cache"),
+            "--max-line" => config.max_line = positive_value(args.next(), "--max-line"),
             "--deadline-ms" => {
-                config.default_deadline_ms = Some(value("--deadline-ms").max(1) as u64);
+                config.default_deadline_ms =
+                    Some(positive_value(args.next(), "--deadline-ms") as u64);
             }
             "--machine" => config.default_machine = Some(parse_machine(args.next())),
             "--metrics" => metrics = Some(args.next().unwrap_or_else(|| usage())),
-            "--sample-ms" => config.sample_ms = value("--sample-ms") as u64,
+            "--sample-ms" => config.sample_ms = count_value(args.next(), "--sample-ms") as u64,
             "--prometheus" => {
                 config.prometheus = Some(args.next().unwrap_or_else(|| usage()));
             }
             "--flight-file" => {
                 config.flight_file = Some(args.next().unwrap_or_else(|| usage()).into());
             }
-            "--trace-buffer" => config.trace_buffer = value("--trace-buffer"),
+            "--trace-buffer" => config.trace_buffer = count_value(args.next(), "--trace-buffer"),
             _ => usage(),
         }
     }
@@ -395,36 +407,14 @@ fn run_batch_command(spec_path: &str, args: impl Iterator<Item = String>) -> ! {
                 machines.push(m);
             }
             "--ecm" => spec.ecm = true,
-            "--workers" => {
-                spec.workers = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("spmv-locality: expected a number after --workers");
-                    std::process::exit(2);
-                });
-            }
+            "--workers" => spec.workers = count_value(args.next(), "--workers"),
             "--format" => spec.format = parse_format(args.next()),
             "--reorder" => spec.reorder = parse_reorder(args.next()),
-            "--rhs" => {
-                let k = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&k| k > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("spmv-locality: expected a positive count after --rhs");
-                        std::process::exit(2);
-                    });
-                scenario.rhs = Some(k);
-            }
+            "--rhs" => scenario.rhs = Some(positive_value(args.next(), "--rhs")),
             "--rhs-layout" => scenario.rhs_layout = Some(parse_rhs_layout(args.next())),
             "--workload" => scenario.workload = Some(parse_workload(args.next())),
             "--deadline-ms" => {
-                let ms = args
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("spmv-locality: expected a number after --deadline-ms");
-                        std::process::exit(2);
-                    });
-                spec.deadline_ms = Some(ms.max(1));
+                spec.deadline_ms = Some(positive_value(args.next(), "--deadline-ms") as u64);
             }
             "--metrics" => metrics = Some(args.next().unwrap_or_else(|| usage())),
             _ => usage(),
@@ -490,29 +480,16 @@ fn parse_cli() -> Cli {
     let mut l2_ways_given = false;
     let mut threads = None;
     while let Some(flag) = args.next() {
-        let mut value = |what: &str| -> usize {
-            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("spmv-locality: expected a number after {what}");
-                std::process::exit(2);
-            })
-        };
-        let positive = |what: &str, n: usize| -> usize {
-            if n == 0 {
-                eprintln!("spmv-locality: expected a positive count after {what}");
-                std::process::exit(2);
-            }
-            n
-        };
         match flag.as_str() {
-            "--threads" => threads = Some(positive("--threads", value("--threads"))),
-            "--scale" => cli.scale = value("--scale"),
+            "--threads" => threads = Some(positive_value(args.next(), "--threads")),
+            "--scale" => cli.scale = count_value(args.next(), "--scale"),
             "--l2-ways" => {
-                cli.l2_ways = value("--l2-ways");
+                cli.l2_ways = count_value(args.next(), "--l2-ways");
                 l2_ways_given = true;
             }
             "--format" => cli.format = parse_format(args.next()),
             "--reorder" => cli.reorder = parse_reorder(args.next()),
-            "--rhs" => cli.scenario.rhs = Some(positive("--rhs", value("--rhs"))),
+            "--rhs" => cli.scenario.rhs = Some(positive_value(args.next(), "--rhs")),
             "--rhs-layout" => cli.scenario.rhs_layout = Some(parse_rhs_layout(args.next())),
             "--workload" => cli.scenario.workload = Some(parse_workload(args.next())),
             "--machine" => cli.machine = parse_machine(args.next()),
