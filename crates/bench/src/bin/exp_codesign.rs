@@ -11,6 +11,7 @@
 //! Run: `cargo run --release -p spmv-bench --bin exp_codesign [--count N --scale N --threads N]`
 
 use locality_core::optimize::PartitionOptimizer;
+use locality_core::SectorSetting;
 use locality_engine::pool::run_indexed;
 use memtrace::{Array, ArraySet};
 use spmv_bench::runner::{machine_for, ExpArgs, SweepPoint};
@@ -80,7 +81,7 @@ fn main() {
     );
     for w in 1..=cfg.l2.ways {
         let total: u64 = rows.iter().map(|r| r.curve_reusable[w - 1].1).sum();
-        let kib = cfg.l2.num_sets() * w * cfg.l2.line_bytes / 1024;
+        let kib = SectorSetting::L2Ways(w).cap1_lines(&cfg) * cfg.l2.line_bytes / 1024;
         println!("{w:>5} {kib:>12} {total:>14}");
     }
 }

@@ -421,6 +421,15 @@ echo "== SpMM pin: k > 1 streaming profiles, byte for byte =="
 # rendering to rhs_profiles.actual under target/ for a diff.
 cargo test --release --offline -q --test rhs_golden
 
+echo "== side-model pin: L1 model, way optimiser, L1-filtered model =="
+# The side analyses share the main model's traces and, for the
+# L1-filtered two-level model, its Eq. (2) marker pass; their outputs
+# over four corpus members, threads 1/8/48 and the paper's whole sector
+# sweep are pinned in tests/golden/side_models.txt, so a drift in one of
+# them is named here. On a drift the test writes side_models.actual
+# under target/ for a diff.
+cargo test --release --offline -q --test side_golden
+
 echo "== generator pin: every corpus generator's matrices, byte for byte =="
 # The oracle files above cover only a few generated matrices, so one
 # line per matrix (rows, cols, nnz and the structural fingerprint) is
