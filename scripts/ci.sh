@@ -100,6 +100,13 @@ assert doc["counters"]["reuse.marker.accesses"] > 0, doc["counters"]
 assert doc["counters"]["reuse.exact.accesses"] > 0, doc["counters"]
 pairs = doc["histograms"].get("core.xpair.distinct_pairs")
 assert pairs and pairs["count"] > 0 and pairs["sum"] > 0, doc["histograms"].keys()
+# What a finished method-(B) profile retains, its entries summed over the
+# per-domain runs, is observed once per profile: two matrices, each
+# profiled once for method B. The runs are never merged, so the retained
+# entries are exactly the domains' distinct pairs.
+kept = doc["histograms"].get("core.xpair.profile_pairs")
+assert kept and kept["count"] == 2, doc["histograms"].keys()
+assert kept["sum"] == pairs["sum"], (kept, pairs)
 assert doc["histograms"], "no histograms recorded"
 assert doc["rss_checkpoints"], "no RSS checkpoints recorded"
 print(f"telemetry smoke ok: {len(names)} span names, "
@@ -429,6 +436,14 @@ echo "== side-model pin: L1 model, way optimiser, L1-filtered model =="
 # them is named here. On a drift the test writes side_models.actual
 # under target/ for a diff.
 cargo test --release --offline -q --test side_golden
+
+echo "== live-bytes pin: method (B) profile storage and peak =="
+# A counting global allocator over one 48-thread method-(B) profile of
+# the scale-64 delaunay_n24 analogue (its own test binary): the profile
+# must retain exactly 12 B per run entry, and the live peak must stay
+# within the runs plus one domain's stream buffer and its scan and stack
+# tables.
+cargo test --release --offline -q --test method_b_live_bytes
 
 echo "== generator pin: every corpus generator's matrices, byte for byte =="
 # The oracle files above cover only a few generated matrices, so one
